@@ -12,12 +12,14 @@ iteration performs
 3. entrywise projection of ``analog + dual`` onto the unit-modulus set,
 4. dual ascent step ``W += analog - R``.
 
-Three variants: dense analog matrix (``design_fully_connected``), block
-diagonal analog matrix with one phase vector per RF chain
-(``design_partially_connected``), and a multicarrier variant sharing one
-analog matrix across subcarriers with per-subcarrier digital matrices
-(``design_wideband``).  The multicarrier variant with one subcarrier runs
-the exact same arithmetic as the fully-connected one.
+Two loops: a dense analog matrix shared by K stacked targets with one
+digital matrix per target (``design_wideband``, the multicarrier design),
+and a block-diagonal analog matrix with one phase vector per RF chain
+(``design_partially_connected``).  The fully-connected narrowband design
+(``design_fully_connected``) is the dense loop with K = 1.  Each dense
+iteration factors the analog-update matrix once and the Gram matrix
+``F_RF^H F_RF`` once; the K digital least-squares updates share that factor
+through one stacked :func:`~hybridsim.numerics.solve_hpd` call.
 
 Iteration traces record the feasible-point objective (evaluated at R, not
 at the unconstrained analog iterate) together with the primal residual
@@ -25,6 +27,8 @@ at the unconstrained analog iterate) together with the primal residual
 objectives against ``tau``.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +70,14 @@ class AdmmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self.rho, "rho")
+        check_finite(self.tau, "tau")
+        for name in ("max_iters", "seed"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        if self.phase_bits is not None:
+            object.__setattr__(
+                self, "phase_bits", check_int(self.phase_bits, "phase_bits")
+            )
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.max_iters < 1:
@@ -74,6 +86,24 @@ class AdmmConfig:
             raise ValueError("tau must be nonnegative")
         if self.phase_bits is not None and self.phase_bits < 1:
             raise ValueError("phase_bits must be a positive integer")
+
+
+def check_finite(value, name):
+    """Return ``value`` if it is a finite real number; raise ValueError if not."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def check_int(value, name):
+    """``value`` as an int if it is a finite integral number; ValueError if not."""
+    if int(check_finite(value, name)) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTED):
@@ -187,32 +217,32 @@ def least_squares_fbb(f_rf, f_target):
     """Digital matrix minimizing ``||f_target - f_rf @ f_bb||_F``.
 
     Solves the normal equations ``(f_rf^H f_rf) f_bb = f_rf^H f_target``;
-    requires f_rf with full column rank.
+    requires f_rf with full column rank.  ``f_target`` may be one (n_tx, n_s)
+    matrix or a (K, n_tx, n_s) stack; a stack shares the one factored Gram
+    matrix and returns the (K, n_rf, n_s) stack of digital matrices.
     """
-    f_rf = np.asarray(f_rf)
-    f_target = np.asarray(f_target)
-    gram = f_rf.conj().T @ f_rf
-    return solve_hpd(gram, f_rf.conj().T @ f_target)
-
-
-def _frf_update(num, gram, r, w, rho):
-    # analog update: X (gram + rho I) = num + rho (R - W), solved from the
-    # right via the Hermitian system A X^H = B^H
-    a = gram + rho * np.eye(gram.shape[0])
-    b = num + rho * (r - w)
-    return solve_hpd(a, b.conj().T).conj().T
+    f_rf_h = np.asarray(f_rf).conj().T
+    return solve_hpd(f_rf_h @ f_rf, f_rf_h @ np.asarray(f_target))
 
 
 def step_frf(state, f_target, rho):
     """Closed-form analog update of the dense loop.
 
-    Returns ``[f_target f_bb^H + rho (R - W)] (f_bb f_bb^H + rho I)^-1``,
+    Returns ``[sum_k T_k F_k^H + rho (R - W)] (sum_k F_k F_k^H + rho I)^-1``
+    over the targets T_k and digital matrices F_k (one pair, or stacks of K),
     the stationary point of the augmented Lagrangian in the analog matrix.
     """
     f_bb = state.f_bb
-    return _frf_update(
-        f_target @ f_bb.conj().T, f_bb @ f_bb.conj().T, state.r, state.w, rho
-    )
+    f_bb_h = f_bb.conj().swapaxes(-1, -2)
+    num = f_target @ f_bb_h
+    gram = f_bb @ f_bb_h
+    if gram.ndim == 3:
+        num, gram = num.sum(axis=0), gram.sum(axis=0)
+    # X (gram + rho I) = num + rho (R - W), solved from the right via the
+    # Hermitian system A X^H = B^H
+    a = gram + rho * np.eye(gram.shape[0])
+    b = num + rho * (state.r - state.w)
+    return solve_hpd(a, b.conj().T).conj().T
 
 
 def _init_frf(rng, shape, phase_bits):
@@ -228,8 +258,98 @@ def _attach_trace(exc, trace):
     return exc
 
 
+def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
+    """Design one shared analog matrix and per-subcarrier digital matrices.
+
+    Parameters
+    ----------
+    targets : array-like, shape (K, n_tx, n_s)
+        Per-subcarrier target matrices (stacked, or a list of matrices):
+        unconstrained optimal precoders, or combiners.
+    n_rf : int
+        Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
+    cfg : AdmmConfig
+    normalize_power : bool
+        When True, rescale each subcarrier's digital matrix so its composite
+        satisfies ``||f_rf @ f_bb[k]||_F^2 = n_s`` (precoder side); combiners
+        skip this.
+    keep_iterates : bool
+        Attach per-iteration :class:`AdmmState` copies to the result.
+
+    Returns
+    -------
+    HybridFactors
+        ``f_bb`` has shape (K, n_rf, n_s); the trace objective is the sum
+        of per-subcarrier residuals.
+    """
+    targets = np.asarray(targets, dtype=complex)
+    if targets.ndim != 3:
+        raise ValueError(
+            f"targets must stack K matrices of equal shape, got {targets.shape}"
+        )
+    _, n_tx, n_s = targets.shape
+    if not n_s <= n_rf <= n_tx:
+        raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
+
+    rng = np.random.default_rng(cfg.seed)
+    f_rf = _init_frf(rng, (n_tx, n_rf), cfg.phase_bits)
+    state = AdmmState(
+        f_rf=f_rf,
+        f_bb=least_squares_fbb(f_rf, targets),
+        r=f_rf.copy(),
+        w=np.zeros((n_tx, n_rf), dtype=complex),
+    )
+
+    def objective(r, f_bb):
+        resid = targets - r @ f_bb
+        return float(np.vdot(resid, resid).real)
+
+    def trace_row(t):
+        return (
+            t,
+            objective(state.r, state.f_bb),
+            float(np.linalg.norm(state.f_rf - state.r)),
+        )
+
+    trace = [trace_row(0)]
+    iterates = [state.copy()] if keep_iterates else None
+
+    for t in range(1, cfg.max_iters + 1):
+        state.f_rf = step_frf(state, targets, cfg.rho)
+        state.f_bb = least_squares_fbb(state.f_rf, targets)
+        state.r = project_unit_modulus(state.f_rf + state.w, cfg.phase_bits)
+        state.w = state.w + (state.f_rf - state.r)
+        trace.append(trace_row(t))
+        if iterates is not None:
+            iterates.append(state.copy())
+        if abs(trace[-2][1] - trace[-1][1]) < cfg.tau:
+            break
+
+    f_rf_hat = state.r.copy()
+    try:
+        f_bb_hat = least_squares_fbb(f_rf_hat, targets)
+    except np.linalg.LinAlgError as exc:
+        raise _attach_trace(exc, trace)
+    final_objective = objective(f_rf_hat, f_bb_hat)
+    if normalize_power:
+        f_bb_hat = f_bb_hat * (
+            np.sqrt(n_s) / np.linalg.norm(f_rf_hat @ f_bb_hat, axis=(1, 2))
+        )[:, None, None]
+    return HybridFactors(
+        f_rf=f_rf_hat,
+        f_bb=f_bb_hat,
+        structure=FULLY_CONNECTED,
+        trace=trace,
+        final_objective=final_objective,
+        iterates=iterates,
+    )
+
+
 def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=False):
     """Design a dense unit-modulus analog matrix and digital matrix.
+
+    This is :func:`design_wideband` with one subcarrier, unwrapped to a
+    single (n_rf, n_s) digital matrix.
 
     Parameters
     ----------
@@ -251,54 +371,14 @@ def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=F
     f_target = np.asarray(f_target, dtype=complex)
     if f_target.ndim != 2:
         raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
-    n_tx, n_s = f_target.shape
-    if not n_s <= n_rf <= n_tx:
-        raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
-
-    rng = np.random.default_rng(cfg.seed)
-    f_rf = _init_frf(rng, (n_tx, n_rf), cfg.phase_bits)
-    state = AdmmState(
-        f_rf=f_rf,
-        f_bb=least_squares_fbb(f_rf, f_target),
-        r=f_rf.copy(),
-        w=np.zeros((n_tx, n_rf), dtype=complex),
+    design = design_wideband(
+        f_target[None], n_rf, cfg, normalize_power, keep_iterates
     )
-
-    def objective(st):
-        return float(np.linalg.norm(f_target - st.r @ st.f_bb) ** 2)
-
-    trace = [(0, objective(state), float(np.linalg.norm(state.f_rf - state.r)))]
-    iterates = [state.copy()] if keep_iterates else None
-
-    for t in range(1, cfg.max_iters + 1):
-        state.f_rf = step_frf(state, f_target, cfg.rho)
-        state.f_bb = least_squares_fbb(state.f_rf, f_target)
-        state.r = project_unit_modulus(state.f_rf + state.w, cfg.phase_bits)
-        state.w = state.w + (state.f_rf - state.r)
-        trace.append(
-            (t, objective(state), float(np.linalg.norm(state.f_rf - state.r)))
-        )
-        if iterates is not None:
-            iterates.append(state.copy())
-        if abs(trace[-2][1] - trace[-1][1]) < cfg.tau:
-            break
-
-    f_rf_hat = state.r.copy()
-    try:
-        f_bb_hat = least_squares_fbb(f_rf_hat, f_target)
-    except np.linalg.LinAlgError as exc:
-        raise _attach_trace(exc, trace)
-    final_objective = float(np.linalg.norm(f_target - f_rf_hat @ f_bb_hat) ** 2)
-    if normalize_power:
-        f_bb_hat *= np.sqrt(n_s) / np.linalg.norm(f_rf_hat @ f_bb_hat)
-    return HybridFactors(
-        f_rf=f_rf_hat,
-        f_bb=f_bb_hat,
-        structure=FULLY_CONNECTED,
-        trace=trace,
-        final_objective=final_objective,
-        iterates=iterates,
-    )
+    design.f_bb = design.f_bb[0]
+    if design.iterates is not None:
+        for st in design.iterates:
+            st.f_bb = st.f_bb[0]
+    return design
 
 
 def assemble_block_diag(f_vecs):
@@ -401,92 +481,3 @@ def _partial_fbb(f_vecs, target3):
     # row i: ||f_i||^-2 f_i^H (target row block i)
     norms = np.sum(np.abs(f_vecs) ** 2, axis=1)
     return np.einsum("ib,ibs->is", f_vecs.conj(), target3) / norms[:, None]
-
-
-def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
-    """Design one shared analog matrix and per-subcarrier digital matrices.
-
-    Parameters
-    ----------
-    targets : array-like, shape (K, n_tx, n_s)
-        Per-subcarrier target matrices (stacked, or a list of matrices).
-    n_rf, cfg, normalize_power, keep_iterates
-        As in :func:`design_fully_connected`; power normalization is
-        applied to each subcarrier's digital matrix independently.
-
-    Returns
-    -------
-    HybridFactors
-        ``f_bb`` has shape (K, n_rf, n_s); the trace objective is the sum
-        of per-subcarrier residuals.
-    """
-    targets = np.asarray(targets, dtype=complex)
-    if targets.ndim != 3:
-        raise ValueError(
-            f"targets must stack K matrices of equal shape, got {targets.shape}"
-        )
-    n_sub, n_tx, n_s = targets.shape
-    if not n_s <= n_rf <= n_tx:
-        raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
-
-    rng = np.random.default_rng(cfg.seed)
-    f_rf = _init_frf(rng, (n_tx, n_rf), cfg.phase_bits)
-    f_bb = np.stack([least_squares_fbb(f_rf, targets[k]) for k in range(n_sub)])
-    state = AdmmState(
-        f_rf=f_rf,
-        f_bb=f_bb,
-        r=f_rf.copy(),
-        w=np.zeros((n_tx, n_rf), dtype=complex),
-    )
-
-    def objective(st):
-        return sum(
-            float(np.linalg.norm(targets[k] - st.r @ st.f_bb[k]) ** 2)
-            for k in range(n_sub)
-        )
-
-    trace = [(0, objective(state), float(np.linalg.norm(state.f_rf - state.r)))]
-    iterates = [state.copy()] if keep_iterates else None
-
-    for t in range(1, cfg.max_iters + 1):
-        num = np.zeros((n_tx, n_rf), dtype=complex)
-        gram = np.zeros((n_rf, n_rf), dtype=complex)
-        for k in range(n_sub):
-            num += targets[k] @ state.f_bb[k].conj().T
-            gram += state.f_bb[k] @ state.f_bb[k].conj().T
-        state.f_rf = _frf_update(num, gram, state.r, state.w, cfg.rho)
-        state.f_bb = np.stack(
-            [least_squares_fbb(state.f_rf, targets[k]) for k in range(n_sub)]
-        )
-        state.r = project_unit_modulus(state.f_rf + state.w, cfg.phase_bits)
-        state.w = state.w + (state.f_rf - state.r)
-        trace.append(
-            (t, objective(state), float(np.linalg.norm(state.f_rf - state.r)))
-        )
-        if iterates is not None:
-            iterates.append(state.copy())
-        if abs(trace[-2][1] - trace[-1][1]) < cfg.tau:
-            break
-
-    f_rf_hat = state.r.copy()
-    try:
-        f_bb_hat = np.stack(
-            [least_squares_fbb(f_rf_hat, targets[k]) for k in range(n_sub)]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise _attach_trace(exc, trace)
-    final_objective = sum(
-        float(np.linalg.norm(targets[k] - f_rf_hat @ f_bb_hat[k]) ** 2)
-        for k in range(n_sub)
-    )
-    if normalize_power:
-        for k in range(n_sub):
-            f_bb_hat[k] *= np.sqrt(n_s) / np.linalg.norm(f_rf_hat @ f_bb_hat[k])
-    return HybridFactors(
-        f_rf=f_rf_hat,
-        f_bb=f_bb_hat,
-        structure=FULLY_CONNECTED,
-        trace=trace,
-        final_objective=final_objective,
-        iterates=iterates,
-    )

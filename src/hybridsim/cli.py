@@ -8,14 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .admm import (
-    design_fully_connected,
-    design_partially_connected,
-    design_wideband,
-)
 from .baseline import optimal_factors
 from .channel import ArrayGeometry, ClusterParams, gen_wideband
-from .harness import load_config, run_sweep
+from .harness import load_config, run_sweep, scenario_design
 
 
 def main(argv=None):
@@ -76,21 +71,9 @@ def _trace(spec, out_path):
         ClusterParams(),
         spec.n_subcarriers,
     )
-    n_rf = spec.n_rf[0]
-    cfg = replace(spec.admm, seed=spec.admm.seed)
-    if spec.scenario == "wideband":
-        targets = np.stack(
-            [optimal_factors(h, spec.n_s).f_opt for h in realization.matrices]
-        )
-        design = design_wideband(targets, n_rf, cfg, normalize_power=True)
-    else:
-        target = optimal_factors(realization.matrix, spec.n_s).f_opt
-        designer = (
-            design_partially_connected
-            if spec.scenario == "narrowband_partial"
-            else design_fully_connected
-        )
-        design = designer(target, n_rf, cfg, normalize_power=True)
+    factors = [optimal_factors(h, spec.n_s) for h in realization.matrices]
+    designer, target = scenario_design(spec, factors, "f_opt")
+    design = designer(target, spec.n_rf[0], spec.admm, normalize_power=True)
 
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

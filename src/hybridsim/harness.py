@@ -20,6 +20,8 @@ import numpy as np
 
 from .admm import (
     AdmmConfig,
+    check_finite,
+    check_int,
     design_fully_connected,
     design_partially_connected,
     design_wideband,
@@ -43,6 +45,17 @@ _HYBRID_METHOD = {
     "narrowband_partial": "hybrid_partial",
     "wideband": "hybrid_wideband",
 }
+
+# SweepSpec fields that must hold integers
+_INT_FIELDS = (
+    "n_s",
+    "n_tx_side",
+    "n_rx_side",
+    "n_subcarriers",
+    "runs",
+    "base_seed",
+    "multistart",
+)
 
 _CSV_FIELDS = [
     "scenario",
@@ -85,9 +98,18 @@ class SweepSpec:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        object.__setattr__(self, "n_rf", _as_int_tuple(self.n_rf, "n_rf"))
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         object.__setattr__(
-            self, "snr_db_list", tuple(float(s) for s in _as_tuple(self.snr_db_list))
+            self, "n_rf", tuple(check_int(v, "n_rf") for v in _as_tuple(self.n_rf))
+        )
+        object.__setattr__(
+            self,
+            "snr_db_list",
+            tuple(
+                float(check_finite(s, "snr_db"))
+                for s in _as_tuple(self.snr_db_list)
+            ),
         )
         if len(self.snr_db_list) == 0:
             raise ValueError("empty sweep axis: snr_db_list has no entries")
@@ -158,17 +180,8 @@ class SweepSpec:
         if admm_unknown:
             raise ValueError(f"unknown admm config keys: {sorted(admm_unknown)}")
         return cls(
-            scenario=doc["scenario"],
-            n_s=int(doc["n_s"]),
-            n_rf=doc["n_rf"],
-            n_tx_side=int(doc["n_tx_side"]),
-            n_rx_side=int(doc["n_rx_side"]),
-            n_subcarriers=int(doc["n_subcarriers"]),
-            snr_db_list=doc["snr_db_list"],
-            runs=int(doc["runs"]),
-            base_seed=int(doc["base_seed"]),
+            **{key: doc[key] for key in known - {"admm"} if key in doc},
             admm=AdmmConfig(**admm_doc),
-            multistart=int(doc.get("multistart", 1)),
         )
 
     def to_dict(self):
@@ -182,15 +195,6 @@ def _as_tuple(value):
     if isinstance(value, (list, tuple)):
         return tuple(value)
     return (value,)
-
-
-def _as_int_tuple(value, name):
-    out = []
-    for v in _as_tuple(value):
-        if int(v) != v:
-            raise ValueError(f"{name} entries must be integers, got {v!r}")
-        out.append(int(v))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -263,15 +267,38 @@ def run_single(spec, run_index):
     method = _HYBRID_METHOD[spec.scenario]
     records = []
     for n_rf in spec.n_rf:
+        # a failed design, or a design whose rate cannot be evaluated, gives
+        # NaN hybrid rows instead of aborting the sweep
         t0 = time.perf_counter()
-        error = None
         try:
             pre, comb = _design_pair(spec, factors, n_rf, run_index)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            error = exc
-        design_ms = 1e3 * (time.perf_counter() - t0)
+            design_ms = 1e3 * (time.perf_counter() - t0)
+            hybrid_se = [
+                float(
+                    np.mean(
+                        [
+                            spectral_efficiency(
+                                h,
+                                pre.f_rf @ _bb(pre, k),
+                                comb.f_rf @ _bb(comb, k),
+                                snr,
+                                spec.n_s,
+                            )
+                            for k, h in enumerate(realization.matrices)
+                        ]
+                    )
+                )
+                for snr in snrs
+            ]
+            final_obj = pre.final_objective
+            iters = pre.iterations
+        except (np.linalg.LinAlgError, ValueError):
+            design_ms = 1e3 * (time.perf_counter() - t0)
+            hybrid_se = [float("nan")] * len(snrs)
+            final_obj = float("nan")
+            iters = 0
 
-        for snr_db, snr, dig_se in zip(spec.snr_db_list, snrs, digital_se):
+        for snr_db, dig_se, hyb_se in zip(spec.snr_db_list, digital_se, hybrid_se):
             records.append(
                 ResultRecord(
                     scenario=spec.scenario,
@@ -286,27 +313,6 @@ def run_single(spec, run_index):
                     wall_time_ms=digital_ms,
                 )
             )
-            if error is not None:
-                hybrid_se = float("nan")
-                final_obj = float("nan")
-                iters = 0
-            else:
-                hybrid_se = float(
-                    np.mean(
-                        [
-                            spectral_efficiency(
-                                h,
-                                pre.f_rf @ _bb(pre, k),
-                                comb.f_rf @ _bb(comb, k),
-                                snr,
-                                spec.n_s,
-                            )
-                            for k, h in enumerate(realization.matrices)
-                        ]
-                    )
-                )
-                final_obj = pre.final_objective
-                iters = pre.iterations
             records.append(
                 ResultRecord(
                     scenario=spec.scenario,
@@ -315,7 +321,7 @@ def run_single(spec, run_index):
                     run_index=run_index,
                     seed=seed,
                     method=method,
-                    spectral_efficiency=hybrid_se,
+                    spectral_efficiency=hyb_se,
                     final_objective=final_obj,
                     iterations_used=iters,
                     wall_time_ms=design_ms,
@@ -329,29 +335,31 @@ def _bb(design, k):
     return design.f_bb[k] if design.f_bb.ndim == 3 else design.f_bb
 
 
-def _design_pair(spec, factors, n_rf, run_index):
-    cfg = spec.admm
+def scenario_design(spec, factors, side):
+    """The designer of ``spec.scenario`` and the target it factors.
+
+    ``factors`` holds the SVD factors of each subcarrier; ``side`` names the
+    target, ``"f_opt"`` (precoder) or ``"w_opt"`` (combiner).  The wideband
+    designer gets the (K, n, n_s) stack of per-subcarrier targets, the
+    narrowband ones the single target.
+    """
+    targets = [getattr(fo, side) for fo in factors]
     if spec.scenario == "wideband":
-        f_targets = np.stack([fo.f_opt for fo in factors])
-        w_targets = np.stack([fo.w_opt for fo in factors])
-        pre = _design_multistart(
-            design_wideband, f_targets, n_rf, cfg, True, run_index, spec
-        )
-        comb = _design_multistart(
-            design_wideband, w_targets, n_rf, cfg, False, run_index, spec
-        )
-    else:
-        designer = (
-            design_partially_connected
-            if spec.scenario == "narrowband_partial"
-            else design_fully_connected
-        )
-        pre = _design_multistart(
-            designer, factors[0].f_opt, n_rf, cfg, True, run_index, spec
-        )
-        comb = _design_multistart(
-            designer, factors[0].w_opt, n_rf, cfg, False, run_index, spec
-        )
+        return design_wideband, np.stack(targets)
+    if spec.scenario == "narrowband_partial":
+        return design_partially_connected, targets[0]
+    return design_fully_connected, targets[0]
+
+
+def _design_pair(spec, factors, n_rf, run_index):
+    designer, f_target = scenario_design(spec, factors, "f_opt")
+    pre = _design_multistart(
+        designer, f_target, n_rf, spec.admm, True, run_index, spec
+    )
+    designer, w_target = scenario_design(spec, factors, "w_opt")
+    comb = _design_multistart(
+        designer, w_target, n_rf, spec.admm, False, run_index, spec
+    )
     return pre, comb
 
 

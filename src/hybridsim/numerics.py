@@ -7,7 +7,7 @@ implementations for something else only requires keeping these contracts.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = ["svd", "solve_hpd", "logdet_eval"]
 
@@ -17,7 +17,7 @@ _RANK_TOL = 1e-14
 
 
 def _require_finite(a, name):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries (corrupted data)")
 
 
@@ -48,6 +48,11 @@ def svd(a):
 def solve_hpd(a, b):
     """Solve A @ X = B for Hermitian positive definite A via Cholesky.
 
+    ``b`` is a vector, an (n, m) matrix or a stack of K right-hand sides of
+    shape (K, n, m); A is factored once and every right-hand side is solved
+    against that factor in one LAPACK ``potrs`` call.  The result has the
+    shape of ``b``.
+
     Raises ``numpy.linalg.LinAlgError`` when A is not positive definite
     within tolerance (rank-deficient Gram matrices land here).
     """
@@ -57,21 +62,31 @@ def solve_hpd(a, b):
     _require_finite(b, "solve_hpd right-hand side")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
+    n = a.shape[0]
+    stacked = b.ndim == 3
+    if b.ndim > 3 or b.shape[-2 if stacked else 0] != n:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (a, b))
+    factor, info = potrf(a, lower=True, clean=False)
+    if info > 0:
         raise np.linalg.LinAlgError(
-            f"matrix is not positive definite: {exc}"
-        ) from exc
-    diag = np.abs(np.diag(factor[0]))
-    if diag.min() ** 2 < _RANK_TOL * diag.max() ** 2:
+            f"matrix is not positive definite: leading minor of order {info} "
+            "is not positive"
+        )
+    # a successful potrf leaves a real positive diagonal
+    diag = factor.diagonal().real.tolist()
+    if min(diag) ** 2 < _RANK_TOL * max(diag) ** 2:
         raise np.linalg.LinAlgError(
             "matrix is numerically rank deficient (Cholesky pivot ratio "
-            f"{(diag.min() / diag.max()) ** 2:.3e})"
+            f"{(min(diag) / max(diag)) ** 2:.3e})"
         )
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    if stacked:
+        # (K, n, m) -> columns of one (n, K*m) system, and back
+        k, _, m = b.shape
+        x, _ = potrs(factor, b.transpose(1, 0, 2).reshape(n, k * m), lower=True)
+        return x.reshape(n, k, m).transpose(1, 0, 2)
+    x, _ = potrs(factor, b, lower=True)
+    return x
 
 
 def logdet_eval(a):

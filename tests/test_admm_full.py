@@ -373,6 +373,30 @@ class TestAdmmConfig:
         with pytest.raises(ValueError):
             AdmmConfig(phase_bits=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rho": float("nan")},
+            {"rho": float("inf")},
+            {"tau": float("nan")},
+            {"tau": float("inf")},
+            {"rho": "1.0"},
+            {"max_iters": 2.5},
+            {"max_iters": float("nan")},
+            {"max_iters": True},
+            {"phase_bits": 1.5},
+            {"seed": 0.5},
+        ],
+    )
+    def test_rejects_nonfinite_and_nonint_fields(self, fields):
+        with pytest.raises(ValueError):
+            AdmmConfig(**fields)
+
+    def test_integral_floats_become_ints(self):
+        cfg = AdmmConfig(max_iters=12.0, phase_bits=3.0, seed=np.int64(4))
+        assert (cfg.max_iters, cfg.phase_bits, cfg.seed) == (12, 3, 4)
+        assert all(type(v) is int for v in (cfg.max_iters, cfg.phase_bits, cfg.seed))
+
     def test_scale_matched_rho_values(self):
         assert scale_matched_rho(64, 4, 2) == 2 / 256
         assert scale_matched_rho(36, 4, 3, n_subcarriers=16) == 16 * 3 / 144

@@ -76,6 +76,37 @@ class TestSingleCarrierReduction:
         assert abs(wide.final_objective / narrow.final_objective - k) < 1e-6 * k
 
 
+    def test_fully_connected_is_wideband_with_one_subcarrier(self):
+        rng = np.random.default_rng(8)
+        for seed, normalize in [(0, True), (1, False), (2, True)]:
+            q, _ = np.linalg.qr(crandn(rng, 16, 2))
+            cfg = AdmmConfig(rho=scale_matched_rho(16, 4, 2), tau=1e-4, seed=seed)
+            wide = design_wideband(q[None], 4, cfg, normalize)
+            narrow = design_fully_connected(q, 4, cfg, normalize)
+            assert narrow.trace == wide.trace
+            assert np.array_equal(narrow.f_rf, wide.f_rf)
+            assert np.array_equal(narrow.f_bb, wide.f_bb[0])
+            assert narrow.final_objective == wide.final_objective
+
+
+class TestStackedLeastSquares:
+    def test_stack_matches_per_slice_results(self):
+        rng = np.random.default_rng(9)
+        f_rf = crandn(rng, 16, 4)
+        targets = random_targets(rng, 6, 16, 2)
+        stacked = least_squares_fbb(f_rf, targets)
+        ref = np.stack([least_squares_fbb(f_rf, t) for t in targets])
+        assert stacked.shape == (6, 4, 2)
+        assert np.linalg.norm(stacked - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_stack_rank_deficient_analog_raises(self):
+        rng = np.random.default_rng(10)
+        col = crandn(rng, 12, 1)
+        f_rf = np.hstack([col, col, crandn(rng, 12, 1)])
+        with pytest.raises(np.linalg.LinAlgError):
+            least_squares_fbb(f_rf, random_targets(rng, 3, 12, 2))
+
+
 class TestDesignWideband:
     def test_normal_equation_residual_from_snapshots(self):
         # the shared analog update must satisfy the summed normal equations

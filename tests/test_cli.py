@@ -49,6 +49,29 @@ class TestValidate:
         assert main(["validate", "--config", str(missing)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("admm", "rho"), float("nan")),
+            (("admm", "tau"), float("nan")),
+            (("admm", "max_iters"), 2.5),
+            (("runs",), 2.5),
+            (("snr_db_list",), [0.0, float("nan")]),
+        ],
+    )
+    def test_nonfinite_or_nonint_value_is_config_error(
+        self, tmp_path, capsys, path, value
+    ):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg.write_text(json.dumps(doc))  # NaN is written as the JSON token NaN
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")

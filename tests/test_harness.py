@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -90,6 +91,29 @@ class TestSweepSpec:
         doc = small_spec().to_dict()
         doc["admm"] = {"rho": 0.1, "momentum": 0.9}
         with pytest.raises(ValueError, match="unknown admm config keys"):
+            SweepSpec.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"snr_db_list": [0.0, float("nan")]},
+            {"snr_db_list": float("inf")},
+            {"runs": 2.5},
+            {"n_s": 1.5},
+            {"multistart": float("nan")},
+            {"base_seed": float("inf")},
+            {"n_rf": [2, 2.5]},
+            {"n_rf": float("nan")},
+        ],
+    )
+    def test_nonfinite_and_nonint_values_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            small_spec(**overrides)
+
+    def test_from_dict_rejects_fractional_count(self):
+        doc = small_spec().to_dict()
+        doc["runs"] = 2.5
+        with pytest.raises(ValueError, match="runs"):
             SweepSpec.from_dict(doc)
 
     def test_dict_roundtrip(self):
@@ -238,6 +262,46 @@ class TestRunSweep:
         body = read_rows(out)[1:]
         assert len(body) == 12
         assert sum("nan" in r[6] for r in body) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unrateable_design_yields_nan_rows(self, tmp_path, monkeypatch, workers):
+        # a rank-deficient hybrid combiner makes spectral_efficiency raise;
+        # the run's hybrid rows turn NaN and the other runs complete
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes only see the patch when forked")
+        real = harness._design_pair
+
+        def rank_deficient_combiner(spec, factors, n_rf, run_index):
+            pre, comb = real(spec, factors, n_rf, run_index)
+            if run_index == 1:
+                comb.f_bb[:, 1] = comb.f_bb[:, 0]
+            return pre, comb
+
+        monkeypatch.setattr(harness, "_design_pair", rank_deficient_combiner)
+        out = tmp_path / "sweep.csv"
+        records = run_sweep(small_spec(), out, workers=workers)
+        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        assert len(bad) == 2
+        assert all(r.method == "hybrid_full" and r.run_index == 1 for r in bad)
+        assert all(np.isnan(r.final_objective) for r in bad)
+        with open(str(out) + ".meta.json") as fh:
+            assert json.load(fh)["error_rows"] == 2
+        assert read_rows(out)[0] == harness._CSV_FIELDS
+
+    def test_nonfinite_factors_yield_nan_rows(self, tmp_path, monkeypatch):
+        real = harness._design_pair
+
+        def corrupted(spec, factors, n_rf, run_index):
+            pre, comb = real(spec, factors, n_rf, run_index)
+            if run_index == 2:
+                pre.f_bb[0, 0] = np.nan
+            return pre, comb
+
+        monkeypatch.setattr(harness, "_design_pair", corrupted)
+        records = run_sweep(small_spec(), tmp_path / "sweep.csv")
+        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        assert {(r.method, r.run_index) for r in bad} == {("hybrid_full", 2)}
+        assert len(bad) == 2
 
     def test_io_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
         real = harness._format_row

@@ -112,6 +112,36 @@ class TestSolveHpd:
         with pytest.raises(ValueError):
             solve_hpd(a, np.array([[np.inf], [0.0]]))
 
+    def test_stacked_rhs_matches_per_slice_solves(self):
+        rng = np.random.default_rng(8)
+        for n, k, m in [(2, 3, 1), (4, 16, 3), (6, 5, 4)]:
+            a = random_hpd(rng, n)
+            b = crandn(rng, k, n, m)
+            x = solve_hpd(a, b)
+            ref = np.stack([solve_hpd(a, b[i]) for i in range(k)])
+            assert x.shape == (k, n, m)
+            assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+            for i in range(k):
+                assert np.linalg.norm(a @ x[i] - b[i]) < 1e-10 * np.linalg.norm(b[i])
+
+    def test_stacked_rhs_rank_deficient_gram_raises(self):
+        rng = np.random.default_rng(9)
+        col = crandn(rng, 6, 1)
+        f = np.hstack([col, col])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_hpd(f.conj().T @ f, crandn(rng, 4, 2, 3))
+
+    def test_stacked_rhs_indefinite_raises(self):
+        a = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_hpd(a, np.ones((3, 2, 1), dtype=complex))
+
+    def test_stacked_rhs_shape_validation(self):
+        with pytest.raises(ValueError):
+            solve_hpd(np.eye(3), np.ones((4, 2, 1)))
+        with pytest.raises(ValueError):
+            solve_hpd(np.eye(3), np.ones((2, 4, 3, 1)))
+
 
 class TestLogdet:
     def test_diagonal_hand_case(self):
