@@ -11,6 +11,7 @@ from .admm import (
     FULLY_CONNECTED,
     PARTIALLY_CONNECTED,
     AdmmConfig,
+    DesignBatch,
     HybridFactors,
     assemble_block_diag,
     design_fully_connected,
@@ -45,6 +46,7 @@ __all__ = [
     "ChannelRealization",
     "ClusterAngles",
     "ClusterParams",
+    "DesignBatch",
     "FULLY_CONNECTED",
     "HybridFactors",
     "OptimalFactors",

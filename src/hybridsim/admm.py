@@ -12,14 +12,19 @@ iteration performs
 3. entrywise projection of ``analog + dual`` onto the unit-modulus set,
 4. dual ascent step ``W += analog - R``.
 
-Two loops: a dense analog matrix shared by K stacked targets with one
+Two structures: a dense analog matrix shared by K stacked targets with one
 digital matrix per target (``design_wideband``, the multicarrier design),
 and a block-diagonal analog matrix with one phase vector per RF chain
 (``design_partially_connected``).  The fully-connected narrowband design
-(``design_fully_connected``) is the dense loop with K = 1.  Each dense
-iteration factors the analog-update matrix once and the Gram matrix
-``F_RF^H F_RF`` once; the K digital least-squares updates share that factor
+(``design_fully_connected``) is the dense structure with K = 1.  Each dense
+iteration solves one analog-update system and one Gram system
+``F_RF^H F_RF``; the K digital least-squares updates share that Gram matrix
 through one stacked :func:`~hybridsim.numerics.solve_hpd` call.
+
+Both structures run one loop (``_run_loop``) over a leading batch axis of
+independent instances: instance i starts from the seed ``cfg.seed + i`` and
+leaves the batch when its own stagnation test fires, so it follows, bitwise,
+the iterations it would follow alone.  A single design is a batch of one.
 
 Iteration traces record the feasible-point objective (evaluated at R, not
 at the unconstrained analog iterate) together with the primal residual
@@ -29,7 +34,7 @@ objectives against ``tau``.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +45,7 @@ __all__ = [
     "AdmmState",
     "PartialState",
     "HybridFactors",
+    "DesignBatch",
     "project_unit_modulus",
     "least_squares_fbb",
     "scale_matched_rho",
@@ -84,6 +90,8 @@ class AdmmConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.phase_bits is not None and self.phase_bits < 1:
             raise ValueError("phase_bits must be a positive integer")
 
@@ -132,7 +140,8 @@ def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTE
 class AdmmState:
     """One iterate of the dense-analog loop: analog matrix, digital matrix
     (stacked per subcarrier for the multicarrier variant), auxiliary
-    unit-modulus copy and scaled dual."""
+    unit-modulus copy and scaled dual.  Inside a batched design every field
+    carries a leading instance axis."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -148,7 +157,8 @@ class AdmmState:
 @dataclass
 class PartialState:
     """One iterate of the block-diagonal loop; row i of each vector array is
-    the length n_tx/n_rf vector for RF chain i."""
+    the length n_tx/n_rf vector for RF chain i.  Inside a batched design
+    every field carries a leading instance axis."""
 
     f_vecs: np.ndarray
     f_bb: np.ndarray
@@ -189,6 +199,15 @@ class HybridFactors:
         return len(self.trace) - 1
 
 
+class DesignBatch(tuple):
+    """The :class:`HybridFactors` of each instance of one batched design call."""
+
+    @property
+    def iterations(self):
+        """Loop iterations executed, summed over the instances."""
+        return sum(design.iterations for design in self)
+
+
 def project_unit_modulus(x, phase_bits=None):
     """Entrywise projection onto unit-modulus phases.
 
@@ -219,10 +238,19 @@ def least_squares_fbb(f_rf, f_target):
     Solves the normal equations ``(f_rf^H f_rf) f_bb = f_rf^H f_target``;
     requires f_rf with full column rank.  ``f_target`` may be one (n_tx, n_s)
     matrix or a (K, n_tx, n_s) stack; a stack shares the one factored Gram
-    matrix and returns the (K, n_rf, n_s) stack of digital matrices.
+    matrix and returns the (K, n_rf, n_s) stack of digital matrices.  A batch
+    of analog matrices (B, n_tx, n_rf) takes targets of shape (B, n_tx, n_s)
+    or (B, K, n_tx, n_s), one instance per leading index.
     """
-    f_rf_h = np.asarray(f_rf).conj().T
-    return solve_hpd(f_rf_h @ f_rf, f_rf_h @ np.asarray(f_target))
+    f_rf = np.asarray(f_rf)
+    f_target = np.asarray(f_target)
+    f_rf_h = f_rf.conj().swapaxes(-1, -2)
+    if f_target.ndim > f_rf.ndim:
+        # one more axis than the analog matrix: K targets share it
+        rhs = f_rf_h[..., None, :, :] @ f_target
+    else:
+        rhs = f_rf_h @ f_target
+    return solve_hpd(f_rf_h @ f_rf, rhs)
 
 
 def step_frf(state, f_target, rho):
@@ -231,31 +259,120 @@ def step_frf(state, f_target, rho):
     Returns ``[sum_k T_k F_k^H + rho (R - W)] (sum_k F_k F_k^H + rho I)^-1``
     over the targets T_k and digital matrices F_k (one pair, or stacks of K),
     the stationary point of the augmented Lagrangian in the analog matrix.
+    A state with a leading batch axis updates every instance.
     """
     f_bb = state.f_bb
     f_bb_h = f_bb.conj().swapaxes(-1, -2)
     num = f_target @ f_bb_h
     gram = f_bb @ f_bb_h
-    if gram.ndim == 3:
-        num, gram = num.sum(axis=0), gram.sum(axis=0)
+    if gram.ndim > state.r.ndim:
+        # one digital matrix per subcarrier
+        num, gram = num.sum(axis=-3), gram.sum(axis=-3)
     # X (gram + rho I) = num + rho (R - W), solved from the right via the
     # Hermitian system A X^H = B^H
-    a = gram + rho * np.eye(gram.shape[0])
+    a = gram + rho * np.eye(gram.shape[-1])
     b = num + rho * (state.r - state.w)
-    return solve_hpd(a, b.conj().T).conj().T
+    return solve_hpd(a, b.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
-def _init_frf(rng, shape, phase_bits):
-    f_rf = np.exp(2j * np.pi * rng.uniform(size=shape))
-    if phase_bits is not None:
+def _init_analog(cfg, count, shape):
+    # instance i draws from its own generator seeded cfg.seed + i, so it
+    # starts where a single design with that seed starts
+    draws = np.stack(
+        [np.random.default_rng(cfg.seed + i).uniform(size=shape) for i in range(count)]
+    )
+    f_rf = np.exp(2j * np.pi * draws)
+    if cfg.phase_bits is not None:
         # start inside the quantized feasible set
-        f_rf = project_unit_modulus(f_rf, phase_bits)
+        f_rf = project_unit_modulus(f_rf, cfg.phase_bits)
     return f_rf
 
 
-def _attach_trace(exc, trace):
-    exc.trace = trace
-    return exc
+def _sqnorm(x):
+    """Squared Frobenius norm of each slice along the leading axis."""
+    v = np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
+    return (v * v).sum(axis=1)
+
+
+def _take(state, index):
+    """The instances ``index`` (an index or a mask) of a batched state."""
+    return type(state)(*(getattr(state, f.name)[index] for f in fields(state)))
+
+
+def _run_loop(state, targets, cfg, step, measure, keep_iterates):
+    """The ADMM loop shared by both structures, over a batch of instances.
+
+    ``step(state, targets, cfg)`` returns the next iterate and
+    ``measure(state, targets)`` the per-instance (objective, primal
+    residual).  An instance stops once its objective changes by less than
+    ``cfg.tau``; the loop then carries on with the remaining instances only,
+    so every instance follows the iterations it would follow alone.
+    Returns the last iterate of every instance (one batched state), the
+    per-instance traces and the per-instance iterate lists (or None).
+    """
+    count = len(targets)
+    objective, residual = measure(state, targets)
+    traces = [[(0, o, r)] for o, r in zip(objective.tolist(), residual.tolist())]
+    iterates = None
+    if keep_iterates:
+        iterates = [[_take(state, i).copy()] for i in range(count)]
+    last = state.copy()
+    active = np.arange(count)
+    for t in range(1, cfg.max_iters + 1):
+        state = step(state, targets, cfg)
+        new_objective, residual = measure(state, targets)
+        rows = zip(active.tolist(), new_objective.tolist(), residual.tolist())
+        for j, (i, o, r) in enumerate(rows):
+            traces[i].append((t, o, r))
+            if iterates is not None:
+                iterates[i].append(_take(state, j).copy())
+        stop = np.abs(objective - new_objective) < cfg.tau
+        if t == cfg.max_iters:
+            stop[:] = True
+        if stop.any():
+            for f in fields(state):
+                getattr(last, f.name)[active[stop]] = getattr(state, f.name)[stop]
+            going = ~stop
+            if not going.any():
+                break
+            active, targets = active[going], targets[going]
+            state, new_objective = _take(state, going), new_objective[going]
+        objective = new_objective
+    return last, traces, iterates
+
+
+def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
+    """One HybridFactors per instance: the DesignBatch, or its one design."""
+    designs = DesignBatch(
+        HybridFactors(
+            f_rf=f_rf[i],
+            f_bb=f_bb[i],
+            structure=structure,
+            trace=traces[i],
+            final_objective=final_objective[i],
+            iterates=None if iterates is None else iterates[i],
+        )
+        for i in range(len(traces))
+    )
+    return designs if batched else designs[0]
+
+
+def _dense_step(state, targets, cfg):
+    f_rf = step_frf(state, targets, cfg.rho)
+    f_bb = least_squares_fbb(f_rf, targets)
+    r = project_unit_modulus(f_rf + state.w, cfg.phase_bits)
+    return AdmmState(f_rf=f_rf, f_bb=f_bb, r=r, w=state.w + (f_rf - r))
+
+
+def _dense_objective(targets, r, f_bb):
+    return _sqnorm(targets - r[:, None] @ f_bb)
+
+
+def _dense_measure(state, targets):
+    return (
+        _dense_objective(targets, state.r, state.f_bb),
+        np.sqrt(_sqnorm(state.f_rf - state.r)),
+    )
 
 
 def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
@@ -263,9 +380,12 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
 
     Parameters
     ----------
-    targets : array-like, shape (K, n_tx, n_s)
+    targets : array-like, shape (K, n_tx, n_s) or (B, K, n_tx, n_s)
         Per-subcarrier target matrices (stacked, or a list of matrices):
-        unconstrained optimal precoders, or combiners.
+        unconstrained optimal precoders, or combiners.  A leading batch axis
+        designs B independent instances in one pass; instance i uses the
+        seed ``cfg.seed + i`` and its result is bitwise the result of the
+        single design ``design_wideband(targets[i], ...)`` with that seed.
     n_rf : int
         Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
     cfg : AdmmConfig
@@ -278,70 +398,41 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
 
     Returns
     -------
-    HybridFactors
+    HybridFactors, or a DesignBatch of B of them for batched targets
         ``f_bb`` has shape (K, n_rf, n_s); the trace objective is the sum
         of per-subcarrier residuals.
     """
     targets = np.asarray(targets, dtype=complex)
-    if targets.ndim != 3:
+    if targets.ndim not in (3, 4):
         raise ValueError(
             f"targets must stack K matrices of equal shape, got {targets.shape}"
         )
-    _, n_tx, n_s = targets.shape
+    batched = targets.ndim == 4
+    if not batched:
+        targets = targets[None]
+    count, _, n_tx, n_s = targets.shape
     if not n_s <= n_rf <= n_tx:
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
 
-    rng = np.random.default_rng(cfg.seed)
-    f_rf = _init_frf(rng, (n_tx, n_rf), cfg.phase_bits)
+    f_rf = _init_analog(cfg, count, (n_tx, n_rf))
     state = AdmmState(
         f_rf=f_rf,
         f_bb=least_squares_fbb(f_rf, targets),
         r=f_rf.copy(),
-        w=np.zeros((n_tx, n_rf), dtype=complex),
+        w=np.zeros_like(f_rf),
+    )
+    last, traces, iterates = _run_loop(
+        state, targets, cfg, _dense_step, _dense_measure, keep_iterates
     )
 
-    def objective(r, f_bb):
-        resid = targets - r @ f_bb
-        return float(np.vdot(resid, resid).real)
-
-    def trace_row(t):
-        return (
-            t,
-            objective(state.r, state.f_bb),
-            float(np.linalg.norm(state.f_rf - state.r)),
-        )
-
-    trace = [trace_row(0)]
-    iterates = [state.copy()] if keep_iterates else None
-
-    for t in range(1, cfg.max_iters + 1):
-        state.f_rf = step_frf(state, targets, cfg.rho)
-        state.f_bb = least_squares_fbb(state.f_rf, targets)
-        state.r = project_unit_modulus(state.f_rf + state.w, cfg.phase_bits)
-        state.w = state.w + (state.f_rf - state.r)
-        trace.append(trace_row(t))
-        if iterates is not None:
-            iterates.append(state.copy())
-        if abs(trace[-2][1] - trace[-1][1]) < cfg.tau:
-            break
-
-    f_rf_hat = state.r.copy()
-    try:
-        f_bb_hat = least_squares_fbb(f_rf_hat, targets)
-    except np.linalg.LinAlgError as exc:
-        raise _attach_trace(exc, trace)
-    final_objective = objective(f_rf_hat, f_bb_hat)
+    f_rf_hat = last.r
+    f_bb_hat = least_squares_fbb(f_rf_hat, targets)
+    final_objective = _dense_objective(targets, f_rf_hat, f_bb_hat).tolist()
     if normalize_power:
-        f_bb_hat = f_bb_hat * (
-            np.sqrt(n_s) / np.linalg.norm(f_rf_hat @ f_bb_hat, axis=(1, 2))
-        )[:, None, None]
-    return HybridFactors(
-        f_rf=f_rf_hat,
-        f_bb=f_bb_hat,
-        structure=FULLY_CONNECTED,
-        trace=trace,
-        final_objective=final_objective,
-        iterates=iterates,
+        power = np.linalg.norm(f_rf_hat[:, None] @ f_bb_hat, axis=(-2, -1))
+        f_bb_hat = f_bb_hat * (np.sqrt(n_s) / power)[..., None, None]
+    return _results(
+        FULLY_CONNECTED, f_rf_hat, f_bb_hat, traces, final_objective, iterates, batched
     )
 
 
@@ -353,8 +444,10 @@ def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=F
 
     Parameters
     ----------
-    f_target : ndarray, shape (n_tx, n_s)
-        Matrix to factor (unconstrained optimal precoder, or combiner).
+    f_target : ndarray, shape (n_tx, n_s) or (B, n_tx, n_s)
+        Matrix to factor (unconstrained optimal precoder, or combiner).  A
+        leading batch axis designs B instances in one pass, instance i with
+        the seed ``cfg.seed + i``.
     n_rf : int
         Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
     cfg : AdmmConfig
@@ -366,35 +459,63 @@ def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=F
 
     Returns
     -------
-    HybridFactors
+    HybridFactors, or a DesignBatch of B of them for a batch of targets
     """
     f_target = np.asarray(f_target, dtype=complex)
-    if f_target.ndim != 2:
+    if f_target.ndim not in (2, 3):
         raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
-    design = design_wideband(
-        f_target[None], n_rf, cfg, normalize_power, keep_iterates
+    result = design_wideband(
+        f_target[..., None, :, :], n_rf, cfg, normalize_power, keep_iterates
     )
-    design.f_bb = design.f_bb[0]
-    if design.iterates is not None:
-        for st in design.iterates:
+    for design in result if f_target.ndim == 3 else (result,):
+        design.f_bb = design.f_bb[0]
+        for st in design.iterates or ():
             st.f_bb = st.f_bb[0]
-    return design
+    return result
 
 
 def assemble_block_diag(f_vecs):
     """Stack per-chain phase vectors into the block-diagonal analog matrix.
 
     Column i carries vector i in rows ``i*L .. (i+1)*L - 1`` (L entries per
-    chain) and zeros elsewhere.
+    chain) and zeros elsewhere.  Leading batch axes are kept.
     """
     f_vecs = np.asarray(f_vecs)
-    if f_vecs.ndim != 2:
+    if f_vecs.ndim < 2:
         raise ValueError("expected equal-length vectors stacked as rows")
-    n_rf, block = f_vecs.shape
-    out = np.zeros((n_rf * block, n_rf), dtype=complex)
+    *batch, n_rf, block = f_vecs.shape
+    out = np.zeros((*batch, n_rf * block, n_rf), dtype=complex)
     for i in range(n_rf):
-        out[i * block : (i + 1) * block, i] = f_vecs[i]
+        out[..., i * block : (i + 1) * block, i] = f_vecs[..., i, :]
     return out
+
+
+def _partial_fbb(f_vecs, target3):
+    # row i: ||f_i||^-2 f_i^H (target row block i)
+    norms = np.sum(np.abs(f_vecs) ** 2, axis=-1)
+    return np.einsum("...ib,...ibs->...is", f_vecs.conj(), target3) / norms[..., None]
+
+
+def _partial_step(state, target3, cfg):
+    # per-scalar analog update: matching target row times digital row
+    # conjugate, plus the penalty pull toward r - w
+    num = np.einsum("...ibs,...is->...ib", target3, state.f_bb.conj()) + cfg.rho * (
+        state.r_vecs - state.w_vecs
+    )
+    den = np.sum(np.abs(state.f_bb) ** 2, axis=-1)[..., None] + cfg.rho
+    f_vecs = num / den
+    r_vecs = project_unit_modulus(f_vecs + state.w_vecs, cfg.phase_bits)
+    return PartialState(
+        f_vecs=f_vecs,
+        f_bb=_partial_fbb(f_vecs, target3),
+        r_vecs=r_vecs,
+        w_vecs=state.w_vecs + (f_vecs - r_vecs),
+    )
+
+
+def _partial_measure(state, target3):
+    recon = state.r_vecs[..., None] * state.f_bb[..., None, :]
+    return _sqnorm(target3 - recon), np.sqrt(_sqnorm(state.f_vecs - state.r_vecs))
 
 
 def design_partially_connected(
@@ -410,74 +531,49 @@ def design_partially_connected(
     n_rf.  With ``normalize_power`` the digital matrix is scaled so the
     composite satisfies ``||f_rf @ f_bb||_F^2 = n_s``, which for the block
     structure pins ``||f_bb||_F^2 = n_s * n_rf / n_tx``.
+
+    A (B, n_tx, n_s) stack of targets designs B instances in one pass,
+    instance i with the seed ``cfg.seed + i``, and returns a DesignBatch.
     """
     f_target = np.asarray(f_target, dtype=complex)
-    if f_target.ndim != 2:
+    if f_target.ndim not in (2, 3):
         raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
-    n_tx, n_s = f_target.shape
+    batched = f_target.ndim == 3
+    if not batched:
+        f_target = f_target[None]
+    count, n_tx, n_s = f_target.shape
     if n_tx % n_rf != 0:
         raise ValueError(f"n_tx={n_tx} is not divisible by n_rf={n_rf}")
     if not n_s <= n_rf:
         raise ValueError(f"need n_s <= n_rf, got n_s={n_s}, n_rf={n_rf}")
     block = n_tx // n_rf
-    # row block i of the target, shape (n_rf, block, n_s)
-    target3 = f_target.reshape(n_rf, block, n_s)
+    # row block i of the target, shape (B, n_rf, block, n_s)
+    target3 = f_target.reshape(count, n_rf, block, n_s)
 
-    rng = np.random.default_rng(cfg.seed)
-    f_vecs = _init_frf(rng, (n_rf, block), cfg.phase_bits)
-    f_bb = _partial_fbb(f_vecs, target3)
+    f_vecs = _init_analog(cfg, count, (n_rf, block))
     state = PartialState(
         f_vecs=f_vecs,
-        f_bb=f_bb,
+        f_bb=_partial_fbb(f_vecs, target3),
         r_vecs=f_vecs.copy(),
-        w_vecs=np.zeros((n_rf, block), dtype=complex),
+        w_vecs=np.zeros_like(f_vecs),
+    )
+    last, traces, iterates = _run_loop(
+        state, target3, cfg, _partial_step, _partial_measure, keep_iterates
     )
 
-    def objective(st):
-        recon = st.r_vecs[:, :, None] * st.f_bb[:, None, :]
-        return float(np.linalg.norm(target3 - recon) ** 2)
-
-    trace = [(0, objective(state), float(np.linalg.norm(state.f_vecs - state.r_vecs)))]
-    iterates = [state.copy()] if keep_iterates else None
-
-    for t in range(1, cfg.max_iters + 1):
-        # per-scalar analog update: matching target row times digital row
-        # conjugate, plus the penalty pull toward r - w
-        num = (
-            np.einsum("ibs,is->ib", target3, state.f_bb.conj())
-            + cfg.rho * (state.r_vecs - state.w_vecs)
-        )
-        den = np.sum(np.abs(state.f_bb) ** 2, axis=1)[:, None] + cfg.rho
-        state.f_vecs = num / den
-        state.f_bb = _partial_fbb(state.f_vecs, target3)
-        state.r_vecs = project_unit_modulus(
-            state.f_vecs + state.w_vecs, cfg.phase_bits
-        )
-        state.w_vecs = state.w_vecs + (state.f_vecs - state.r_vecs)
-        trace.append(
-            (t, objective(state), float(np.linalg.norm(state.f_vecs - state.r_vecs)))
-        )
-        if iterates is not None:
-            iterates.append(state.copy())
-        if abs(trace[-2][1] - trace[-1][1]) < cfg.tau:
-            break
-
-    f_rf_hat = assemble_block_diag(state.r_vecs)
-    f_bb_hat = _partial_fbb(state.r_vecs, target3)
-    final_objective = float(np.linalg.norm(f_target - f_rf_hat @ f_bb_hat) ** 2)
+    f_rf_hat = assemble_block_diag(last.r_vecs)
+    f_bb_hat = _partial_fbb(last.r_vecs, target3)
+    final_objective = _sqnorm(f_target - f_rf_hat @ f_bb_hat).tolist()
     if normalize_power:
-        f_bb_hat *= np.sqrt(n_s * n_rf / n_tx) / np.linalg.norm(f_bb_hat)
-    return HybridFactors(
-        f_rf=f_rf_hat,
-        f_bb=f_bb_hat,
-        structure=PARTIALLY_CONNECTED,
-        trace=trace,
-        final_objective=final_objective,
-        iterates=iterates,
+        f_bb_hat *= (np.sqrt(n_s * n_rf / n_tx) / np.sqrt(_sqnorm(f_bb_hat)))[
+            :, None, None
+        ]
+    return _results(
+        PARTIALLY_CONNECTED,
+        f_rf_hat,
+        f_bb_hat,
+        traces,
+        final_objective,
+        iterates,
+        batched,
     )
-
-
-def _partial_fbb(f_vecs, target3):
-    # row i: ||f_i||^-2 f_i^H (target row block i)
-    norms = np.sum(np.abs(f_vecs) ** 2, axis=1)
-    return np.einsum("ib,ibs->is", f_vecs.conj(), target3) / norms[:, None]

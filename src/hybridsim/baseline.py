@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logdet_eval, svd
+from .numerics import svd
 
 __all__ = ["OptimalFactors", "optimal_factors", "spectral_efficiency"]
 
@@ -60,8 +60,10 @@ def spectral_efficiency(h, f, wc, snr, n_s):
 
     Evaluates ``log2 det(I + (snr/n_s) * Rn^-1 Wc^H H F F^H H^H Wc)`` with
     ``Rn = Wc^H Wc``, where ``snr`` is the ratio of average received power to
-    noise variance.  Computed as a difference of two Hermitian log-dets so
-    the argument is always factored in symmetric form.
+    noise variance.  Whitening by the Cholesky factor ``L`` of ``Rn`` turns
+    the determinant into ``prod(1 + snr/n_s * sigma_i^2)`` over the singular
+    values ``sigma`` of ``L^-1 Wc^H H F``, so a whole list of SNR points
+    costs one factorization and one SVD.
 
     Parameters
     ----------
@@ -70,32 +72,41 @@ def spectral_efficiency(h, f, wc, snr, n_s):
         Composite precoder (digital, or analog times baseband).
     wc : ndarray, shape (n_rx, n_s)
         Composite combiner; must have full column rank.
-    snr : float
+    snr : float or 1-D array of floats
     n_s : int
 
     Returns
     -------
-    float
+    float, or an ndarray with one rate per SNR point for an array ``snr``
     """
     h = np.asarray(h)
     f = np.asarray(f)
     wc = np.asarray(wc)
-    if snr < 0:
+    snr = np.asarray(snr, dtype=float)
+    if snr.ndim > 1:
+        raise ValueError(f"snr must be a scalar or a 1-D array, got shape {snr.shape}")
+    if (snr < 0).any():
         raise ValueError("snr must be nonnegative")
     if f.shape != (h.shape[1], n_s) or wc.shape != (h.shape[0], n_s):
         raise ValueError(
             f"inconsistent shapes: H {h.shape}, F {f.shape}, Wc {wc.shape}, "
             f"n_s={n_s}"
         )
+    for name, a in (("channel", h), ("precoder", f), ("combiner", wc)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite entries")
     sv = np.linalg.svd(wc, compute_uv=False)
     if sv[-1] < _COMBINER_RANK_TOL * sv[0]:
         raise np.linalg.LinAlgError(
             f"combiner is rank deficient (singular-value ratio {sv[-1] / sv[0]:.3e})"
         )
-    rn = wc.conj().T @ wc
-    g = wc.conj().T @ h @ f
-    signal = rn + (snr / n_s) * (g @ g.conj().T)
-    # symmetrize away the fp asymmetry of the Gram products
-    rn = 0.5 * (rn + rn.conj().T)
-    signal = 0.5 * (signal + signal.conj().T)
-    return logdet_eval(signal) - logdet_eval(rn)
+    wc_h = wc.conj().T
+    try:
+        chol = np.linalg.cholesky(wc_h @ wc)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"noise covariance is not positive definite: {exc}"
+        ) from exc
+    sigma = np.linalg.svd(np.linalg.solve(chol, wc_h @ h @ f), compute_uv=False)
+    rates = np.log1p((snr[..., None] / n_s) * sigma**2).sum(axis=-1) / np.log(2.0)
+    return float(rates) if rates.ndim == 0 else rates

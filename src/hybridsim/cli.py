@@ -39,6 +39,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         spec = load_config(args.config)
+        if args.command == "run":
+            if args.workers < 1:
+                raise ValueError(f"--workers must be >= 1, got {args.workers}")
+            if args.runs is not None:
+                spec = replace(spec, runs=args.runs)
+            if args.seed is not None:
+                spec = replace(spec, base_seed=args.seed)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -52,10 +59,6 @@ def main(argv=None):
 
 
 def _run(spec, args):
-    if args.runs is not None:
-        spec = replace(spec, runs=args.runs)
-    if args.seed is not None:
-        spec = replace(spec, base_seed=args.seed)
     records = run_sweep(spec, args.out, workers=args.workers)
     ok = sum(1 for r in records if not np.isnan(r.spectral_efficiency))
     print(f"wrote {len(records)} rows to {args.out} ({ok} with finite rate)")

@@ -1,12 +1,20 @@
 """Monte Carlo sweeps: channel draws -> designs -> rate evaluation -> CSV.
 
-Each run is an independent work item seeded as ``base_seed + run_index``,
-so a sweep executed with any number of workers produces the same rows as a
-serial execution (row order is normalized by sorting; wall-clock timings
-are the only nondeterministic output).  Analog-matrix initializations are
-also deterministic: design call s of run r uses ADMM seed
-``admm.seed + r * multistart + s`` and the start with the lowest final
-factorization objective is kept.
+Each run is an independent work item seeded as ``base_seed + run_index``.
+The sweep's unit of work is a block of up to ``_BLOCK_RUNS`` consecutive
+run indices: a block draws the channel and SVD factors of each of its runs,
+then designs all of them in one batched designer call per (n_rf, precoder
+or combiner), with runs x multistarts as the batch axis.  Design call s of
+run r uses ADMM seed ``admm.seed + r * multistart + s``, so a block's
+instances have contiguous seeds, and the start with the lowest final
+factorization objective is kept (the first start wins a tie).
+
+Determinism: a batched design returns, for every instance, bitwise the
+design that instance gets alone.  Rows are therefore the same for any block
+layout and any number of workers; row order is normalized by sorting, and
+wall-clock timings are the only nondeterministic output.  If a batched call
+fails, the block's runs are designed again one at a time, so only the
+failing run gets NaN hybrid rows.
 """
 
 import csv
@@ -56,6 +64,11 @@ _INT_FIELDS = (
     "base_seed",
     "multistart",
 )
+
+# Runs per block: one batched design call covers this many runs times the
+# multistart count.  The batching gain levels off near 32, which also caps
+# the memory a block holds.
+_BLOCK_RUNS = 32
 
 _CSV_FIELDS = [
     "scenario",
@@ -119,6 +132,8 @@ class SweepSpec:
             raise ValueError("runs must be >= 1")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
         if self.n_s < 1:
             raise ValueError("n_s must be >= 1")
         if self.n_tx_side < 1 or self.n_rx_side < 1:
@@ -203,7 +218,10 @@ class ResultRecord:
 
     ``final_objective`` and ``iterations_used`` describe the precoder-side
     design (zero for the digital baseline); failed designs are recorded
-    with NaN rate so the sweep continues.
+    with NaN rate so the sweep continues.  ``wall_time_ms`` is the run's
+    SVD time on digital rows; on hybrid rows it is the design time of the
+    run's block at that n_rf (precoders and combiners, all starts) divided
+    by the runs of the block.
     """
 
     scenario: str
@@ -224,115 +242,108 @@ def load_config(path):
         return SweepSpec.from_dict(json.load(fh))
 
 
-def _design_multistart(designer, target, n_rf, cfg, normalize_power, run_index, spec):
-    best = None
-    for s in range(spec.multistart):
-        start_cfg = replace(cfg, seed=cfg.seed + run_index * spec.multistart + s)
-        cand = designer(target, n_rf, start_cfg, normalize_power)
-        if best is None or cand.final_objective < best.final_objective:
-            best = cand
-    return best
-
-
 def run_single(spec, run_index):
     """Execute one Monte Carlo run: one channel draw, all sweep points.
 
-    Returns one ResultRecord per (snr, n_rf, method) combination.  Rates for
-    the wideband scenario are averaged over subcarriers.
+    This is a block of one run.  Returns one ResultRecord per (snr, n_rf,
+    method) combination.  Rates for the wideband scenario are averaged over
+    subcarriers.
     """
-    seed = spec.base_seed + run_index
-    realization = gen_wideband(
-        seed,
-        ArrayGeometry(spec.n_tx_side),
-        ArrayGeometry(spec.n_rx_side),
-        ClusterParams(),
-        spec.n_subcarriers,
-    )
-    t0 = time.perf_counter()
-    factors = [optimal_factors(h, spec.n_s) for h in realization.matrices]
-    digital_ms = 1e3 * (time.perf_counter() - t0)
-    snrs = [10.0 ** (db / 10.0) for db in spec.snr_db_list]
-    digital_se = [
-        float(
-            np.mean(
-                [
-                    spectral_efficiency(h, fo.f_opt, fo.w_opt, snr, spec.n_s)
-                    for h, fo in zip(realization.matrices, factors)
-                ]
-            )
+    return _run_block(spec, run_index, run_index + 1)
+
+
+def _run_block(spec, first_run, stop_run):
+    """Execute runs ``first_run .. stop_run - 1`` with batched designs."""
+    snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
+    channels, factors, digital = [], [], []
+    for run_index in range(first_run, stop_run):
+        realization = gen_wideband(
+            spec.base_seed + run_index,
+            ArrayGeometry(spec.n_tx_side),
+            ArrayGeometry(spec.n_rx_side),
+            ClusterParams(),
+            spec.n_subcarriers,
         )
-        for snr in snrs
-    ]
+        t0 = time.perf_counter()
+        run_factors = [optimal_factors(h, spec.n_s) for h in realization.matrices]
+        digital_ms = 1e3 * (time.perf_counter() - t0)
+        digital_se = _mean_rate(
+            realization.matrices,
+            [fo.f_opt for fo in run_factors],
+            [fo.w_opt for fo in run_factors],
+            snrs,
+            spec.n_s,
+        )
+        channels.append(realization.matrices)
+        factors.append(run_factors)
+        digital.append((digital_ms, digital_se))
 
     method = _HYBRID_METHOD[spec.scenario]
+    nan_se = [float("nan")] * len(snrs)
     records = []
     for n_rf in spec.n_rf:
-        # a failed design, or a design whose rate cannot be evaluated, gives
-        # NaN hybrid rows instead of aborting the sweep
         t0 = time.perf_counter()
-        try:
-            pre, comb = _design_pair(spec, factors, n_rf, run_index)
-            design_ms = 1e3 * (time.perf_counter() - t0)
-            hybrid_se = [
-                float(
-                    np.mean(
-                        [
-                            spectral_efficiency(
-                                h,
-                                pre.f_rf @ _bb(pre, k),
-                                comb.f_rf @ _bb(comb, k),
-                                snr,
-                                spec.n_s,
-                            )
-                            for k, h in enumerate(realization.matrices)
-                        ]
+        pairs = _block_designs(spec, factors, n_rf, first_run)
+        design_ms = 1e3 * (time.perf_counter() - t0) / len(pairs)
+        for offset, pair in enumerate(pairs):
+            # a failed design, or a design whose rate cannot be evaluated,
+            # gives NaN hybrid rows instead of aborting the sweep
+            hybrid_se, final_obj, iters = nan_se, float("nan"), 0
+            if pair is not None:
+                pre, comb = pair
+                # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
+                k = spec.n_subcarriers
+                try:
+                    hybrid_se = _mean_rate(
+                        channels[offset],
+                        (pre.f_rf @ pre.f_bb).reshape(k, spec.n_tx, spec.n_s),
+                        (comb.f_rf @ comb.f_bb).reshape(k, spec.n_rx, spec.n_s),
+                        snrs,
+                        spec.n_s,
+                    )
+                    final_obj, iters = pre.final_objective, pre.iterations
+                except (np.linalg.LinAlgError, ValueError):
+                    pass
+            run_index = first_run + offset
+            digital_ms, digital_se = digital[offset]
+            for snr_db, dig_se, hyb_se in zip(spec.snr_db_list, digital_se, hybrid_se):
+                common = dict(
+                    scenario=spec.scenario,
+                    snr_db=snr_db,
+                    n_rf=n_rf,
+                    run_index=run_index,
+                    seed=spec.base_seed + run_index,
+                )
+                records.append(
+                    ResultRecord(
+                        **common,
+                        method="digital_opt",
+                        spectral_efficiency=dig_se,
+                        final_objective=0.0,
+                        iterations_used=0,
+                        wall_time_ms=digital_ms,
                     )
                 )
-                for snr in snrs
-            ]
-            final_obj = pre.final_objective
-            iters = pre.iterations
-        except (np.linalg.LinAlgError, ValueError):
-            design_ms = 1e3 * (time.perf_counter() - t0)
-            hybrid_se = [float("nan")] * len(snrs)
-            final_obj = float("nan")
-            iters = 0
-
-        for snr_db, dig_se, hyb_se in zip(spec.snr_db_list, digital_se, hybrid_se):
-            records.append(
-                ResultRecord(
-                    scenario=spec.scenario,
-                    snr_db=snr_db,
-                    n_rf=n_rf,
-                    run_index=run_index,
-                    seed=seed,
-                    method="digital_opt",
-                    spectral_efficiency=dig_se,
-                    final_objective=0.0,
-                    iterations_used=0,
-                    wall_time_ms=digital_ms,
+                records.append(
+                    ResultRecord(
+                        **common,
+                        method=method,
+                        spectral_efficiency=hyb_se,
+                        final_objective=final_obj,
+                        iterations_used=iters,
+                        wall_time_ms=design_ms,
+                    )
                 )
-            )
-            records.append(
-                ResultRecord(
-                    scenario=spec.scenario,
-                    snr_db=snr_db,
-                    n_rf=n_rf,
-                    run_index=run_index,
-                    seed=seed,
-                    method=method,
-                    spectral_efficiency=hyb_se,
-                    final_objective=final_obj,
-                    iterations_used=iters,
-                    wall_time_ms=design_ms,
-                )
-            )
     return records
 
 
-def _bb(design, k):
-    # wideband digital matrices are stacked per subcarrier
-    return design.f_bb[k] if design.f_bb.ndim == 3 else design.f_bb
+def _mean_rate(matrices, precoders, combiners, snrs, n_s):
+    """Per-SNR rate averaged over subcarriers, as a list of floats."""
+    rates = [
+        spectral_efficiency(h, f, w, snrs, n_s)
+        for h, f, w in zip(matrices, precoders, combiners)
+    ]
+    return np.mean(rates, axis=0).tolist()
 
 
 def scenario_design(spec, factors, side):
@@ -351,34 +362,70 @@ def scenario_design(spec, factors, side):
     return design_fully_connected, targets[0]
 
 
-def _design_pair(spec, factors, n_rf, run_index):
-    designer, f_target = scenario_design(spec, factors, "f_opt")
-    pre = _design_multistart(
-        designer, f_target, n_rf, spec.admm, True, run_index, spec
-    )
-    designer, w_target = scenario_design(spec, factors, "w_opt")
-    comb = _design_multistart(
-        designer, w_target, n_rf, spec.admm, False, run_index, spec
-    )
-    return pre, comb
+def _block_designs(spec, factors, n_rf, first_run):
+    """The (precoder, combiner) of each run of a block, None where it failed.
+
+    A batched call that fails is retried run by run, so one bad instance
+    costs only its own run.
+    """
+    try:
+        return _design_block(spec, factors, n_rf, first_run)
+    except (np.linalg.LinAlgError, ValueError):
+        if len(factors) == 1:
+            return [None]
+    return [
+        _block_designs(spec, [run_factors], n_rf, first_run + offset)[0]
+        for offset, run_factors in enumerate(factors)
+    ]
+
+
+def _design_block(spec, factors, n_rf, first_run):
+    """Design every run of a block in one batched call per side.
+
+    ``factors`` lists the per-subcarrier SVD factors of each run.  Returns
+    one (precoder, combiner) pair per run, each the best of its starts.
+    """
+    starts = spec.multistart
+    cfg = replace(spec.admm, seed=spec.admm.seed + first_run * starts)
+    sides = []
+    for side, normalize_power in (("f_opt", True), ("w_opt", False)):
+        picks = [scenario_design(spec, run_factors, side) for run_factors in factors]
+        designer = picks[0][0]
+        targets = np.repeat(np.stack([target for _, target in picks]), starts, axis=0)
+        designs = designer(targets, n_rf, cfg, normalize_power)
+        # min keeps the first of equal objectives
+        sides.append(
+            [
+                min(designs[i : i + starts], key=lambda d: d.final_objective)
+                for i in range(0, len(designs), starts)
+            ]
+        )
+    return list(zip(*sides))
 
 
 def run_sweep(spec, out_csv, metadata_out=None, workers=1):
     """Execute a full sweep, write the CSV and a metadata JSON.
 
-    Rows are sorted by (n_rf, snr_db, run_index, method) so output is
-    deterministic for any worker count.  Metadata lands next to the CSV
-    (``<out_csv>.meta.json``) unless ``metadata_out`` is given, and carries
-    the resolved spec plus per-point aggregate means and standard errors.
+    Runs are executed in blocks of ``_BLOCK_RUNS`` consecutive run indices,
+    serially or across ``workers`` processes.  Rows are sorted by (n_rf,
+    snr_db, run_index, method) so output is deterministic for any worker
+    count.  Metadata lands next to the CSV (``<out_csv>.meta.json``) unless
+    ``metadata_out`` is given, and carries the resolved spec plus per-point
+    aggregate means and standard errors.
     """
+    workers = check_int(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if metadata_out is None:
         metadata_out = str(out_csv) + ".meta.json"
+    firsts = range(0, spec.runs, _BLOCK_RUNS)
+    stops = [min(first + _BLOCK_RUNS, spec.runs) for first in firsts]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(partial(run_single, spec), range(spec.runs)))
+            per_block = list(pool.map(partial(_run_block, spec), firsts, stops))
     else:
-        per_run = [run_single(spec, i) for i in range(spec.runs)]
-    records = [rec for batch in per_run for rec in batch]
+        per_block = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
+    records = [rec for block in per_block for rec in block]
     records.sort(key=lambda r: (r.n_rf, r.snr_db, r.run_index, r.method))
 
     try:

@@ -7,7 +7,6 @@ implementations for something else only requires keeping these contracts.
 """
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = ["svd", "solve_hpd", "logdet_eval"]
 
@@ -46,47 +45,58 @@ def svd(a):
 
 
 def solve_hpd(a, b):
-    """Solve A @ X = B for Hermitian positive definite A via Cholesky.
+    """Solve A @ X = B for Hermitian positive definite A.
 
-    ``b`` is a vector, an (n, m) matrix or a stack of K right-hand sides of
-    shape (K, n, m); A is factored once and every right-hand side is solved
-    against that factor in one LAPACK ``potrs`` call.  The result has the
-    shape of ``b``.
+    ``a`` is one (n, n) matrix or a batch of shape (B, n, n).  For one
+    matrix, ``b`` is a vector, an (n, m) matrix or a stack of K right-hand
+    sides of shape (K, n, m); a batch takes the same shapes with the leading
+    B axis, (B, n, m) or (B, K, n, m), slice i solved against ``a[i]``.  The
+    result has the shape of ``b``.
 
-    Raises ``numpy.linalg.LinAlgError`` when A is not positive definite
-    within tolerance (rank-deficient Gram matrices land here).
+    Every slice of A is checked: finite entries, a Cholesky factor (positive
+    definite) and its pivot ratio (numerical rank).  The systems are then
+    solved by LU in one stacked LAPACK call rather than by two triangular
+    solves against the factor: on these tiny matrices the number of calls,
+    not a second factorization, sets the cost.  Each slice is computed on
+    its own, so slice i does not depend on the other slices of the batch.
+
+    Raises ``numpy.linalg.LinAlgError`` when a slice of A is not positive
+    definite within tolerance (rank-deficient Gram matrices land here).
     """
     a = np.asarray(a)
     b = np.asarray(b)
     _require_finite(a, "solve_hpd matrix")
     _require_finite(b, "solve_hpd right-hand side")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    stacked = b.ndim == 3
-    if b.ndim > 3 or b.shape[-2 if stacked else 0] != n:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a batch of them, got {a.shape}")
+    batched = a.ndim == 3
+    n = a.shape[-1]
+    a3 = a if batched else a[None]
+    # right-hand sides as (B, K, n, m)
+    b4 = b if batched else b[None]
+    if b4.ndim == 2:
+        b4 = b4[:, None, :, None]
+    elif b4.ndim == 3:
+        b4 = b4[:, None]
+    if b4.ndim != 4 or b4.shape[0] != a3.shape[0] or b4.shape[2] != n:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (a, b))
-    factor, info = potrf(a, lower=True, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"matrix is not positive definite: leading minor of order {info} "
-            "is not positive"
-        )
-    # a successful potrf leaves a real positive diagonal
-    diag = factor.diagonal().real.tolist()
-    if min(diag) ** 2 < _RANK_TOL * max(diag) ** 2:
+    try:
+        factor = np.linalg.cholesky(a3)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"matrix is not positive definite: {exc}") from exc
+    # a Cholesky factor has a real positive diagonal
+    diag = factor.diagonal(axis1=1, axis2=2).real
+    ratio = (diag.min(axis=1) / diag.max(axis=1)) ** 2
+    if (ratio < _RANK_TOL).any():
         raise np.linalg.LinAlgError(
             "matrix is numerically rank deficient (Cholesky pivot ratio "
-            f"{(min(diag) / max(diag)) ** 2:.3e})"
+            f"{ratio.min():.3e})"
         )
-    if stacked:
-        # (K, n, m) -> columns of one (n, K*m) system, and back
-        k, _, m = b.shape
-        x, _ = potrs(factor, b.transpose(1, 0, 2).reshape(n, k * m), lower=True)
-        return x.reshape(n, k, m).transpose(1, 0, 2)
-    x, _ = potrs(factor, b, lower=True)
-    return x
+    # the K stacked systems of a slice share its matrix: solve them as the
+    # columns of one (n, K*m) right-hand side
+    n_b, k, _, m = b4.shape
+    x = np.linalg.solve(a3, b4.transpose(0, 2, 1, 3).reshape(n_b, n, k * m))
+    return x.reshape(n_b, n, k, m).transpose(0, 2, 1, 3).reshape(b.shape)
 
 
 def logdet_eval(a):

@@ -372,6 +372,8 @@ class TestAdmmConfig:
             AdmmConfig(tau=-1e-9)
         with pytest.raises(ValueError):
             AdmmConfig(phase_bits=0)
+        with pytest.raises(ValueError, match="seed"):
+            AdmmConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "fields",

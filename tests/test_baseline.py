@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridsim.baseline import optimal_factors, spectral_efficiency
+from hybridsim.numerics import logdet_eval
 
 
 def crandn(rng, *shape):
@@ -131,3 +132,54 @@ class TestSpectralEfficiency:
             spectral_efficiency(h, f, f, -1.0, 2)  # negative snr
         with pytest.raises(ValueError):
             spectral_efficiency(h, f[:2], f, 1.0, 2)  # bad precoder shape
+
+    def test_snr_list_matches_per_snr_logdet_form(self):
+        # one whitening and one SVD per call must reproduce the
+        # difference-of-log-dets form at every SNR point
+        rng = np.random.default_rng(6)
+        snrs = np.array([0.0, 0.01, 0.3, 1.0, 7.5, 100.0, 1e4])
+        for n_rx, n_tx, n_s in [(4, 5, 2), (16, 64, 2), (6, 6, 3), (3, 8, 1)]:
+            for _ in range(10):
+                h = crandn(rng, n_rx, n_tx)
+                f = crandn(rng, n_tx, n_s)
+                wc = crandn(rng, n_rx, n_s)
+                got = spectral_efficiency(h, f, wc, snrs, n_s)
+                assert got.shape == snrs.shape
+                for snr, val in zip(snrs, got):
+                    ref = logdet_rate(h, f, wc, snr, n_s)
+                    assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
+                    scalar = spectral_efficiency(h, f, wc, float(snr), n_s)
+                    assert isinstance(scalar, float)
+                    assert abs(scalar - val) < 1e-12 * max(1.0, abs(val))
+
+    def test_snr_list_rank_deficient_combiner_rejected(self):
+        h = np.eye(3, dtype=complex)
+        f = np.eye(3, dtype=complex)[:, :2]
+        wc = np.zeros((3, 2), dtype=complex)
+        wc[:, 0] = wc[:, 1] = [1, 0, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_efficiency(h, f, wc, np.array([0.1, 1.0, 10.0]), 2)
+
+    def test_snr_list_validation(self):
+        h = np.eye(3, dtype=complex)
+        f = np.eye(3, dtype=complex)[:, :2]
+        with pytest.raises(ValueError):
+            spectral_efficiency(h, f, f, np.array([1.0, -1.0]), 2)
+        with pytest.raises(ValueError):
+            spectral_efficiency(h, f, f, np.ones((2, 2)), 2)
+        bad = f.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            spectral_efficiency(h, bad, f, np.array([1.0, 2.0]), 2)
+        with pytest.raises(ValueError):
+            spectral_efficiency(h, f, bad, 1.0, 2)
+
+
+def logdet_rate(h, f, wc, snr, n_s):
+    """The rate as log det(Rn + snr/n_s G G^H) - log det(Rn), per SNR."""
+    rn = wc.conj().T @ wc
+    g = wc.conj().T @ h @ f
+    signal = rn + (snr / n_s) * (g @ g.conj().T)
+    rn = 0.5 * (rn + rn.conj().T)
+    signal = 0.5 * (signal + signal.conj().T)
+    return logdet_eval(signal) - logdet_eval(rn)

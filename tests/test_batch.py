@@ -1,0 +1,138 @@
+"""Property tests of the batched designers.
+
+Instance i of a batched design call uses the seed ``cfg.seed + i``; it must
+return bitwise what the single design with that seed returns, whatever else
+is in the batch, and every design must be feasible and power normalized.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hybridsim.admm import (  # noqa: E402
+    AdmmConfig,
+    DesignBatch,
+    design_fully_connected,
+    design_partially_connected,
+    design_wideband,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def column_orthonormal(rng, *stack, n_tx, n_s):
+    a = rng.standard_normal((*stack, n_tx, n_s)) + 1j * rng.standard_normal(
+        (*stack, n_tx, n_s)
+    )
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+@st.composite
+def cases(draw, structure):
+    n_s = draw(st.integers(1, 3))
+    n_rf = draw(st.integers(n_s, n_s + 2))
+    if structure == "partial":
+        n_tx = n_rf * draw(st.integers(1, 5))
+    else:
+        n_tx = draw(st.integers(n_rf, n_rf + 6))
+    cfg = AdmmConfig(
+        rho=draw(st.floats(0.01, 2.0)),
+        max_iters=draw(st.integers(1, 15)),
+        tau=draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 1e-1])),
+        phase_bits=draw(st.sampled_from([None, 1, 2, 3, 5])),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 5))
+    if structure == "wideband":
+        k = draw(st.integers(1, 4))
+        targets = column_orthonormal(rng, batch, k, n_tx=n_tx, n_s=n_s)
+    else:
+        targets = column_orthonormal(rng, batch, n_tx=n_tx, n_s=n_s)
+    return targets, n_rf, cfg, draw(st.booleans())
+
+
+DESIGNERS = {
+    "full": design_fully_connected,
+    "wideband": design_wideband,
+    "partial": design_partially_connected,
+}
+
+
+def check_batch_matches_singles(structure, case):
+    designer = DESIGNERS[structure]
+    targets, n_rf, cfg, normalize_power = case
+    singles = []
+    for i in range(len(targets)):
+        try:
+            singles.append(
+                designer(targets[i], n_rf, replace(cfg, seed=cfg.seed + i), normalize_power)
+            )
+        except np.linalg.LinAlgError:
+            # a collapsed analog matrix fails alone, so the batch fails too
+            with pytest.raises(np.linalg.LinAlgError):
+                designer(targets, n_rf, cfg, normalize_power)
+            return
+    batch = designer(targets, n_rf, cfg, normalize_power)
+    assert isinstance(batch, DesignBatch)
+    assert len(batch) == len(targets)
+    assert batch.iterations == sum(d.iterations for d in singles)
+    for got, want in zip(batch, singles):
+        assert np.array_equal(got.f_rf, want.f_rf)
+        assert np.array_equal(got.f_bb, want.f_bb)
+        assert got.trace == want.trace
+        assert got.final_objective == want.final_objective
+    for design, target in zip(batch, targets):
+        check_feasible(structure, design, target, n_rf, cfg, normalize_power)
+
+
+def check_feasible(structure, design, target, n_rf, cfg, normalize_power):
+    n_tx, n_s = target.shape[-2:]
+    f_rf = design.f_rf
+    assert f_rf.shape == (n_tx, n_rf)
+    if structure == "partial":
+        block = n_tx // n_rf
+        support = np.kron(np.eye(n_rf), np.ones((block, 1))).astype(bool)
+        assert np.all(f_rf[~support] == 0)
+        phases = f_rf[support]
+    else:
+        phases = f_rf.ravel()
+    assert np.max(np.abs(np.abs(phases) - 1.0)) < 1e-12
+    if cfg.phase_bits is not None:
+        step = 2 * np.pi / 2**cfg.phase_bits
+        pos = np.mod(np.angle(phases), 2 * np.pi) / step
+        assert np.max(np.abs(pos - np.round(pos))) < 1e-9
+    if not normalize_power:
+        return
+    if structure == "partial":
+        power = np.linalg.norm(design.f_bb) ** 2
+        assert abs(power - n_s * n_rf / n_tx) < 1e-10 * n_s
+    composites = f_rf @ design.f_bb
+    if structure != "wideband":
+        composites = composites[None]
+    for composite in composites:
+        assert abs(np.linalg.norm(composite) ** 2 - n_s) < 1e-10 * n_s
+
+
+@PROPERTY
+@given(cases("full"))
+def test_fully_connected_batch_matches_single_designs(case):
+    check_batch_matches_singles("full", case)
+
+
+@PROPERTY
+@given(cases("wideband"))
+def test_wideband_batch_matches_single_designs(case):
+    check_batch_matches_singles("wideband", case)
+
+
+@PROPERTY
+@given(cases("partial"))
+def test_partially_connected_batch_matches_single_designs(case):
+    check_batch_matches_singles("partial", case)
+

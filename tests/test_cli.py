@@ -72,6 +72,18 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("path", [("admm", "seed"), ("base_seed",)])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = -1
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
@@ -112,6 +124,19 @@ class TestRun:
         body = rows[1:]
         assert len(body) == 2
         assert all(r[4] == "42" for r in body)  # seed column
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--runs", "0"], ["--seed", "-1"], ["--workers", "0"], ["--workers", "-3"]],
+    )
+    def test_bad_override_is_config_error(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "res.csv"
+        argv = ["run", "--config", str(cfg), "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
 
 class TestTrace:

@@ -36,6 +36,12 @@ def strip_wall_time(rows):
     return [row[:-1] for row in rows]
 
 
+def block_offset(first_run, factors, run_index):
+    """Position of ``run_index`` in the block starting at ``first_run``."""
+    offset = run_index - first_run
+    return offset if 0 <= offset < len(factors) else None
+
+
 class TestSweepSpec:
     def test_empty_snr_axis_rejected(self):
         with pytest.raises(ValueError, match="empty sweep axis"):
@@ -109,6 +115,10 @@ class TestSweepSpec:
     def test_nonfinite_and_nonint_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             small_spec(**overrides)
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ValueError, match="base_seed"):
+            small_spec(base_seed=-1)
 
     def test_from_dict_rejects_fractional_count(self):
         doc = small_spec().to_dict()
@@ -197,6 +207,49 @@ class TestRunSweep:
         run_sweep(spec, par, workers=2)
         assert strip_wall_time(read_rows(ser)) == strip_wall_time(read_rows(par))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"scenario": "wideband", "n_subcarriers": 3, "n_rf": [2, 3]},
+            {
+                "scenario": "narrowband_partial",
+                "n_tx_side": 4,
+                "n_rx_side": 4,
+                "n_rf": [2, 4],
+            },
+        ],
+        ids=["full", "wideband", "partial"],
+    )
+    def test_rows_independent_of_block_size_and_workers(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        # stagnation at tau > 0 stops instances at different iterations, so
+        # the batched loop drops instances from its active set mid-call
+        spec = small_spec(
+            runs=5,
+            multistart=2,
+            admm=AdmmConfig(rho=2 / 18, max_iters=15, tau=3e-2, seed=3),
+            **overrides,
+        )
+        rows = {}
+        for block in (1, 2, harness._BLOCK_RUNS):
+            monkeypatch.setattr(harness, "_BLOCK_RUNS", block)
+            for workers in (1, 2):
+                out = tmp_path / f"b{block}w{workers}.csv"
+                run_sweep(spec, out, workers=workers)
+                rows[block, workers] = strip_wall_time(read_rows(out))
+        reference = rows[1, 1]
+        assert len({int(r[8]) for r in reference[1:]}) > 3  # varied iterations
+        for key, got in rows.items():
+            assert got == reference, key
+
+    def test_rejects_nonpositive_workers(self, tmp_path):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_sweep(small_spec(), tmp_path / "sweep.csv", workers=workers)
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_metadata_contents(self, tmp_path):
         out = tmp_path / "sweep.csv"
         records = run_sweep(spec := small_spec(), out)
@@ -240,14 +293,16 @@ class TestRunSweep:
             assert obj2[key] <= obj1[key] + 1e-12
 
     def test_failed_design_yields_nan_rows(self, tmp_path, monkeypatch):
-        real = harness._design_pair
+        # every batched call that covers run 1 fails, so the block falls
+        # back to one run at a time and only run 1 is lost
+        real = harness._design_block
 
-        def flaky(spec, factors, n_rf, run_index):
-            if run_index == 1:
+        def flaky(spec, factors, n_rf, first_run):
+            if block_offset(first_run, factors, 1) is not None:
                 raise np.linalg.LinAlgError("synthetic failure")
-            return real(spec, factors, n_rf, run_index)
+            return real(spec, factors, n_rf, first_run)
 
-        monkeypatch.setattr(harness, "_design_pair", flaky)
+        monkeypatch.setattr(harness, "_design_block", flaky)
         out = tmp_path / "sweep.csv"
         records = run_sweep(small_spec(), out)
         bad = [r for r in records if np.isnan(r.spectral_efficiency)]
@@ -269,15 +324,17 @@ class TestRunSweep:
         # the run's hybrid rows turn NaN and the other runs complete
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("worker processes only see the patch when forked")
-        real = harness._design_pair
+        real = harness._design_block
 
-        def rank_deficient_combiner(spec, factors, n_rf, run_index):
-            pre, comb = real(spec, factors, n_rf, run_index)
-            if run_index == 1:
+        def rank_deficient_combiner(spec, factors, n_rf, first_run):
+            pairs = real(spec, factors, n_rf, first_run)
+            offset = block_offset(first_run, factors, 1)
+            if offset is not None:
+                comb = pairs[offset][1]
                 comb.f_bb[:, 1] = comb.f_bb[:, 0]
-            return pre, comb
+            return pairs
 
-        monkeypatch.setattr(harness, "_design_pair", rank_deficient_combiner)
+        monkeypatch.setattr(harness, "_design_block", rank_deficient_combiner)
         out = tmp_path / "sweep.csv"
         records = run_sweep(small_spec(), out, workers=workers)
         bad = [r for r in records if np.isnan(r.spectral_efficiency)]
@@ -289,19 +346,60 @@ class TestRunSweep:
         assert read_rows(out)[0] == harness._CSV_FIELDS
 
     def test_nonfinite_factors_yield_nan_rows(self, tmp_path, monkeypatch):
-        real = harness._design_pair
+        real = harness._design_block
 
-        def corrupted(spec, factors, n_rf, run_index):
-            pre, comb = real(spec, factors, n_rf, run_index)
-            if run_index == 2:
-                pre.f_bb[0, 0] = np.nan
-            return pre, comb
+        def corrupted(spec, factors, n_rf, first_run):
+            pairs = real(spec, factors, n_rf, first_run)
+            offset = block_offset(first_run, factors, 2)
+            if offset is not None:
+                pairs[offset][0].f_bb[0, 0] = np.nan
+            return pairs
 
-        monkeypatch.setattr(harness, "_design_pair", corrupted)
+        monkeypatch.setattr(harness, "_design_block", corrupted)
         records = run_sweep(small_spec(), tmp_path / "sweep.csv")
         bad = [r for r in records if np.isnan(r.spectral_efficiency)]
         assert {(r.method, r.run_index) for r in bad} == {("hybrid_full", 2)}
         assert len(bad) == 2
+
+    def test_one_failing_instance_spares_the_rest_of_its_block(
+        self, tmp_path, monkeypatch
+    ):
+        # run 1's targets turn non-finite inside the real designer, so the
+        # batched call over the whole block raises; the block is redone run
+        # by run and every other run matches a clean sweep row for row
+        spec = small_spec(
+            runs=4,
+            multistart=2,
+            admm=AdmmConfig(rho=2 / 18, max_iters=10, tau=1e-3, seed=0),
+        )
+        clean = tmp_path / "clean.csv"
+        run_sweep(spec, clean)
+        real = harness.design_fully_connected
+        batch_sizes = []
+
+        def poisoned(targets, n_rf, cfg, normalize_power):
+            targets = np.array(targets)
+            for i in range(len(targets)):
+                # instance seed = admm.seed + run * multistart + start
+                if (cfg.seed + i) // spec.multistart == 1:
+                    targets[i, 0, 0] = np.nan
+            batch_sizes.append(len(targets))
+            return real(targets, n_rf, cfg, normalize_power)
+
+        monkeypatch.setattr(harness, "design_fully_connected", poisoned)
+        hit = tmp_path / "hit.csv"
+        records = run_sweep(spec, hit)
+        assert batch_sizes[0] == spec.runs * spec.multistart
+        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        assert {(r.method, r.run_index) for r in bad} == {("hybrid_full", 1)}
+        clean_rows = strip_wall_time(read_rows(clean))
+        hit_rows = strip_wall_time(read_rows(hit))
+        assert len(hit_rows) == len(clean_rows)
+        for want, got in zip(clean_rows, hit_rows):
+            if got[3] == "1" and got[5] == "hybrid_full":
+                assert got[6] == "nan"
+            else:
+                assert got == want
 
     def test_io_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
         real = harness._format_row

@@ -143,6 +143,52 @@ class TestSolveHpd:
             solve_hpd(np.eye(3), np.ones((2, 4, 3, 1)))
 
 
+class TestSolveHpdBatch:
+    def test_slices_match_single_solves_bitwise(self):
+        rng = np.random.default_rng(10)
+        for bsz, n, k, m in [(1, 2, 1, 1), (5, 4, 3, 2), (7, 3, 16, 3)]:
+            a = np.stack([random_hpd(rng, n) for _ in range(bsz)])
+            b = crandn(rng, bsz, k, n, m)
+            x = solve_hpd(a, b)
+            assert x.shape == b.shape
+            for i in range(bsz):
+                assert np.array_equal(x[i], solve_hpd(a[i], b[i]))
+                assert np.array_equal(x[i, 0], solve_hpd(a[i], b[i, 0]))
+                # a slice does not depend on the rest of the batch
+                assert np.array_equal(x[i : i + 1], solve_hpd(a[i : i + 1], b[i : i + 1]))
+            x3 = solve_hpd(a, b[:, 0])
+            assert np.array_equal(x3, x[:, 0])
+            for i in range(bsz):
+                assert np.linalg.norm(a[i] @ x3[i] - b[i, 0]) < 1e-10 * np.linalg.norm(b[i, 0])
+
+    def test_one_bad_slice_fails_the_batch(self):
+        rng = np.random.default_rng(11)
+        col = crandn(rng, 6, 1)
+        f = np.hstack([col, col + 1e-9 * crandn(rng, 6, 1)])  # pivot ratio ~1e-18
+        good = random_hpd(rng, 2)
+        rhs = crandn(rng, 3, 2, 1)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            solve_hpd(np.stack([good, f.conj().T @ f, good]), rhs)
+        indefinite = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            solve_hpd(np.stack([good, good, indefinite]), rhs)
+        corrupt = np.stack([good, good, good])
+        corrupt[1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            solve_hpd(corrupt, rhs)
+
+    def test_batch_shape_validation(self):
+        a = np.stack([np.eye(3)] * 4)
+        with pytest.raises(ValueError):
+            solve_hpd(a, np.ones((3, 3, 1)))  # batch of 3 against 4 matrices
+        with pytest.raises(ValueError):
+            solve_hpd(a, np.ones((4, 2, 1)))  # rows do not match
+        with pytest.raises(ValueError):
+            solve_hpd(a, np.ones((4, 2, 2, 3, 1)))
+        with pytest.raises(ValueError):
+            solve_hpd(np.ones((4, 3, 2)), np.ones((4, 3, 1)))
+
+
 class TestLogdet:
     def test_diagonal_hand_case(self):
         a = np.diag([1.0, 2.0, 4.0]).astype(complex)
