@@ -228,8 +228,12 @@ def project_unit_modulus(x, phase_bits=None):
     # the wraparound tie is equidistant from (n-1)*step and 0, and 0 is the
     # smaller angle, so it is remapped explicitly
     k = np.ceil(grid_pos - 0.5)
-    k = np.where(grid_pos == n_levels - 0.5, 0.0, k)
-    return np.exp(1j * step * np.mod(k, n_levels))
+    k = np.mod(np.where(grid_pos == n_levels - 0.5, 0.0, k), n_levels)
+    if np.isnan(k).any():
+        # NaN entries have no grid point; let them propagate
+        return np.exp(1j * step * k)
+    # the same exp as above, taken once per grid point and looked up
+    return np.exp(1j * step * np.arange(n_levels))[k.astype(np.intp)]
 
 
 def least_squares_fbb(f_rf, f_target):

@@ -296,8 +296,9 @@ def load_channel(path):
     n_tx = doc["n_tx"]
     matrices = []
     for inter in doc["entries"]:
-        inter = np.asarray(inter)
-        flat = inter[0::2] + 1j * inter[1::2]
+        # reinterpret the (real, imag) pairs in place: exact, signed zeros
+        # included, where ``re + 1j * im`` would turn -0.0 into 0.0
+        flat = np.asarray(inter, dtype=float).view(complex)
         matrices.append(flat.reshape(n_rx, n_tx))
     return ChannelRealization(
         matrices=matrices,

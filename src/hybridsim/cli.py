@@ -3,10 +3,9 @@
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .baseline import optimal_factors
 from .channel import ArrayGeometry, ClusterParams, gen_wideband
@@ -60,7 +59,7 @@ def main(argv=None):
 
 def _run(spec, args):
     records = run_sweep(spec, args.out, workers=args.workers)
-    ok = sum(1 for r in records if not np.isnan(r.spectral_efficiency))
+    ok = sum(1 for r in records if not math.isnan(r.spectral_efficiency))
     print(f"wrote {len(records)} rows to {args.out} ({ok} with finite rate)")
     return 0
 
@@ -74,7 +73,7 @@ def _trace(spec, out_path):
         ClusterParams(),
         spec.n_subcarriers,
     )
-    factors = [optimal_factors(h, spec.n_s) for h in realization.matrices]
+    factors = optimal_factors(realization.matrices, spec.n_s)
     designer, target = scenario_design(spec, factors, "f_opt")
     design = designer(target, spec.n_rf[0], spec.admm, normalize_power=True)
 

@@ -2,9 +2,14 @@
 
 Each run is an independent work item seeded as ``base_seed + run_index``.
 The sweep's unit of work is a block of up to ``_BLOCK_RUNS`` consecutive
-run indices: a block draws the channel and SVD factors of each of its runs,
-then designs all of them in one batched designer call per (n_rf, precoder
-or combiner), with runs x multistarts as the batch axis.  Design call s of
+run indices: a block draws the channel of each of its runs into one
+(runs, K, n_rx, n_tx) stack and takes each run's SVD factors over its K
+subcarriers in one call, then designs all runs in one batched designer call
+per (n_rf, precoder or combiner), with runs x multistarts as the batch
+axis.  Rates are taken on the block's stacks: one ``spectral_efficiency``
+call for the digital rates of the block, and one per n_rf for the hybrid
+rates of the runs whose design succeeded; each run's rate is the mean over
+its subcarriers.  Design call s of
 run r uses ADMM seed ``admm.seed + r * multistart + s``, so a block's
 instances have contiguous seeds, and the start with the lowest final
 factorization objective is kept (the first start wins a tie).
@@ -12,13 +17,14 @@ factorization objective is kept (the first start wins a tie).
 Determinism: a batched design returns, for every instance, bitwise the
 design that instance gets alone.  Rows are therefore the same for any block
 layout and any number of workers; row order is normalized by sorting, and
-wall-clock timings are the only nondeterministic output.  If a batched call
-fails, the block's runs are designed again one at a time, so only the
-failing run gets NaN hybrid rows.
+wall-clock timings are the only nondeterministic output.  If a batched
+design call or the stacked hybrid rate call fails, the block's runs are
+designed or rated again one at a time, so only the failing run gets NaN
+hybrid rows.  Each CSV row is written from one format string.
 """
 
-import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -82,6 +88,9 @@ _CSV_FIELDS = [
     "iterations_used",
     "wall_time_ms",
 ]
+
+# One CSV line, field by field as in _CSV_FIELDS
+_ROW_FORMAT = "%s,%.12e,%d,%d,%d,%s,%.12e,%.12e,%d,%.3f\n"
 
 
 @dataclass(frozen=True)
@@ -255,108 +264,128 @@ def run_single(spec, run_index):
 def _run_block(spec, first_run, stop_run):
     """Execute runs ``first_run .. stop_run - 1`` with batched designs."""
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
-    channels, factors, digital = [], [], []
-    for run_index in range(first_run, stop_run):
-        realization = gen_wideband(
-            spec.base_seed + run_index,
+    n_runs = stop_run - first_run
+    channels = np.empty(
+        (n_runs, spec.n_subcarriers, spec.n_rx, spec.n_tx), dtype=complex
+    )
+    factors, digital_ms = [], []
+    for offset in range(n_runs):
+        channels[offset] = gen_wideband(
+            spec.base_seed + first_run + offset,
             ArrayGeometry(spec.n_tx_side),
             ArrayGeometry(spec.n_rx_side),
             ClusterParams(),
             spec.n_subcarriers,
-        )
+        ).matrices
         t0 = time.perf_counter()
-        run_factors = [optimal_factors(h, spec.n_s) for h in realization.matrices]
-        digital_ms = 1e3 * (time.perf_counter() - t0)
-        digital_se = _mean_rate(
-            realization.matrices,
-            [fo.f_opt for fo in run_factors],
-            [fo.w_opt for fo in run_factors],
-            snrs,
-            spec.n_s,
-        )
-        channels.append(realization.matrices)
-        factors.append(run_factors)
-        digital.append((digital_ms, digital_se))
+        factors.append(optimal_factors(channels[offset], spec.n_s))
+        digital_ms.append(1e3 * (time.perf_counter() - t0))
+    digital_se = _mean_rates(
+        spec,
+        channels,
+        np.stack([fo.f_opt for fo in factors]),
+        np.stack([fo.w_opt for fo in factors]),
+        snrs,
+    )
 
-    method = _HYBRID_METHOD[spec.scenario]
-    nan_se = [float("nan")] * len(snrs)
+    scenario = spec.scenario
+    method = _HYBRID_METHOD[scenario]
     records = []
     for n_rf in spec.n_rf:
         t0 = time.perf_counter()
         pairs = _block_designs(spec, factors, n_rf, first_run)
-        design_ms = 1e3 * (time.perf_counter() - t0) / len(pairs)
-        for offset, pair in enumerate(pairs):
+        design_ms = 1e3 * (time.perf_counter() - t0) / n_runs
+        hybrid = _hybrid_rates(spec, channels, pairs, snrs)
+        for offset, (pair, hybrid_se) in enumerate(zip(pairs, hybrid)):
             # a failed design, or a design whose rate cannot be evaluated,
             # gives NaN hybrid rows instead of aborting the sweep
-            hybrid_se, final_obj, iters = nan_se, float("nan"), 0
-            if pair is not None:
-                pre, comb = pair
-                # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
-                k = spec.n_subcarriers
-                try:
-                    hybrid_se = _mean_rate(
-                        channels[offset],
-                        (pre.f_rf @ pre.f_bb).reshape(k, spec.n_tx, spec.n_s),
-                        (comb.f_rf @ comb.f_bb).reshape(k, spec.n_rx, spec.n_s),
-                        snrs,
-                        spec.n_s,
-                    )
-                    final_obj, iters = pre.final_objective, pre.iterations
-                except (np.linalg.LinAlgError, ValueError):
-                    pass
+            if hybrid_se is None:
+                hybrid_se = [float("nan")] * len(snrs)
+                final_obj, iters = float("nan"), 0
+            else:
+                final_obj, iters = pair[0].final_objective, pair[0].iterations
             run_index = first_run + offset
-            digital_ms, digital_se = digital[offset]
-            for snr_db, dig_se, hyb_se in zip(spec.snr_db_list, digital_se, hybrid_se):
-                common = dict(
-                    scenario=spec.scenario,
-                    snr_db=snr_db,
-                    n_rf=n_rf,
-                    run_index=run_index,
-                    seed=spec.base_seed + run_index,
-                )
+            seed = spec.base_seed + run_index
+            dig_ms = digital_ms[offset]
+            for snr_db, dig_se, hyb_se in zip(
+                spec.snr_db_list, digital_se[offset], hybrid_se
+            ):
                 records.append(
                     ResultRecord(
-                        **common,
-                        method="digital_opt",
-                        spectral_efficiency=dig_se,
-                        final_objective=0.0,
-                        iterations_used=0,
-                        wall_time_ms=digital_ms,
+                        scenario, snr_db, n_rf, run_index, seed,
+                        "digital_opt", dig_se, 0.0, 0, dig_ms,
                     )
                 )
                 records.append(
                     ResultRecord(
-                        **common,
-                        method=method,
-                        spectral_efficiency=hyb_se,
-                        final_objective=final_obj,
-                        iterations_used=iters,
-                        wall_time_ms=design_ms,
+                        scenario, snr_db, n_rf, run_index, seed,
+                        method, hyb_se, final_obj, iters, design_ms,
                     )
                 )
     return records
 
 
-def _mean_rate(matrices, precoders, combiners, snrs, n_s):
-    """Per-SNR rate averaged over subcarriers, as a list of floats."""
-    rates = [
-        spectral_efficiency(h, f, w, snrs, n_s)
-        for h, f, w in zip(matrices, precoders, combiners)
-    ]
-    return np.mean(rates, axis=0).tolist()
+def _mean_rates(spec, channels, precoders, combiners, snrs):
+    """Per-SNR rates of each run averaged over subcarriers, as lists.
+
+    ``channels`` is the (runs, K, n_rx, n_tx) stack of a block and the
+    composites the matching (runs, K, n, n_s) stacks: one stacked rate call.
+    """
+    rates = spectral_efficiency(channels, precoders, combiners, snrs, spec.n_s)
+    return rates.mean(axis=1).tolist()
+
+
+def _hybrid_rates(spec, channels, pairs, snrs):
+    """Per-SNR hybrid rates of each run of a block, None where it has none.
+
+    The runs whose design succeeded are rated in one stacked call.  If that
+    call fails, they are rated again one at a time, so only a run whose rate
+    cannot be evaluated is lost.
+    """
+    done = [offset for offset, pair in enumerate(pairs) if pair is not None]
+    out = [None] * len(pairs)
+    if not done:
+        return out
+    # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
+    shape = (len(done), spec.n_subcarriers)
+    precoders = np.empty((*shape, spec.n_tx, spec.n_s), dtype=complex)
+    combiners = np.empty((*shape, spec.n_rx, spec.n_s), dtype=complex)
+    for i, offset in enumerate(done):
+        pre, comb = pairs[offset]
+        precoders[i] = pre.f_rf @ pre.f_bb
+        combiners[i] = comb.f_rf @ comb.f_bb
+    try:
+        rated = _mean_rates(
+            spec,
+            channels if len(done) == len(pairs) else channels[done],
+            precoders,
+            combiners,
+            snrs,
+        )
+    except (np.linalg.LinAlgError, ValueError):
+        if len(done) == 1:
+            return out
+        return [
+            _hybrid_rates(spec, channels[offset : offset + 1], [pair], snrs)[0]
+            for offset, pair in enumerate(pairs)
+        ]
+    for offset, rates in zip(done, rated):
+        out[offset] = rates
+    return out
 
 
 def scenario_design(spec, factors, side):
     """The designer of ``spec.scenario`` and the target it factors.
 
-    ``factors`` holds the SVD factors of each subcarrier; ``side`` names the
-    target, ``"f_opt"`` (precoder) or ``"w_opt"`` (combiner).  The wideband
+    ``factors`` holds the SVD factors of one run, an ``OptimalFactors``
+    with a leading K (subcarrier) axis; ``side`` names the target,
+    ``"f_opt"`` (precoder) or ``"w_opt"`` (combiner).  The wideband
     designer gets the (K, n, n_s) stack of per-subcarrier targets, the
     narrowband ones the single target.
     """
-    targets = [getattr(fo, side) for fo in factors]
+    targets = getattr(factors, side)
     if spec.scenario == "wideband":
-        return design_wideband, np.stack(targets)
+        return design_wideband, targets
     if spec.scenario == "narrowband_partial":
         return design_partially_connected, targets[0]
     return design_fully_connected, targets[0]
@@ -382,7 +411,7 @@ def _block_designs(spec, factors, n_rf, first_run):
 def _design_block(spec, factors, n_rf, first_run):
     """Design every run of a block in one batched call per side.
 
-    ``factors`` lists the per-subcarrier SVD factors of each run.  Returns
+    ``factors`` lists the SVD factors of each run, K-stacked.  Returns
     one (precoder, combiner) pair per run, each the best of its starts.
     """
     starts = spec.multistart
@@ -430,10 +459,8 @@ def run_sweep(spec, out_csv, metadata_out=None, workers=1):
 
     try:
         with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_FIELDS)
-            for rec in records:
-                writer.writerow(_format_row(rec))
+            fh.write(",".join(_CSV_FIELDS) + "\n")
+            fh.writelines(map(_format_row, records))
     except OSError:
         _mark_partial(out_csv)
         raise
@@ -442,7 +469,7 @@ def run_sweep(spec, out_csv, metadata_out=None, workers=1):
         "spec": spec.to_dict(),
         "version": _package_version(),
         "rows": len(records),
-        "error_rows": sum(1 for r in records if np.isnan(r.spectral_efficiency)),
+        "error_rows": sum(1 for r in records if math.isnan(r.spectral_efficiency)),
         "wideband_se_convention": "mean over subcarriers",
         "aggregates": _aggregate(records),
     }
@@ -452,18 +479,23 @@ def run_sweep(spec, out_csv, metadata_out=None, workers=1):
 
 
 def _format_row(rec):
-    return [
+    """One CSV line of a record.
+
+    No field ever needs quoting (identifiers and numbers only), so this is
+    the line ``csv.writer`` would write for the same fields.
+    """
+    return _ROW_FORMAT % (
         rec.scenario,
-        f"{rec.snr_db:.12e}",
+        rec.snr_db,
         rec.n_rf,
         rec.run_index,
         rec.seed,
         rec.method,
-        f"{rec.spectral_efficiency:.12e}",
-        f"{rec.final_objective:.12e}",
+        rec.spectral_efficiency,
+        rec.final_objective,
         rec.iterations_used,
-        f"{rec.wall_time_ms:.3f}",
-    ]
+        rec.wall_time_ms,
+    )
 
 
 def _mark_partial(out_csv):
@@ -477,7 +509,7 @@ def _mark_partial(out_csv):
 def _aggregate(records):
     groups = {}
     for rec in records:
-        if np.isnan(rec.spectral_efficiency):
+        if math.isnan(rec.spectral_efficiency):
             continue
         groups.setdefault(
             (rec.scenario, rec.snr_db, rec.n_rf, rec.method), []

@@ -25,23 +25,25 @@ def svd(a):
 
     Parameters
     ----------
-    a : ndarray, shape (m, n)
-        Complex matrix to factor.
+    a : ndarray, shape (..., m, n)
+        Complex matrix, or a stack of them, to factor.  Leading axes are
+        batch axes: each slice is factored on its own, bitwise as it would
+        be alone.
 
     Returns
     -------
-    u : ndarray, shape (m, k)
+    u : ndarray, shape (..., m, k)
         Left singular vectors, orthonormal columns, k = min(m, n).
-    s : ndarray, shape (k,)
+    s : ndarray, shape (..., k)
         Singular values in decreasing order.
-    v : ndarray, shape (n, k)
+    v : ndarray, shape (..., n, k)
         Right singular vectors, orthonormal columns.  Note this is V, not
         V^H; reconstruct with ``u @ np.diag(s) @ v.conj().T``.
     """
     a = np.asarray(a)
     _require_finite(a, "svd input")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().T
+    return u, s, vh.conj().swapaxes(-1, -2)
 
 
 def solve_hpd(a, b):

@@ -51,6 +51,16 @@ def grid_project_ref(x, bits):
     return out
 
 
+def exp_form_project(x, bits):
+    """Quantized projection that takes exp of every entry's grid index."""
+    n = 2**bits
+    step = 2.0 * np.pi / n
+    grid_pos = np.mod(np.angle(x), 2.0 * np.pi) / step
+    k = np.ceil(grid_pos - 0.5)
+    k = np.where(grid_pos == n - 0.5, 0.0, k)
+    return np.exp(1j * step * np.mod(k, n))
+
+
 def random_target(rng, n_tx, n_s):
     # column-orthonormal, same scale as a true precoding target
     q, _ = np.linalg.qr(crandn(rng, n_tx, n_s))
@@ -110,6 +120,48 @@ class TestProjection:
     def test_quantized_zero_maps_to_one(self):
         p = project_unit_modulus(np.array([0.0 + 0.0j]), 4)
         assert p[0] == 1.0 + 0.0j
+
+    def test_quantized_table_matches_exp_form_bitwise(self):
+        # the quantized projection looks each phase up in a 2**bits table;
+        # it must equal exp(1j * step * k) of the grid index k bit for bit,
+        # exact ties and the wraparound tie included
+        rng = np.random.default_rng(7)
+        wraparound_ties = 0
+        for bits in range(1, 9):
+            n = 2**bits
+            step = 2 * np.pi / n
+            mid = (np.arange(n) + 0.5) * step
+            # each midpoint angle and its neighbours a few ulps away
+            angles = np.concatenate(
+                [
+                    mid,
+                    np.nextafter(mid, np.inf),
+                    np.nextafter(mid, -np.inf),
+                    [-step / 2],
+                    np.arange(n) * step,
+                ]
+            )
+            x = np.concatenate(
+                [
+                    crandn(rng, 400),
+                    np.exp(1j * angles),
+                    np.cos(angles) + 1j * np.sin(angles),
+                    [0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j],
+                ]
+            )
+            grid_pos = np.mod(np.angle(x), 2 * np.pi) / step
+            assert (grid_pos % 1 == 0.5).any()  # exact ties are exercised
+            wraparound_ties += (grid_pos == n - 0.5).sum()
+            got = project_unit_modulus(x, bits)
+            assert got.tobytes() == exp_form_project(x, bits).tobytes(), bits
+        assert wraparound_ties > 0
+
+    def test_quantized_nan_propagates(self):
+        # a NaN entry has no grid point to look up; it stays NaN, as exp of
+        # a NaN index would give, and the other entries are projected
+        p = project_unit_modulus(np.array([np.nan + 0j, 1j]), 2)
+        assert np.isnan(p[0])
+        assert p[1] == exp_form_project(np.array([1j]), 2)[0]
 
 
 class TestLeastSquaresFbb:

@@ -3,6 +3,7 @@ import pytest
 
 from hybridsim.channel import (
     ArrayGeometry,
+    ChannelRealization,
     ClusterParams,
     array_response,
     gen_narrowband,
@@ -206,8 +207,22 @@ class TestDump:
         assert back.rx_geometry == real.rx_geometry
         assert back.params == real.params
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        h = np.array(
+            [[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 2.0j]]
+        )
+        real = ChannelRealization(
+            matrices=[h],
+            tx_geometry=ArrayGeometry(2),
+            rx_geometry=ArrayGeometry(1),
+        )
+        path = tmp_path / "chan.json"
+        save_channel(real, path)
+        assert load_channel(path).matrices[0].tobytes() == h.tobytes()
+
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_channel(path)
+

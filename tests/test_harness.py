@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +347,41 @@ class TestRunSweep:
             assert json.load(fh)["error_rows"] == 2
         assert read_rows(out)[0] == harness._CSV_FIELDS
 
+    def test_two_unrateable_runs_of_one_block(self, tmp_path, monkeypatch):
+        # the block's stacked hybrid rate call fails; rated again run by
+        # run, only runs 0 and 2 lose their hybrid rows
+        real = harness._design_block
+
+        def two_rank_deficient(spec, factors, n_rf, first_run):
+            pairs = real(spec, factors, n_rf, first_run)
+            for run_index in (0, 2):
+                offset = block_offset(first_run, factors, run_index)
+                if offset is not None:
+                    comb = pairs[offset][1]
+                    comb.f_bb[:, 1] = comb.f_bb[:, 0]
+            return pairs
+
+        spec = small_spec(runs=4)
+        clean = run_sweep(spec, tmp_path / "clean.csv")
+        monkeypatch.setattr(harness, "_design_block", two_rank_deficient)
+        records = run_sweep(spec, tmp_path / "sweep.csv")
+        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        assert {(r.method, r.run_index) for r in bad} == {
+            ("hybrid_full", 0),
+            ("hybrid_full", 2),
+        }
+        assert len(bad) == 4
+        assert all(np.isnan(r.final_objective) for r in bad)
+        assert all(r.iterations_used == 0 for r in bad)
+        for want, got in zip(clean, records):
+            if (got.method, got.run_index) not in {
+                ("hybrid_full", 0),
+                ("hybrid_full", 2),
+            }:
+                assert replace(got, wall_time_ms=0) == replace(
+                    want, wall_time_ms=0
+                )
+
     def test_nonfinite_factors_yield_nan_rows(self, tmp_path, monkeypatch):
         real = harness._design_block
 
@@ -418,6 +455,39 @@ class TestRunSweep:
         lines = out.read_text().splitlines()
         assert lines[-1] == "# PARTIAL: sweep aborted before completion"
         assert len(lines) == 7  # header + 5 rows + marker
+
+
+class TestFormatRow:
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e300]
+    )
+    def test_line_equals_csv_writer_line(self, value):
+        rec = harness.ResultRecord(
+            "wideband", value, 4, 17, 1017, "hybrid_wideband",
+            value, value, 250, value,
+        )
+        fields = [
+            rec.scenario,
+            f"{rec.snr_db:.12e}",
+            rec.n_rf,
+            rec.run_index,
+            rec.seed,
+            rec.method,
+            f"{rec.spectral_efficiency:.12e}",
+            f"{rec.final_objective:.12e}",
+            rec.iterations_used,
+            f"{rec.wall_time_ms:.3f}",
+        ]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        assert harness._format_row(rec) == buf.getvalue()
+
+    def test_header_equals_csv_writer_header(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        run_sweep(small_spec(runs=1), out)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(harness._CSV_FIELDS)
+        assert out.read_text().splitlines(keepends=True)[0] == buf.getvalue()
 
 
 class TestLoadConfig:
