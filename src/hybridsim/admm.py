@@ -16,10 +16,20 @@ Two structures: a dense analog matrix shared by K stacked targets with one
 digital matrix per target (``design_wideband``, the multicarrier design),
 and a block-diagonal analog matrix with one phase vector per RF chain
 (``design_partially_connected``).  The fully-connected narrowband design
-(``design_fully_connected``) is the dense structure with K = 1.  Each dense
-iteration solves one analog-update system and one Gram system
-``F_RF^H F_RF``; the K digital least-squares updates share that Gram matrix
-through one stacked :func:`~hybridsim.numerics.solve_hpd` call.
+(``design_fully_connected``) is the dense structure with K = 1.
+
+The dense loop works on the subcarrier-concatenated layout: the digital
+iterate is ``F = [F_1 ... F_K]`` of shape (n_rf, K*n_s) and the targets are
+held once per design as ``T^H``, the (K*n_s, n_tx) conjugate transpose of
+``T = [T_1 ... T_K]``.  The sums over subcarriers of the wideband updates
+are then single products: ``sum_k T_k F_k^H = (F T^H)^H``,
+``sum_k F_k F_k^H = F F^H``, and the K digital right-hand sides are
+``(T^H F_RF)^H``.  Each iteration solves one analog-update system and one
+Gram system ``F_RF^H F_RF`` per instance.  The trace objective is taken as
+``||T||^2 + Re<F, R^H R F - 2 R^H T>`` from those small products, with
+``||T||^2`` computed once, so no target-sized residual is formed per
+iteration.  Kept iterates and results carry the digital matrices stacked
+per subcarrier, (K, n_rf, n_s).
 
 Both structures run one loop (``_run_loop``) over a leading batch axis of
 independent instances: instance i starts from the seed ``cfg.seed + i`` and
@@ -141,7 +151,8 @@ class AdmmState:
     """One iterate of the dense-analog loop: analog matrix, digital matrix
     (stacked per subcarrier for the multicarrier variant), auxiliary
     unit-modulus copy and scaled dual.  Inside a batched design every field
-    carries a leading instance axis."""
+    carries a leading instance axis, and inside the loop the digital matrices
+    sit side by side, (n_rf, K*n_s)."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -248,13 +259,10 @@ def least_squares_fbb(f_rf, f_target):
     """
     f_rf = np.asarray(f_rf)
     f_target = np.asarray(f_target)
-    f_rf_h = f_rf.conj().swapaxes(-1, -2)
     if f_target.ndim > f_rf.ndim:
         # one more axis than the analog matrix: K targets share it
-        rhs = f_rf_h[..., None, :, :] @ f_target
-    else:
-        rhs = f_rf_h @ f_target
-    return solve_hpd(f_rf_h @ f_rf, rhs)
+        return _split(_solve_digital(f_rf, _concat_h(f_target)), f_target.shape[-3])
+    return _solve_digital(f_rf, f_target.conj().swapaxes(-1, -2))
 
 
 def step_frf(state, f_target, rho):
@@ -265,18 +273,57 @@ def step_frf(state, f_target, rho):
     the stationary point of the augmented Lagrangian in the analog matrix.
     A state with a leading batch axis updates every instance.
     """
-    f_bb = state.f_bb
-    f_bb_h = f_bb.conj().swapaxes(-1, -2)
-    num = f_target @ f_bb_h
-    gram = f_bb @ f_bb_h
-    if gram.ndim > state.r.ndim:
-        # one digital matrix per subcarrier
-        num, gram = num.sum(axis=-3), gram.sum(axis=-3)
-    # X (gram + rho I) = num + rho (R - W), solved from the right via the
-    # Hermitian system A X^H = B^H
-    a = gram + rho * np.eye(gram.shape[-1])
-    b = num + rho * (state.r - state.w)
-    return solve_hpd(a, b.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+    f_bb = np.asarray(state.f_bb)
+    f_target = np.asarray(f_target)
+    if f_bb.ndim > state.r.ndim:
+        # one digital matrix per subcarrier: concatenate them, [F_1 ... F_K]
+        *lead, k, n_rf, n_s = f_bb.shape
+        f_bb = f_bb.swapaxes(-3, -2).reshape(*lead, n_rf, k * n_s)
+        t_h = _concat_h(f_target)
+    else:
+        t_h = f_target.conj().swapaxes(-1, -2)
+    return _analog_update(f_bb, t_h, state.r, state.w, rho)
+
+
+def _concat_h(targets):
+    """Targets (..., K, n_tx, n_s) as ``[T_1 ... T_K]^H``, (..., K*n_s, n_tx).
+
+    Row k*n_s + s is column s of target k, conjugated: the subcarriers sit on
+    rows, so every product against it is one GEMM per instance.
+    """
+    *lead, k, n_tx, n_s = targets.shape
+    return targets.conj().swapaxes(-1, -2).reshape(*lead, k * n_s, n_tx)
+
+
+def _split(f_cat, k):
+    """Concatenated digital matrices (..., n_rf, K*n_s) as (..., K, n_rf, n_s)."""
+    *lead, n_rf, cols = f_cat.shape
+    return np.ascontiguousarray(
+        f_cat.reshape(*lead, n_rf, k, cols // k).swapaxes(-3, -2)
+    )
+
+
+def _solve_digital(f_rf, t_h):
+    """Digital least squares ``(F_RF^H F_RF)^-1 (T^H F_RF)^H`` for ``T^H`` given.
+
+    ``T^H F_RF`` keeps one subcarrier per row block, so identical targets get
+    bitwise identical digital matrices.
+    """
+    f_rf_h = f_rf.conj().swapaxes(-1, -2)
+    return solve_hpd(f_rf_h @ f_rf, (t_h @ f_rf).conj().swapaxes(-1, -2))
+
+
+def _analog_update(f_bb, t_h, r, w, rho):
+    """``[T F^H + rho (R - W)] (F F^H + rho I)^-1`` for ``F`` and ``T^H`` given.
+
+    Solved from the right as the Hermitian system
+    ``(F F^H + rho I) X^H = F T^H + rho (R - W)^H``; X is returned C-ordered,
+    so the elementwise updates and products that take it stay on contiguous
+    memory.
+    """
+    a = f_bb @ f_bb.conj().swapaxes(-1, -2) + rho * np.eye(f_bb.shape[-2])
+    b = f_bb @ t_h + rho * (r - w).conj().swapaxes(-1, -2)
+    return np.ascontiguousarray(solve_hpd(a, b).conj().swapaxes(-1, -2))
 
 
 def _init_analog(cfg, count, shape):
@@ -292,10 +339,20 @@ def _init_analog(cfg, count, shape):
     return f_rf
 
 
+def _floats(x):
+    """Each slice along the leading axis as one row of real and imaginary parts."""
+    return np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
+
+
 def _sqnorm(x):
     """Squared Frobenius norm of each slice along the leading axis."""
-    v = np.ascontiguousarray(x).reshape(len(x), -1).view(np.float64)
+    v = _floats(x)
     return (v * v).sum(axis=1)
+
+
+def _real_inner(a, b):
+    """``Re <a, b>`` of each pair of slices along the leading axis."""
+    return (_floats(a) * _floats(b)).sum(axis=1)
 
 
 def _take(state, index):
@@ -303,19 +360,20 @@ def _take(state, index):
     return type(state)(*(getattr(state, f.name)[index] for f in fields(state)))
 
 
-def _run_loop(state, targets, cfg, step, measure, keep_iterates):
+def _run_loop(state, data, cfg, step, measure, keep_iterates):
     """The ADMM loop shared by both structures, over a batch of instances.
 
-    ``step(state, targets, cfg)`` returns the next iterate and
-    ``measure(state, targets)`` the per-instance (objective, primal
+    ``data`` is a tuple of per-instance arrays (the targets and whatever is
+    precomputed from them); ``step(state, data, cfg)`` returns the next
+    iterate and ``measure(state, data)`` the per-instance (objective, primal
     residual).  An instance stops once its objective changes by less than
     ``cfg.tau``; the loop then carries on with the remaining instances only,
     so every instance follows the iterations it would follow alone.
     Returns the last iterate of every instance (one batched state), the
     per-instance traces and the per-instance iterate lists (or None).
     """
-    count = len(targets)
-    objective, residual = measure(state, targets)
+    count = len(data[0])
+    objective, residual = measure(state, data)
     traces = [[(0, o, r)] for o, r in zip(objective.tolist(), residual.tolist())]
     iterates = None
     if keep_iterates:
@@ -323,8 +381,8 @@ def _run_loop(state, targets, cfg, step, measure, keep_iterates):
     last = state.copy()
     active = np.arange(count)
     for t in range(1, cfg.max_iters + 1):
-        state = step(state, targets, cfg)
-        new_objective, residual = measure(state, targets)
+        state = step(state, data, cfg)
+        new_objective, residual = measure(state, data)
         rows = zip(active.tolist(), new_objective.tolist(), residual.tolist())
         for j, (i, o, r) in enumerate(rows):
             traces[i].append((t, o, r))
@@ -339,7 +397,7 @@ def _run_loop(state, targets, cfg, step, measure, keep_iterates):
             going = ~stop
             if not going.any():
                 break
-            active, targets = active[going], targets[going]
+            active, data = active[going], tuple(x[going] for x in data)
             state, new_objective = _take(state, going), new_objective[going]
         objective = new_objective
     return last, traces, iterates
@@ -361,22 +419,24 @@ def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
     return designs if batched else designs[0]
 
 
-def _dense_step(state, targets, cfg):
-    f_rf = step_frf(state, targets, cfg.rho)
-    f_bb = least_squares_fbb(f_rf, targets)
+def _dense_step(state, data, cfg):
+    t_h, _ = data
+    f_rf = _analog_update(state.f_bb, t_h, state.r, state.w, cfg.rho)
     r = project_unit_modulus(f_rf + state.w, cfg.phase_bits)
-    return AdmmState(f_rf=f_rf, f_bb=f_bb, r=r, w=state.w + (f_rf - r))
-
-
-def _dense_objective(targets, r, f_bb):
-    return _sqnorm(targets - r[:, None] @ f_bb)
-
-
-def _dense_measure(state, targets):
-    return (
-        _dense_objective(targets, state.r, state.f_bb),
-        np.sqrt(_sqnorm(state.f_rf - state.r)),
+    return AdmmState(
+        f_rf=f_rf, f_bb=_solve_digital(f_rf, t_h), r=r, w=state.w + (f_rf - r)
     )
+
+
+def _dense_measure(state, data):
+    # ||T - R F||^2 = ||T||^2 + Re<F, R^H R F - 2 R^H T>, R^H T = (T^H R)^H:
+    # products of the small factors only, nothing of the targets' size
+    t_h, t_sq = data
+    r, f_bb = state.r, state.f_bb
+    gram = r.conj().swapaxes(-1, -2) @ r
+    cross = (t_h @ r).conj().swapaxes(-1, -2)
+    objective = t_sq + _real_inner(f_bb, gram @ f_bb - 2.0 * cross)
+    return objective, np.sqrt(_sqnorm(state.f_rf - r))
 
 
 def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
@@ -414,27 +474,34 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
     batched = targets.ndim == 4
     if not batched:
         targets = targets[None]
-    count, _, n_tx, n_s = targets.shape
+    count, k, n_tx, n_s = targets.shape
     if not n_s <= n_rf <= n_tx:
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
 
+    t_h = _concat_h(targets)
     f_rf = _init_analog(cfg, count, (n_tx, n_rf))
     state = AdmmState(
         f_rf=f_rf,
-        f_bb=least_squares_fbb(f_rf, targets),
+        f_bb=_solve_digital(f_rf, t_h),
         r=f_rf.copy(),
         w=np.zeros_like(f_rf),
     )
     last, traces, iterates = _run_loop(
-        state, targets, cfg, _dense_step, _dense_measure, keep_iterates
+        state, (t_h, _sqnorm(t_h)), cfg, _dense_step, _dense_measure, keep_iterates
     )
+    for kept in iterates or ():
+        for st in kept:
+            st.f_bb = _split(st.f_bb, k)
 
     f_rf_hat = last.r
-    f_bb_hat = least_squares_fbb(f_rf_hat, targets)
-    final_objective = _dense_objective(targets, f_rf_hat, f_bb_hat).tolist()
+    f_bb_cat = _solve_digital(f_rf_hat, t_h)
+    # (R F)^H, one row block per subcarrier
+    recon_h = f_bb_cat.conj().swapaxes(-1, -2) @ f_rf_hat.conj().swapaxes(-1, -2)
+    final_objective = _sqnorm(t_h - recon_h).tolist()
+    f_bb_hat = _split(f_bb_cat, k)
     if normalize_power:
-        power = np.linalg.norm(f_rf_hat[:, None] @ f_bb_hat, axis=(-2, -1))
-        f_bb_hat = f_bb_hat * (np.sqrt(n_s) / power)[..., None, None]
+        power = np.sqrt(_sqnorm(recon_h.reshape(count * k, -1))).reshape(count, k)
+        f_bb_hat *= (np.sqrt(n_s) / power)[..., None, None]
     return _results(
         FULLY_CONNECTED, f_rf_hat, f_bb_hat, traces, final_objective, iterates, batched
     )
@@ -500,7 +567,8 @@ def _partial_fbb(f_vecs, target3):
     return np.einsum("...ib,...ibs->...is", f_vecs.conj(), target3) / norms[..., None]
 
 
-def _partial_step(state, target3, cfg):
+def _partial_step(state, data, cfg):
+    (target3,) = data
     # per-scalar analog update: matching target row times digital row
     # conjugate, plus the penalty pull toward r - w
     num = np.einsum("...ibs,...is->...ib", target3, state.f_bb.conj()) + cfg.rho * (
@@ -517,7 +585,8 @@ def _partial_step(state, target3, cfg):
     )
 
 
-def _partial_measure(state, target3):
+def _partial_measure(state, data):
+    (target3,) = data
     recon = state.r_vecs[..., None] * state.f_bb[..., None, :]
     return _sqnorm(target3 - recon), np.sqrt(_sqnorm(state.f_vecs - state.r_vecs))
 
@@ -562,7 +631,7 @@ def design_partially_connected(
         w_vecs=np.zeros_like(f_vecs),
     )
     last, traces, iterates = _run_loop(
-        state, target3, cfg, _partial_step, _partial_measure, keep_iterates
+        state, (target3,), cfg, _partial_step, _partial_measure, keep_iterates
     )
 
     f_rf_hat = assemble_block_diag(last.r_vecs)

@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,7 +179,14 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        """Build a spec from a JSON-style mapping; unknown keys are errors."""
+        """Build a spec from a JSON-style mapping; unknown keys are errors.
+
+        The document and its ``"admm"`` entry must be objects (dicts).
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"config must be a JSON object, got {type(doc).__name__}"
+            )
         known = {
             "scenario",
             "n_s",
@@ -198,7 +206,11 @@ class SweepSpec:
         missing = known - set(doc) - {"multistart", "admm"}
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        admm_doc = dict(doc.get("admm", {}))
+        admm_doc = doc.get("admm", {})
+        if not isinstance(admm_doc, dict):
+            raise ValueError(
+                f"admm must be a JSON object, got {type(admm_doc).__name__}"
+            )
         admm_known = {"rho", "max_iters", "tau", "phase_bits", "seed"}
         admm_unknown = set(admm_doc) - admm_known
         if admm_unknown:
@@ -221,8 +233,8 @@ def _as_tuple(value):
     return (value,)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class ResultRecord(NamedTuple):
     """One CSV row: the rate of one method at one sweep point in one run.
 
     ``final_objective`` and ``iterations_used`` describe the precoder-side
@@ -231,6 +243,12 @@ class ResultRecord:
     SVD time on digital rows; on hybrid rows it is the design time of the
     run's block at that n_rf (precoders and combiners, all starts) divided
     by the runs of the block.
+
+    A sweep makes one record per row, so a record is a tuple: cheap to
+    build and formatted as a row in one ``%`` operation.  The dataclass
+    decorator adds no ``__init__``, ``__repr__`` or ``__eq__``; it makes
+    ``dataclasses.replace``, ``asdict`` and ``fields`` work on records and
+    raises ``FrozenInstanceError`` on assignment.
     """
 
     scenario: str
@@ -484,18 +502,7 @@ def _format_row(rec):
     No field ever needs quoting (identifiers and numbers only), so this is
     the line ``csv.writer`` would write for the same fields.
     """
-    return _ROW_FORMAT % (
-        rec.scenario,
-        rec.snr_db,
-        rec.n_rf,
-        rec.run_index,
-        rec.seed,
-        rec.method,
-        rec.spectral_efficiency,
-        rec.final_objective,
-        rec.iterations_used,
-        rec.wall_time_ms,
-    )
+    return _ROW_FORMAT % rec
 
 
 def _mark_partial(out_csv):

@@ -84,6 +84,22 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("value", [None, [1, 2], "fast", 3])
+    def test_mistyped_admm_section_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["admm"] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("doc", [None, [], ["runs", "n_s"], 7, "cfg"])
+    def test_non_object_document_is_config_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import multiprocessing
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -455,6 +455,30 @@ class TestRunSweep:
         lines = out.read_text().splitlines()
         assert lines[-1] == "# PARTIAL: sweep aborted before completion"
         assert len(lines) == 7  # header + 5 rows + marker
+
+
+class TestResultRecord:
+    def test_keyword_built_immutable_and_replaceable(self):
+        values = dict(
+            scenario="wideband",
+            snr_db=0.0,
+            n_rf=4,
+            run_index=3,
+            seed=103,
+            method="hybrid_wideband",
+            spectral_efficiency=1.5,
+            final_objective=0.25,
+            iterations_used=30,
+            wall_time_ms=2.0,
+        )
+        rec = harness.ResultRecord(**values)
+        assert rec == harness.ResultRecord(*values.values())
+        assert [f.name for f in fields(rec)] == harness._CSV_FIELDS
+        assert asdict(rec) == values
+        with pytest.raises(AttributeError):
+            rec.n_rf = 2
+        assert replace(rec, n_rf=2) == harness.ResultRecord(**{**values, "n_rf": 2})
+        assert rec.n_rf == 4
 
 
 class TestFormatRow:
