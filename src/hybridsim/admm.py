@@ -240,8 +240,10 @@ def project_unit_modulus(x, phase_bits=None):
     # smaller angle, so it is remapped explicitly
     k = np.ceil(grid_pos - 0.5)
     k = np.mod(np.where(grid_pos == n_levels - 0.5, 0.0, k), n_levels)
-    if np.isnan(k).any():
-        # NaN entries have no grid point; let them propagate
+    if n_levels > x.size or np.isnan(k).any():
+        # a table with more points than x has entries costs more than the
+        # exp of each entry, and at many bits it does not fit in memory;
+        # NaN entries have no grid point, so they take the exp and propagate
         return np.exp(1j * step * k)
     # the same exp as above, taken once per grid point and looked up
     return np.exp(1j * step * np.arange(n_levels))[k.astype(np.intp)]

@@ -7,9 +7,8 @@ run indices: a block draws the channel of each of its runs into one
 subcarriers in one call, then designs all runs in one batched designer call
 per (n_rf, precoder or combiner), with runs x multistarts as the batch
 axis.  Rates are taken on the block's stacks: one ``spectral_efficiency``
-call for the digital rates of the block, and one per n_rf for the hybrid
-rates of the runs whose design succeeded; each run's rate is the mean over
-its subcarriers.  Design call s of
+call for the digital rates of the block, and one per n_rf for its hybrid
+rates; each run's rate is the mean over its subcarriers.  Design call s of
 run r uses ADMM seed ``admm.seed + r * multistart + s``, so a block's
 instances have contiguous seeds, and the start with the lowest final
 factorization objective is kept (the first start wins a tie).
@@ -17,17 +16,17 @@ factorization objective is kept (the first start wins a tie).
 Determinism: a batched design returns, for every instance, bitwise the
 design that instance gets alone.  Rows are therefore the same for any block
 layout and any number of workers; row order is normalized by sorting, and
-wall-clock timings are the only nondeterministic output.  If a batched
-design call or the stacked hybrid rate call fails, the block's runs are
-designed or rated again one at a time, so only the failing run gets NaN
-hybrid rows.  Each CSV row is written from one format string.
+wall-clock timings are the only nondeterministic output.  If the batched
+design or the stacked hybrid rating of a block at one n_rf fails, both are
+done again one run at a time (``_hybrid_block``), so only a failing run gets
+NaN hybrid rows.  Each CSV row is written from one format string.
 """
 
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -134,10 +133,13 @@ class SweepSpec:
                 for s in _as_tuple(self.snr_db_list)
             ),
         )
-        if len(self.snr_db_list) == 0:
-            raise ValueError("empty sweep axis: snr_db_list has no entries")
-        if len(self.n_rf) == 0:
-            raise ValueError("empty sweep axis: n_rf has no entries")
+        for axis in ("snr_db_list", "n_rf"):
+            values = getattr(self, axis)
+            if len(values) == 0:
+                raise ValueError(f"empty sweep axis: {axis} has no entries")
+            # a repeated value would pool each run twice into one sweep point
+            if len(set(values)) < len(values):
+                raise ValueError(f"duplicate values in sweep axis {axis}: {values}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.multistart < 1:
@@ -187,23 +189,12 @@ class SweepSpec:
             raise ValueError(
                 f"config must be a JSON object, got {type(doc).__name__}"
             )
-        known = {
-            "scenario",
-            "n_s",
-            "n_rf",
-            "n_tx_side",
-            "n_rx_side",
-            "n_subcarriers",
-            "snr_db_list",
-            "runs",
-            "base_seed",
-            "admm",
-            "multistart",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = known - set(doc) - {"multistart", "admm"}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        missing = required - set(doc) - {"admm"}
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         admm_doc = doc.get("admm", {})
@@ -211,14 +202,10 @@ class SweepSpec:
             raise ValueError(
                 f"admm must be a JSON object, got {type(admm_doc).__name__}"
             )
-        admm_known = {"rho", "max_iters", "tau", "phase_bits", "seed"}
-        admm_unknown = set(admm_doc) - admm_known
+        admm_unknown = set(admm_doc) - {f.name for f in fields(AdmmConfig)}
         if admm_unknown:
             raise ValueError(f"unknown admm config keys: {sorted(admm_unknown)}")
-        return cls(
-            **{key: doc[key] for key in known - {"admm"} if key in doc},
-            admm=AdmmConfig(**admm_doc),
-        )
+        return cls(**{**doc, "admm": AdmmConfig(**admm_doc)})
 
     def to_dict(self):
         doc = asdict(self)
@@ -242,7 +229,8 @@ class ResultRecord(NamedTuple):
     with NaN rate so the sweep continues.  ``wall_time_ms`` is the run's
     SVD time on digital rows; on hybrid rows it is the design time of the
     run's block at that n_rf (precoders and combiners, all starts) divided
-    by the runs of the block.
+    by the runs of the block, or, where the block fell back to one run at a
+    time, the run's own redesign time.
 
     A sweep makes one record per row, so a record is a tuple: cheap to
     build and formatted as a row in one ``%`` operation.  The dataclass
@@ -310,18 +298,8 @@ def _run_block(spec, first_run, stop_run):
     method = _HYBRID_METHOD[scenario]
     records = []
     for n_rf in spec.n_rf:
-        t0 = time.perf_counter()
-        pairs = _block_designs(spec, factors, n_rf, first_run)
-        design_ms = 1e3 * (time.perf_counter() - t0) / n_runs
-        hybrid = _hybrid_rates(spec, channels, pairs, snrs)
-        for offset, (pair, hybrid_se) in enumerate(zip(pairs, hybrid)):
-            # a failed design, or a design whose rate cannot be evaluated,
-            # gives NaN hybrid rows instead of aborting the sweep
-            if hybrid_se is None:
-                hybrid_se = [float("nan")] * len(snrs)
-                final_obj, iters = float("nan"), 0
-            else:
-                final_obj, iters = pair[0].final_objective, pair[0].iterations
+        hybrid = _hybrid_block(spec, channels, factors, n_rf, first_run, snrs)
+        for offset, (hybrid_se, final_obj, iters, design_ms) in enumerate(hybrid):
             run_index = first_run + offset
             seed = spec.base_seed + run_index
             dig_ms = digital_ms[offset]
@@ -353,43 +331,40 @@ def _mean_rates(spec, channels, precoders, combiners, snrs):
     return rates.mean(axis=1).tolist()
 
 
-def _hybrid_rates(spec, channels, pairs, snrs):
-    """Per-SNR hybrid rates of each run of a block, None where it has none.
+def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
+    """Design and rate every run of a block at ``n_rf``.
 
-    The runs whose design succeeded are rated in one stacked call.  If that
-    call fails, they are rated again one at a time, so only a run whose rate
-    cannot be evaluated is lost.
+    Returns one ``(rates, final_objective, iterations, design_ms)`` per run:
+    its per-SNR hybrid rates, its precoder's objective and iterations, and
+    the block's design time per run.  The block is designed in one
+    ``_design_block`` call and rated in one stacked call.  If either raises,
+    the block is done again one run at a time, each run redesigned to the
+    same factors with its own design time, and a run that still fails gets
+    NaN rates, a NaN objective and 0 iterations.
     """
-    done = [offset for offset, pair in enumerate(pairs) if pair is not None]
-    out = [None] * len(pairs)
-    if not done:
-        return out
-    # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
-    shape = (len(done), spec.n_subcarriers)
-    precoders = np.empty((*shape, spec.n_tx, spec.n_s), dtype=complex)
-    combiners = np.empty((*shape, spec.n_rx, spec.n_s), dtype=complex)
-    for i, offset in enumerate(done):
-        pre, comb = pairs[offset]
-        precoders[i] = pre.f_rf @ pre.f_bb
-        combiners[i] = comb.f_rf @ comb.f_bb
+    t0 = time.perf_counter()
     try:
-        rated = _mean_rates(
-            spec,
-            channels if len(done) == len(pairs) else channels[done],
-            precoders,
-            combiners,
-            snrs,
-        )
+        pairs = _design_block(spec, factors, n_rf, first_run)
+        design_ms = 1e3 * (time.perf_counter() - t0) / len(factors)
+        # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
+        shape = (len(pairs), spec.n_subcarriers, -1, spec.n_s)
+        precoders = np.reshape([pre.f_rf @ pre.f_bb for pre, _ in pairs], shape)
+        combiners = np.reshape([comb.f_rf @ comb.f_bb for _, comb in pairs], shape)
+        rates = _mean_rates(spec, channels, precoders, combiners, snrs)
     except (np.linalg.LinAlgError, ValueError):
-        if len(done) == 1:
-            return out
+        if len(factors) == 1:
+            failed_ms = 1e3 * (time.perf_counter() - t0)
+            return [([math.nan] * len(snrs), math.nan, 0, failed_ms)]
         return [
-            _hybrid_rates(spec, channels[offset : offset + 1], [pair], snrs)[0]
-            for offset, pair in enumerate(pairs)
+            _hybrid_block(
+                spec, channels[i : i + 1], [run_factors], n_rf, first_run + i, snrs
+            )[0]
+            for i, run_factors in enumerate(factors)
         ]
-    for offset, rates in zip(done, rated):
-        out[offset] = rates
-    return out
+    return [
+        (run_rates, pre.final_objective, pre.iterations, design_ms)
+        for run_rates, (pre, _) in zip(rates, pairs)
+    ]
 
 
 def scenario_design(spec, factors, side):
@@ -407,23 +382,6 @@ def scenario_design(spec, factors, side):
     if spec.scenario == "narrowband_partial":
         return design_partially_connected, targets[0]
     return design_fully_connected, targets[0]
-
-
-def _block_designs(spec, factors, n_rf, first_run):
-    """The (precoder, combiner) of each run of a block, None where it failed.
-
-    A batched call that fails is retried run by run, so one bad instance
-    costs only its own run.
-    """
-    try:
-        return _design_block(spec, factors, n_rf, first_run)
-    except (np.linalg.LinAlgError, ValueError):
-        if len(factors) == 1:
-            return [None]
-    return [
-        _block_designs(spec, [run_factors], n_rf, first_run + offset)[0]
-        for offset, run_factors in enumerate(factors)
-    ]
 
 
 def _design_block(spec, factors, n_rf, first_run):
@@ -450,21 +408,19 @@ def _design_block(spec, factors, n_rf, first_run):
     return list(zip(*sides))
 
 
-def run_sweep(spec, out_csv, metadata_out=None, workers=1):
+def run_sweep(spec, out_csv, workers=1):
     """Execute a full sweep, write the CSV and a metadata JSON.
 
     Runs are executed in blocks of ``_BLOCK_RUNS`` consecutive run indices,
     serially or across ``workers`` processes.  Rows are sorted by (n_rf,
     snr_db, run_index, method) so output is deterministic for any worker
-    count.  Metadata lands next to the CSV (``<out_csv>.meta.json``) unless
-    ``metadata_out`` is given, and carries the resolved spec plus per-point
-    aggregate means and standard errors.
+    count.  Metadata lands next to the CSV (``<out_csv>.meta.json``) and
+    carries the resolved spec plus per-point aggregate means and standard
+    errors.
     """
     workers = check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if metadata_out is None:
-        metadata_out = str(out_csv) + ".meta.json"
     firsts = range(0, spec.runs, _BLOCK_RUNS)
     stops = [min(first + _BLOCK_RUNS, spec.runs) for first in firsts]
     if workers > 1:
@@ -491,7 +447,7 @@ def run_sweep(spec, out_csv, metadata_out=None, workers=1):
         "wideband_se_convention": "mean over subcarriers",
         "aggregates": _aggregate(records),
     }
-    with open(metadata_out, "w", encoding="utf-8") as fh:
+    with open(str(out_csv) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
     return records
 

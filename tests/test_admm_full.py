@@ -163,6 +163,14 @@ class TestProjection:
         assert np.isnan(p[0])
         assert p[1] == exp_form_project(np.array([1j]), 2)[0]
 
+    @pytest.mark.parametrize("bits", [20, 48])
+    def test_quantized_fine_grid_matches_exp_form_bitwise(self, bits):
+        # a grid of more points than entries takes the exp of each entry
+        # instead of a 2**bits table (2 PiB of table at 48 bits)
+        x = crandn(np.random.default_rng(bits), 8, 4)
+        got = project_unit_modulus(x, bits)
+        assert got.tobytes() == exp_form_project(x, bits).tobytes()
+
 
 class TestLeastSquaresFbb:
     def test_hand_case(self):

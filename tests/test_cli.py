@@ -100,6 +100,19 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "axis, values", [("snr_db_list", [10.0, 10.0]), ("n_rf", [2, 2])]
+    )
+    def test_duplicate_axis_value_is_config_error(
+        self, tmp_path, capsys, axis, values
+    ):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc[axis] = values
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")

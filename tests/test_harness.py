@@ -53,6 +53,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="empty sweep axis"):
             small_spec(n_rf=[])
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"snr_db_list": [10.0, 10]},
+            {"snr_db_list": [0.0, 5.0, -0.0]},
+            {"n_rf": [2, 2]},
+            {"n_rf": [2, 3, 2.0]},
+        ],
+    )
+    def test_duplicate_axis_values_rejected(self, overrides):
+        # each copy would pool every run into the same sweep point twice
+        with pytest.raises(ValueError, match="duplicate values in sweep axis"):
+            small_spec(**overrides)
+
     def test_scalar_axes_promoted(self):
         spec = small_spec(n_rf=3, snr_db_list=5)
         assert spec.n_rf == (3,)
@@ -378,6 +392,44 @@ class TestRunSweep:
                 ("hybrid_full", 0),
                 ("hybrid_full", 2),
             }:
+                assert replace(got, wall_time_ms=0) == replace(
+                    want, wall_time_ms=0
+                )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_and_unrateable_runs_of_one_block(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # run 1's design raises and run 2's combiner is rank deficient, in
+        # one block; the block is redone run by run and only those two runs
+        # lose their hybrid rows
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes only see the patch when forked")
+        real = harness._design_block
+
+        def two_failure_kinds(spec, factors, n_rf, first_run):
+            if block_offset(first_run, factors, 1) is not None:
+                raise np.linalg.LinAlgError("synthetic failure")
+            pairs = real(spec, factors, n_rf, first_run)
+            offset = block_offset(first_run, factors, 2)
+            if offset is not None:
+                comb = pairs[offset][1]
+                comb.f_bb[:, 1] = comb.f_bb[:, 0]
+            return pairs
+
+        spec = small_spec(runs=4)
+        clean = run_sweep(spec, tmp_path / "clean.csv")
+        monkeypatch.setattr(harness, "_design_block", two_failure_kinds)
+        records = run_sweep(spec, tmp_path / "sweep.csv", workers=workers)
+        lost = {("hybrid_full", 1), ("hybrid_full", 2)}
+        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        assert {(r.method, r.run_index) for r in bad} == lost
+        assert len(bad) == 4
+        assert all(np.isnan(r.final_objective) for r in bad)
+        assert all(r.iterations_used == 0 for r in bad)
+        assert len(records) == len(clean)
+        for want, got in zip(clean, records):
+            if (got.method, got.run_index) not in lost:
                 assert replace(got, wall_time_ms=0) == replace(
                     want, wall_time_ms=0
                 )
