@@ -69,6 +69,12 @@ __all__ = [
 FULLY_CONNECTED = "fully_connected"
 PARTIALLY_CONNECTED = "partially_connected"
 
+# Finest phase grid a config may ask for.  The projection needs the grid
+# position of a float64 angle to hold the +-0.5 its rounding relies on, which
+# fails near 2**52 points; from 1024 bits the step 2*pi / 2**bits is not
+# even a float.
+_MAX_PHASE_BITS = 48
+
 
 @dataclass(frozen=True)
 class AdmmConfig:
@@ -76,7 +82,8 @@ class AdmmConfig:
 
     ``tau = 0`` disables early stopping.  ``phase_bits`` switches the
     projection to a uniform phase grid with ``2**phase_bits`` points
-    (quantized phase shifters); ``None`` keeps continuous phases.
+    (quantized phase shifters), 1 to 48 bits; ``None`` keeps continuous
+    phases.
     """
 
     rho: float = 1.0
@@ -102,8 +109,11 @@ class AdmmConfig:
             raise ValueError("tau must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.phase_bits is not None and self.phase_bits < 1:
-            raise ValueError("phase_bits must be a positive integer")
+        if self.phase_bits is not None and not 1 <= self.phase_bits <= _MAX_PHASE_BITS:
+            raise ValueError(
+                f"phase_bits must be an integer from 1 to {_MAX_PHASE_BITS}, "
+                f"got {self.phase_bits}"
+            )
 
 
 def check_finite(value, name):

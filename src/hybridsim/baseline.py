@@ -18,13 +18,21 @@ __all__ = ["OptimalFactors", "optimal_factors", "spectral_efficiency"]
 # degenerate (the noise covariance would be numerically singular).
 _COMBINER_RANK_TOL = 1e-10
 
+# A channel slice whose ratio sigma_ns / sigma_1 falls below this takes its
+# factors from the SVD instead of the Gram eigendecomposition: squaring the
+# channel squares its condition number, and the recovered vectors lose about
+# eps / ratio^2 of accuracy.
+_GRAM_RATIO_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class OptimalFactors:
     """Leading singular-vector blocks of one channel matrix, or of a stack.
 
     Every field carries the leading (batch) axes of the channel it came
-    from.
+    from.  ``singular_values`` are the square roots of the eigenvalues of
+    the smaller Gram matrix (clipped at 0), or the SVD's singular values on
+    a slice that took the fallback of ``optimal_factors``.
     """
 
     f_opt: np.ndarray
@@ -34,6 +42,14 @@ class OptimalFactors:
 
 def optimal_factors(h, n_s):
     """Unconstrained rate-maximizing precoder/combiner from the channel SVD.
+
+    The singular vectors come from ``eigh`` of the smaller Gram matrix,
+    ``H H^H`` when n_rx <= n_tx and ``H^H H`` otherwise; the other side is
+    recovered as ``V = H^H U / s`` (or ``U = H V / s``), so each pair meets
+    ``H v_i = s_i u_i``.  A slice with ``sigma_ns / sigma_1`` below
+    ``_GRAM_RATIO_TOL`` (1e-2) takes all its fields from ``numerics.svd``
+    instead.  The test and the fallback are per slice, so a slice's factors
+    never depend on its neighbours in the stack.
 
     Parameters
     ----------
@@ -49,17 +65,32 @@ def optimal_factors(h, n_s):
         ``f_opt`` is the first n_s right singular vectors (..., n_tx, n_s),
         ``w_opt`` the first n_s left singular vectors (..., n_rx, n_s),
         ordered by decreasing singular value, and ``singular_values`` has
-        shape (..., min(n_rx, n_tx)).
+        shape (..., min(n_rx, n_tx)).  Singular values far below
+        ``sqrt(eps) * sigma_1`` carry only that absolute accuracy.
     """
     h = np.asarray(h)
     if h.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of them, got shape {h.shape}")
     if not 1 <= n_s <= min(h.shape[-2:]):
         raise ValueError(f"n_s={n_s} out of range for channel shape {h.shape}")
-    u, s, v = svd(h)
-    return OptimalFactors(
-        f_opt=v[..., :n_s].copy(), w_opt=u[..., :n_s].copy(), singular_values=s
-    )
+    if not np.isfinite(h).all():
+        raise ValueError("channel contains non-finite entries")
+    h_h = h.conj().swapaxes(-1, -2)
+    wide = h.shape[-2] <= h.shape[-1]
+    lam, vecs = np.linalg.eigh(h @ h_h if wide else h_h @ h)
+    # eigh sorts increasingly: reverse into singular-value order
+    s = np.sqrt(np.maximum(lam[..., ::-1], 0.0))
+    near = np.ascontiguousarray(vecs[..., ::-1][..., :n_s])
+    ok = s[..., n_s - 1] > _GRAM_RATIO_TOL * s[..., 0]
+    # a slice that falls back never divides by its (maybe zero) values
+    scale = np.where(ok[..., None], s[..., :n_s], 1.0)
+    far = ((h_h if wide else h) @ near) / scale[..., None, :]
+    u, v = (near, far) if wide else (far, near)
+    if not ok.all():
+        bad = ~ok
+        u_bad, s[bad], v_bad = svd(h[bad])
+        u[bad], v[bad] = u_bad[..., :n_s], v_bad[..., :n_s]
+    return OptimalFactors(f_opt=v, w_opt=u, singular_values=s)
 
 
 def spectral_efficiency(h, f, wc, snr, n_s):

@@ -4,6 +4,12 @@ Matrices are plain ``numpy.ndarray`` objects with complex entries; no wrapper
 type is imposed.  The three kernels below are the only backend-facing
 operations the design algorithms rely on, so swapping the LAPACK-backed
 implementations for something else only requires keeping these contracts.
+
+The systems here are tiny (n_rf <= 4 for the solves), so the cost of a call
+is set by how LAPACK is driven, not by flops.  ``solve_hpd`` therefore
+inverts each checked matrix and applies the inverse from the right,
+``X^H = B^H A^-1``: all right-hand sides of a slice sit on the rows of one
+product, where a stacked LU solve pays for every right-hand-side column.
 """
 
 import numpy as np
@@ -55,12 +61,20 @@ def solve_hpd(a, b):
     B axis, (B, n, m) or (B, K, n, m), slice i solved against ``a[i]``.  The
     result has the shape of ``b``.
 
-    Every slice of A is checked: finite entries, a Cholesky factor (positive
-    definite) and its pivot ratio (numerical rank).  The systems are then
-    solved by LU in one stacked LAPACK call rather than by two triangular
-    solves against the factor: on these tiny matrices the number of calls,
-    not a second factorization, sets the cost.  Each slice is computed on
-    its own, so slice i does not depend on the other slices of the batch.
+    Every slice of A is checked, all in this one place: finite entries, a
+    Cholesky factor (positive definite) and its pivot ratio (numerical
+    rank).  Each slice is then inverted, and the inverse is applied from the
+    right, ``X^H = B^H A^-1``: every right-hand side of a slice becomes one
+    row of a single product against its inverse.  On these tiny matrices the
+    right-hand sides, not flops, set the cost of a stacked LAPACK solve:
+    ``np.linalg.solve`` on a (32, 4, 4) batch took 240 us with 64 columns
+    per slice against 45 us with 2 (timeit, one BLAS thread).  Rows rather
+    than columns, because a GEMM computes equal rows of its left operand
+    into bitwise equal rows of the result, so identical right-hand sides get
+    identical solutions; a lone right-hand side is a matrix-vector product
+    and may differ from the same one among others in the last bits.  Each
+    slice is computed on its own, so slice i does not depend on the other
+    slices of the batch.
 
     Raises ``numpy.linalg.LinAlgError`` when a slice of A is not positive
     definite within tolerance (rank-deficient Gram matrices land here).
@@ -94,11 +108,11 @@ def solve_hpd(a, b):
             "matrix is numerically rank deficient (Cholesky pivot ratio "
             f"{ratio.min():.3e})"
         )
-    # the K stacked systems of a slice share its matrix: solve them as the
-    # columns of one (n, K*m) right-hand side
+    # the K*m right-hand sides of a slice as the rows of B^H, (B, K*m, n)
     n_b, k, _, m = b4.shape
-    x = np.linalg.solve(a3, b4.transpose(0, 2, 1, 3).reshape(n_b, n, k * m))
-    return x.reshape(n_b, n, k, m).transpose(0, 2, 1, 3).reshape(b.shape)
+    b_h = b4.swapaxes(-1, -2).conj().reshape(n_b, k * m, n)
+    x_h = b_h @ np.linalg.inv(a3)
+    return x_h.conj().reshape(n_b, k, m, n).swapaxes(-1, -2).reshape(b.shape)
 
 
 def logdet_eval(a):

@@ -454,6 +454,12 @@ class TestAdmmConfig:
         with pytest.raises(ValueError):
             AdmmConfig(**fields)
 
+    def test_phase_bits_bounded_by_float_resolution(self):
+        assert AdmmConfig(phase_bits=48).phase_bits == 48
+        for bits in (49, 1024, 2000):
+            with pytest.raises(ValueError, match="phase_bits"):
+                AdmmConfig(phase_bits=bits)
+
     def test_integral_floats_become_ints(self):
         cfg = AdmmConfig(max_iters=12.0, phase_bits=3.0, seed=np.int64(4))
         assert (cfg.max_iters, cfg.phase_bits, cfg.seed) == (12, 3, 4)

@@ -113,6 +113,17 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("bits", [49, 1024, 2000])
+    def test_phase_grid_finer_than_float_is_config_error(self, tmp_path, capsys, bits):
+        # from 1024 bits the grid step is not a float, and the projection
+        # would raise OverflowError in the middle of a sweep
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["admm"]["phase_bits"] = bits
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "phase_bits" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")

@@ -1,10 +1,14 @@
-"""Property tests of the stacked rate, SVD factors and SVD.
+"""Property tests of the stacked rate, SVD factors, SVD and HPD solve.
 
-Leading axes of ``spectral_efficiency``, ``optimal_factors`` and
-``numerics.svd`` are batch axes: every slice of a stacked call must be
-bitwise what the call on that slice alone returns, and one bad slice makes
-the whole call raise.
+Leading axes of ``spectral_efficiency``, ``optimal_factors``,
+``numerics.svd`` and ``numerics.solve_hpd`` are batch axes: every slice of a
+stacked call must be bitwise what the call on that slice alone returns, and
+one bad slice makes the whole call raise.  The factors of
+``optimal_factors`` come from the smaller Gram matrix, so they are also
+checked against the SVD's subspaces.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +16,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hybridsim import baseline  # noqa: E402
 from hybridsim.baseline import optimal_factors, spectral_efficiency  # noqa: E402
-from hybridsim.numerics import svd  # noqa: E402
+from hybridsim.numerics import _RANK_TOL, solve_hpd, svd  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -121,3 +126,139 @@ class TestOneBadSliceFailsTheStack:
             spectral_efficiency(self.h, self.f, self.wc[:, :1], self.snrs, 2)
         with pytest.raises(ValueError, match="inconsistent shapes"):
             spectral_efficiency(self.h[0, 0, 0], self.f, self.wc, self.snrs, 2)
+
+
+@st.composite
+def hpd_systems(draw):
+    """A (B, n, n) stack of HPD matrices and (B, K, n, m) right-hand sides."""
+    bsz, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = crandn(rng, bsz, n, n)
+    a = g @ g.conj().swapaxes(-1, -2) + n * np.eye(n)
+    return a, crandn(rng, bsz, k, n, m)
+
+
+@PROPERTY
+@given(hpd_systems())
+def test_solve_hpd_slices_equal_single_calls(case):
+    a, b = case
+    x = solve_hpd(a, b)
+    assert x.shape == b.shape
+    for i in range(len(a)):
+        assert x[i].tobytes() == solve_hpd(a[i], b[i]).tobytes()
+        assert x[i : i + 1].tobytes() == solve_hpd(a[i : i + 1], b[i : i + 1]).tobytes()
+    x3 = solve_hpd(a, b[:, 0])
+    for i in range(len(a)):
+        assert x3[i].tobytes() == solve_hpd(a[i], b[i, 0]).tobytes()
+
+
+@PROPERTY
+@given(hpd_systems())
+def test_solve_hpd_identical_rhs_identical_solutions(case):
+    # the kernel-level form of the identical-target collapse of the designs
+    a, b = case
+    same = np.broadcast_to(b[:, :1, :, :1], b.shape).copy()
+    x = solve_hpd(a, same)
+    assert (x == x[:, :1, :, :1]).all()
+    x3 = solve_hpd(a, same.swapaxes(1, 2).reshape(len(a), a.shape[-1], -1))
+    assert (x3 == x3[..., :1]).all()
+
+
+@PROPERTY
+@given(hpd_systems())
+def test_solve_hpd_residual(case):
+    a, b = case
+    x = solve_hpd(a, b)
+    residual = a[:, None] @ x - b
+    assert np.linalg.norm(residual) < 1e-10 * np.linalg.norm(b)
+
+
+@PROPERTY
+@given(
+    hpd_systems(), st.sampled_from(["indefinite", "rank", "matrix", "rhs"]), st.data()
+)
+def test_solve_hpd_one_bad_slice_fails_the_batch(case, kind, data):
+    a, b = case
+    n = a.shape[-1]
+    i = data.draw(st.integers(0, len(a) - 1))
+    if kind == "indefinite":
+        a[i] = np.diag([1.0] * (n - 1) + [-1.0])
+        expected = (np.linalg.LinAlgError, "not positive definite")
+    elif kind == "rank":
+        hypothesis.assume(n >= 2)
+        # an exact Cholesky factor whose squared pivot ratio is _RANK_TOL / 10
+        a[i] = np.diag([1.0] * (n - 1) + [_RANK_TOL / 10])
+        expected = (np.linalg.LinAlgError, "rank deficient")
+    elif kind == "matrix":
+        a[i, 0, 0] = np.nan
+        expected = (ValueError, "solve_hpd matrix contains non-finite")
+    else:
+        b[i, -1, -1, -1] = np.inf
+        expected = (ValueError, "solve_hpd right-hand side contains non-finite")
+    with pytest.raises(expected[0], match=expected[1]):
+        solve_hpd(a, b)
+
+
+def projector(x):
+    return x @ x.conj().swapaxes(-1, -2)
+
+
+@st.composite
+def channels(draw):
+    """A channel U0 diag(s) V0^H, wide or tall, with n_s drawn within rank."""
+    n_rx, n_tx = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = min(n_rx, n_tx)
+    n_s = draw(st.integers(1, k))
+    s = np.sort(draw(st.lists(st.floats(1e-4, 1.0), min_size=k, max_size=k)))[::-1]
+    # the leading subspace must be well defined to compare two routes to it
+    hypothesis.assume(n_s == k or s[n_s - 1] - s[n_s] > 1e-3 * s[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u0, _ = np.linalg.qr(crandn(rng, n_rx, k))
+    v0, _ = np.linalg.qr(crandn(rng, n_tx, k))
+    return (u0 * s) @ v0.conj().T, n_s
+
+
+@PROPERTY
+@given(channels())
+def test_gram_factors_match_svd_subspaces(case):
+    h, n_s = case
+    fo = optimal_factors(h, n_s)
+    u, s, vh = np.linalg.svd(h)
+    v = vh.conj().T
+    scale = s[0]
+    assert np.abs(projector(fo.f_opt) - projector(v[:, :n_s])).max() < 1e-10
+    assert np.abs(projector(fo.w_opt) - projector(u[:, :n_s])).max() < 1e-10
+    for x in (fo.f_opt, fo.w_opt):
+        assert np.abs(x.conj().T @ x - np.eye(n_s)).max() < 1e-10
+    assert np.abs(fo.singular_values[:n_s] - s[:n_s]).max() < 1e-10 * scale
+    # each pair is a singular triplet of H
+    resid = h @ fo.f_opt - fo.w_opt * fo.singular_values[:n_s]
+    assert np.abs(resid).max() < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 6), (6, 4), (5, 5)])
+def test_rank_deficient_slice_takes_the_svd_alone(n_rx, n_tx):
+    # a single-path channel has rank 1 < n_s = 2: its Gram matrix has a zero
+    # eigenvalue that must never be divided by
+    rng = np.random.default_rng(n_rx * 10 + n_tx)
+    single_path = crandn(rng, n_rx, 1) @ crandn(rng, 1, n_tx)
+    h = np.stack([single_path, crandn(rng, n_rx, n_tx)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stacked = optimal_factors(h, 2)
+        alone = [optimal_factors(h[i], 2) for i in range(2)]
+    # the second slice is well conditioned, so it takes the Gram route
+    ratio = stacked.singular_values[1, 1] / stacked.singular_values[1, 0]
+    assert ratio > baseline._GRAM_RATIO_TOL
+    u, s, v = svd(single_path)
+    assert stacked.f_opt[0].tobytes() == v[:, :2].tobytes()
+    assert stacked.w_opt[0].tobytes() == u[:, :2].tobytes()
+    assert stacked.singular_values[0].tobytes() == s.tobytes()
+    for i in range(2):
+        assert stacked.f_opt[i].tobytes() == alone[i].f_opt.tobytes()
+        assert stacked.w_opt[i].tobytes() == alone[i].w_opt.tobytes()
+        assert (
+            stacked.singular_values[i].tobytes()
+            == alone[i].singular_values.tobytes()
+        )
