@@ -58,7 +58,11 @@ def main(argv=None):
 
 
 def _run(spec, args):
-    records = run_sweep(spec, args.out, workers=args.workers)
+    try:
+        records = run_sweep(spec, args.out, workers=args.workers)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     ok = sum(1 for r in records if not math.isnan(r.spectral_efficiency))
     print(f"wrote {len(records)} rows to {args.out} ({ok} with finite rate)")
     return 0

@@ -3,29 +3,34 @@
 Each run is an independent work item seeded as ``base_seed + run_index``.
 The sweep's unit of work is a block of up to ``_BLOCK_RUNS`` consecutive
 run indices: a block draws the channel of each of its runs into one
-(runs, K, n_rx, n_tx) stack and takes each run's SVD factors over its K
-subcarriers in one call, then designs all runs in one batched designer call
-per (n_rf, precoder or combiner), with runs x multistarts as the batch
-axis.  Rates are taken on the block's stacks: one ``spectral_efficiency``
-call for the digital rates of the block, and one per n_rf for its hybrid
-rates; each run's rate is the mean over its subcarriers.  Design call s of
-run r uses ADMM seed ``admm.seed + r * multistart + s``, so a block's
-instances have contiguous seeds, and the start with the lowest final
-factorization objective is kept (the first start wins a tie).
+(runs, K, n_rx, n_tx) stack and takes the SVD factors of the whole stack in
+one call, then designs all runs in one batched designer call per (n_rf,
+precoder or combiner), with runs x multistarts as the batch axis.  Rates
+are taken on the block's stacks: one ``spectral_efficiency`` call for the
+digital rates of the block, and one per n_rf for its hybrid rates; each
+run's rate is the mean over its subcarriers.  Design call s of run r uses
+ADMM seed ``admm.seed + r * multistart + s``, so a block's instances have
+contiguous seeds, and the start with the lowest final factorization
+objective is kept (the first start wins a tie).
+
+A block returns its results as columns (``_Columns``), one array per
+quantity with runs first, not as rows.  The sweep joins the blocks' columns
+and walks them in row order, sorted n_rf -> sorted snr_db -> run -> method,
+so the rows need no sort; each field's text is formatted once and shared by
+every line that holds it.  The ``meta.json`` aggregates read each sweep
+point's run vector straight from the columns.
 
 Determinism: a batched design returns, for every instance, bitwise the
 design that instance gets alone.  Rows are therefore the same for any block
-layout and any number of workers; row order is normalized by sorting, and
-wall-clock timings are the only nondeterministic output.  If the batched
-design or the stacked hybrid rating of a block at one n_rf fails, both are
-done again one run at a time (``_hybrid_block``), so only a failing run gets
-NaN hybrid rows.  Each CSV row is written from one format string.
+layout and any number of workers, and wall-clock timings are the only
+nondeterministic output.  If the batched design or the stacked hybrid
+rating of a block at one n_rf fails, both are done again one run at a time
+(``_hybrid_block``), so only a failing run gets NaN hybrid rows.
 """
 
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
@@ -40,7 +45,7 @@ from .admm import (
     design_partially_connected,
     design_wideband,
 )
-from .baseline import optimal_factors, spectral_efficiency
+from .baseline import OptimalFactors, optimal_factors, spectral_efficiency
 from .channel import ArrayGeometry, ClusterParams, gen_wideband
 
 __all__ = [
@@ -226,13 +231,13 @@ class ResultRecord(NamedTuple):
 
     ``final_objective`` and ``iterations_used`` describe the precoder-side
     design (zero for the digital baseline); failed designs are recorded
-    with NaN rate so the sweep continues.  ``wall_time_ms`` is the run's
-    SVD time on digital rows; on hybrid rows it is the design time of the
-    run's block at that n_rf (precoders and combiners, all starts) divided
-    by the runs of the block, or, where the block fell back to one run at a
-    time, the run's own redesign time.
+    with NaN rate so the sweep continues.  ``wall_time_ms`` is the time of
+    the run's block in one call, divided by the runs of the block: on
+    digital rows the block's SVD factors, on hybrid rows its designs at
+    that n_rf (precoders and combiners, all starts).  Where a block fell
+    back to one run at a time, a hybrid row has the run's own redesign time.
 
-    A sweep makes one record per row, so a record is a tuple: cheap to
+    A sweep returns one record per row, so a record is a tuple: cheap to
     build and formatted as a row in one ``%`` operation.  The dataclass
     decorator adds no ``__init__``, ``__repr__`` or ``__eq__``; it makes
     ``dataclasses.replace``, ``asdict`` and ``fields`` work on records and
@@ -261,20 +266,40 @@ def run_single(spec, run_index):
     """Execute one Monte Carlo run: one channel draw, all sweep points.
 
     This is a block of one run.  Returns one ResultRecord per (snr, n_rf,
-    method) combination.  Rates for the wideband scenario are averaged over
-    subcarriers.
+    method) combination, in the sweep's row order.  Rates for the wideband
+    scenario are averaged over subcarriers.
     """
-    return _run_block(spec, run_index, run_index + 1)
+    return list(_records(spec, _run_block(spec, run_index, run_index + 1)))
+
+
+class _Columns(NamedTuple):
+    """The results of consecutive runs, one array per quantity, runs first.
+
+    The runs are ``first_run`` onward.  ``digital_se`` is (runs, n_snr) and
+    ``digital_ms`` (runs,); the hybrid arrays have an n_rf axis of length
+    ``len(spec.n_rf)``, in the order of ``spec.n_rf``: ``hybrid_se`` is
+    (runs, len(n_rf), n_snr) and ``final_objective``, ``iterations`` and
+    ``design_ms`` are (runs, len(n_rf)).  The SNR axis is in the order of
+    ``spec.snr_db_list``.  A block returns one, and a sweep joins its blocks'
+    run-wise into one.
+    """
+
+    first_run: int
+    digital_se: np.ndarray
+    digital_ms: np.ndarray
+    hybrid_se: np.ndarray
+    final_objective: np.ndarray
+    iterations: np.ndarray
+    design_ms: np.ndarray
 
 
 def _run_block(spec, first_run, stop_run):
-    """Execute runs ``first_run .. stop_run - 1`` with batched designs."""
+    """Execute runs ``first_run .. stop_run - 1``; return their ``_Columns``."""
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
     n_runs = stop_run - first_run
     channels = np.empty(
         (n_runs, spec.n_subcarriers, spec.n_rx, spec.n_tx), dtype=complex
     )
-    factors, digital_ms = [], []
     for offset in range(n_runs):
         channels[offset] = gen_wideband(
             spec.base_seed + first_run + offset,
@@ -283,64 +308,49 @@ def _run_block(spec, first_run, stop_run):
             ClusterParams(),
             spec.n_subcarriers,
         ).matrices
-        t0 = time.perf_counter()
-        factors.append(optimal_factors(channels[offset], spec.n_s))
-        digital_ms.append(1e3 * (time.perf_counter() - t0))
-    digital_se = _mean_rates(
-        spec,
-        channels,
-        np.stack([fo.f_opt for fo in factors]),
-        np.stack([fo.w_opt for fo in factors]),
-        snrs,
+    t0 = time.perf_counter()
+    stacked = optimal_factors(channels, spec.n_s)
+    digital_ms = 1e3 * (time.perf_counter() - t0) / n_runs
+    digital_se = _mean_rates(spec, channels, stacked.f_opt, stacked.w_opt, snrs)
+    # each slice of the stack is bitwise the run's own optimal_factors call
+    factors = [
+        OptimalFactors(f_opt, w_opt, s)
+        for f_opt, w_opt, s in zip(
+            stacked.f_opt, stacked.w_opt, stacked.singular_values
+        )
+    ]
+    hybrid = [
+        _hybrid_block(spec, channels, factors, n_rf, first_run, snrs)
+        for n_rf in spec.n_rf
+    ]
+    return _Columns(
+        first_run,
+        digital_se,
+        np.full(n_runs, digital_ms),
+        *(np.stack(column, axis=1) for column in zip(*hybrid)),
     )
-
-    scenario = spec.scenario
-    method = _HYBRID_METHOD[scenario]
-    records = []
-    for n_rf in spec.n_rf:
-        hybrid = _hybrid_block(spec, channels, factors, n_rf, first_run, snrs)
-        for offset, (hybrid_se, final_obj, iters, design_ms) in enumerate(hybrid):
-            run_index = first_run + offset
-            seed = spec.base_seed + run_index
-            dig_ms = digital_ms[offset]
-            for snr_db, dig_se, hyb_se in zip(
-                spec.snr_db_list, digital_se[offset], hybrid_se
-            ):
-                records.append(
-                    ResultRecord(
-                        scenario, snr_db, n_rf, run_index, seed,
-                        "digital_opt", dig_se, 0.0, 0, dig_ms,
-                    )
-                )
-                records.append(
-                    ResultRecord(
-                        scenario, snr_db, n_rf, run_index, seed,
-                        method, hyb_se, final_obj, iters, design_ms,
-                    )
-                )
-    return records
 
 
 def _mean_rates(spec, channels, precoders, combiners, snrs):
-    """Per-SNR rates of each run averaged over subcarriers, as lists.
+    """Per-SNR rates of each run averaged over subcarriers, (runs, n_snr).
 
     ``channels`` is the (runs, K, n_rx, n_tx) stack of a block and the
     composites the matching (runs, K, n, n_s) stacks: one stacked rate call.
     """
     rates = spectral_efficiency(channels, precoders, combiners, snrs, spec.n_s)
-    return rates.mean(axis=1).tolist()
+    return rates.mean(axis=1)
 
 
 def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
     """Design and rate every run of a block at ``n_rf``.
 
-    Returns one ``(rates, final_objective, iterations, design_ms)`` per run:
-    its per-SNR hybrid rates, its precoder's objective and iterations, and
-    the block's design time per run.  The block is designed in one
-    ``_design_block`` call and rated in one stacked call.  If either raises,
-    the block is done again one run at a time, each run redesigned to the
-    same factors with its own design time, and a run that still fails gets
-    NaN rates, a NaN objective and 0 iterations.
+    Returns the columns ``(rates, final_objective, iterations, design_ms)``:
+    each run's per-SNR hybrid rates (runs, n_snr), its precoder's objective
+    and iterations, and the block's design time per run.  The block is
+    designed in one ``_design_block`` call and rated in one stacked call.
+    If either raises, the block is done again one run at a time, each run
+    redesigned to the same factors with its own design time, and a run that
+    still fails gets NaN rates, a NaN objective and 0 iterations.
     """
     t0 = time.perf_counter()
     try:
@@ -354,17 +364,25 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
     except (np.linalg.LinAlgError, ValueError):
         if len(factors) == 1:
             failed_ms = 1e3 * (time.perf_counter() - t0)
-            return [([math.nan] * len(snrs), math.nan, 0, failed_ms)]
-        return [
+            return (
+                np.full((1, len(snrs)), math.nan),
+                np.array([math.nan]),
+                np.array([0]),
+                np.array([failed_ms]),
+            )
+        runs = [
             _hybrid_block(
                 spec, channels[i : i + 1], [run_factors], n_rf, first_run + i, snrs
-            )[0]
+            )
             for i, run_factors in enumerate(factors)
         ]
-    return [
-        (run_rates, pre.final_objective, pre.iterations, design_ms)
-        for run_rates, (pre, _) in zip(rates, pairs)
-    ]
+        return tuple(np.concatenate(column) for column in zip(*runs))
+    return (
+        rates,
+        np.array([pre.final_objective for pre, _ in pairs]),
+        np.array([pre.iterations for pre, _ in pairs]),
+        np.full(len(pairs), design_ms),
+    )
 
 
 def scenario_design(spec, factors, side):
@@ -412,48 +430,138 @@ def run_sweep(spec, out_csv, workers=1):
     """Execute a full sweep, write the CSV and a metadata JSON.
 
     Runs are executed in blocks of ``_BLOCK_RUNS`` consecutive run indices,
-    serially or across ``workers`` processes.  Rows are sorted by (n_rf,
-    snr_db, run_index, method) so output is deterministic for any worker
-    count.  Metadata lands next to the CSV (``<out_csv>.meta.json``) and
-    carries the resolved spec plus per-point aggregate means and standard
-    errors.
+    serially or across ``workers`` processes.  Rows come in (n_rf, snr_db,
+    run_index, method) order, so output is deterministic for any worker
+    count.  The CSV is opened and its header written before the first
+    block, so an unwritable path fails before any run; a sweep that raises
+    after that leaves the rows written so far and a ``# PARTIAL`` marker.
+    Metadata lands next to the CSV (``<out_csv>.meta.json``) and carries the
+    resolved spec plus per-point aggregate means and standard errors.
+    Returns the rows as ResultRecords, in row order.
     """
     workers = check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    firsts = range(0, spec.runs, _BLOCK_RUNS)
-    stops = [min(first + _BLOCK_RUNS, spec.runs) for first in firsts]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(partial(_run_block, spec), firsts, stops))
-    else:
-        per_block = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
-    records = [rec for block in per_block for rec in block]
-    records.sort(key=lambda r: (r.n_rf, r.snr_db, r.run_index, r.method))
-
+    fh = open(out_csv, "w", encoding="utf-8", newline="\n")
     try:
-        with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write(",".join(_CSV_FIELDS) + "\n")
-            fh.writelines(map(_format_row, records))
-    except OSError:
+            # before any run: a failing write shows now, and forked workers
+            # inherit no buffered text
+            fh.flush()
+            firsts = range(0, spec.runs, _BLOCK_RUNS)
+            stops = [min(first + _BLOCK_RUNS, spec.runs) for first in firsts]
+            if workers > 1:
+                # imported here: the pool's modules cost every serial sweep
+                # about 20 ms of start-up
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    blocks = list(pool.map(partial(_run_block, spec), firsts, stops))
+            else:
+                blocks = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
+            # the blocks' columns joined run-wise; the sweep starts at run 0
+            columns = _Columns(0, *map(np.concatenate, list(zip(*blocks))[1:]))
+            fh.writelines(_csv_lines(spec, columns))
+    except BaseException:
         _mark_partial(out_csv)
         raise
 
+    # a digital rate is the row of its (run, snr) at every n_rf
+    nan_digital = int(np.isnan(columns.digital_se).sum())
+    error_rows = len(spec.n_rf) * nan_digital + int(np.isnan(columns.hybrid_se).sum())
     meta = {
         "spec": spec.to_dict(),
         "version": _package_version(),
-        "rows": len(records),
-        "error_rows": sum(1 for r in records if math.isnan(r.spectral_efficiency)),
+        "rows": 2 * columns.hybrid_se.size,
+        "error_rows": error_rows,
         "wideband_se_convention": "mean over subcarriers",
-        "aggregates": _aggregate(records),
+        "aggregates": _aggregate(spec, columns),
     }
     with open(str(out_csv) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    return records
+    return list(_records(spec, columns))
+
+
+def _sorted_positions(values):
+    """Positions of ``values`` in increasing order of value."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def _csv_lines(spec, columns):
+    """The CSV lines of ``columns``, in row order, one line at a time.
+
+    Each line equals ``_format_row`` of its record, but is joined from
+    field texts formatted once each: the (scenario, snr_db, n_rf) head once
+    per sweep point, (run_index, seed) once per run, the hybrid
+    (final_objective, iterations_used, wall_time_ms) tail once per (run,
+    n_rf), and a digital row's text after its run fields, which is the same
+    at every n_rf, once per (run, snr).
+    """
+    scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
+    runs = range(columns.first_run, columns.first_run + len(columns.digital_se))
+    run_text = ["%d,%d," % (i, spec.base_seed + i) for i in runs]
+    digital_tail = [
+        ",%.12e,%d,%.3f\n" % (0.0, 0, ms) for ms in columns.digital_ms.tolist()
+    ]
+    # indexed [snr][run], [n_rf][run] and [n_rf][snr][run]: the runs of a
+    # sweep point are one list
+    digital_text = [
+        ["digital_opt,%.12e%s" % fields for fields in zip(rates, digital_tail)]
+        for rates in columns.digital_se.T.tolist()
+    ]
+    hybrid_tail = [
+        [",%.12e,%d,%.3f\n" % fields for fields in zip(*point_fields)]
+        for point_fields in zip(
+            columns.final_objective.T.tolist(),
+            columns.iterations.T.tolist(),
+            columns.design_ms.T.tolist(),
+        )
+    ]
+    hybrid_se = columns.hybrid_se.transpose(1, 2, 0).tolist()
+    for k in _sorted_positions(spec.n_rf):
+        for j in _sorted_positions(spec.snr_db_list):
+            head = "%s,%.12e,%d," % (scenario, spec.snr_db_list[j], spec.n_rf[k])
+            for text, digital, se, tail in zip(
+                run_text, digital_text[j], hybrid_se[k][j], hybrid_tail[k]
+            ):
+                lead = head + text
+                yield lead + digital
+                yield "%s%s,%.12e%s" % (lead, method, se, tail)
+
+
+def _records(spec, columns):
+    """The ResultRecords of ``columns``, in the row order of ``_csv_lines``."""
+    scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
+    runs = range(columns.first_run, columns.first_run + len(columns.digital_se))
+    seeds = [spec.base_seed + i for i in runs]
+    digital_ms = columns.digital_ms.tolist()
+    # [snr][run] and [n_rf][snr][run]: a sweep point's runs are one list
+    digital_se = columns.digital_se.T.tolist()
+    hybrid_se = columns.hybrid_se.transpose(1, 2, 0).tolist()
+    objective = columns.final_objective.T.tolist()
+    iterations = columns.iterations.T.tolist()
+    design_ms = columns.design_ms.T.tolist()
+    for k in _sorted_positions(spec.n_rf):
+        n_rf = spec.n_rf[k]
+        for j in _sorted_positions(spec.snr_db_list):
+            snr_db = spec.snr_db_list[j]
+            for run_index, seed, dig_se, dig_ms, hyb_se, obj, iters, hyb_ms in zip(
+                runs, seeds, digital_se[j], digital_ms,
+                hybrid_se[k][j], objective[k], iterations[k], design_ms[k],
+            ):
+                yield ResultRecord(
+                    scenario, snr_db, n_rf, run_index, seed,
+                    "digital_opt", dig_se, 0.0, 0, dig_ms,
+                )
+                yield ResultRecord(
+                    scenario, snr_db, n_rf, run_index, seed,
+                    method, hyb_se, obj, iters, hyb_ms,
+                )
 
 
 def _format_row(rec):
-    """One CSV line of a record.
+    """One CSV line of a record: the reference ``_csv_lines`` must match.
 
     No field ever needs quoting (identifiers and numbers only), so this is
     the line ``csv.writer`` would write for the same fields.
@@ -469,30 +577,44 @@ def _mark_partial(out_csv):
         pass
 
 
-def _aggregate(records):
-    groups = {}
-    for rec in records:
-        if math.isnan(rec.spectral_efficiency):
-            continue
-        groups.setdefault(
-            (rec.scenario, rec.snr_db, rec.n_rf, rec.method), []
-        ).append(rec.spectral_efficiency)
+def _aggregate(spec, columns):
+    """Mean rate and standard error per (scenario, snr_db, n_rf, method).
+
+    A group holds the finite rates of one sweep point's runs, in run order,
+    and a group with none is left out.  Groups come in sorted key order.
+    """
+    method = _HYBRID_METHOD[spec.scenario]
     out = []
-    for (scenario, snr_db, n_rf, method), vals in sorted(groups.items()):
-        arr = np.asarray(vals)
-        stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        out.append(
-            {
-                "scenario": scenario,
-                "snr_db": snr_db,
-                "n_rf": n_rf,
-                "method": method,
-                "mean_spectral_efficiency": float(arr.mean()),
-                "stderr": stderr,
-                "n": int(arr.size),
-            }
-        )
+    for j in _sorted_positions(spec.snr_db_list):
+        digital = _point_stats(columns.digital_se[:, j])
+        for k in _sorted_positions(spec.n_rf):
+            hybrid = _point_stats(columns.hybrid_se[:, k, j])
+            # "digital_opt" sorts before every hybrid method name
+            for name, stats in (("digital_opt", digital), (method, hybrid)):
+                if stats is not None:
+                    out.append(
+                        {
+                            "scenario": spec.scenario,
+                            "snr_db": spec.snr_db_list[j],
+                            "n_rf": spec.n_rf[k],
+                            "method": name,
+                            **stats,
+                        }
+                    )
     return out
+
+
+def _point_stats(rates):
+    """Mean and standard error of the finite entries of ``rates``, or None."""
+    arr = rates[~np.isnan(rates)]
+    if arr.size == 0:
+        return None
+    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return {
+        "mean_spectral_efficiency": float(arr.mean()),
+        "stderr": stderr,
+        "n": int(arr.size),
+    }
 
 
 def _package_version():

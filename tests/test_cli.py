@@ -2,9 +2,13 @@ import csv
 import json
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hybridsim
+from hybridsim import harness
 from hybridsim.admm import AdmmConfig
 from hybridsim.cli import main
 from hybridsim.harness import SweepSpec
@@ -165,6 +169,24 @@ class TestRun:
         assert len(body) == 2
         assert all(r[4] == "42" for r in body)  # seed column
 
+    def test_unwritable_out_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real = harness._run_block
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run_block", counted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "flags",
@@ -207,3 +229,18 @@ def test_console_script_end_to_end(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.strip() == "config OK"
+
+
+def test_import_leaves_process_pool_unloaded():
+    # a serial sweep never needs the pool; its modules cost every start-up
+    src = str(Path(hybridsim.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hybridsim.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -192,6 +192,16 @@ class TestRunSingle:
         for rec in records:
             assert np.isfinite(rec.spectral_efficiency)
 
+    def test_equals_its_sweep_rows(self, tmp_path):
+        spec = small_spec(snr_db_list=[10.0, -5.0, 0.0], n_rf=[3, 2], multistart=2)
+        sweep = run_sweep(spec, tmp_path / "sweep.csv")
+        for run_index in range(spec.runs):
+            want = [
+                replace(r, wall_time_ms=0.0) for r in sweep if r.run_index == run_index
+            ]
+            got = [replace(r, wall_time_ms=0.0) for r in run_single(spec, run_index)]
+            assert got == want
+
 
 class TestRunSweep:
     def test_row_cardinality_and_sorting(self, tmp_path):
@@ -491,22 +501,36 @@ class TestRunSweep:
                 assert got == want
 
     def test_io_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
-        real = harness._format_row
-        calls = {"n": 0}
+        real = harness._csv_lines
 
-        def failing(rec):
-            calls["n"] += 1
-            if calls["n"] > 5:
-                raise OSError("disk full")
-            return real(rec)
+        def failing(spec, columns):
+            for n, line in enumerate(real(spec, columns), 1):
+                if n > 5:
+                    raise OSError("disk full")
+                yield line
 
-        monkeypatch.setattr(harness, "_format_row", failing)
+        monkeypatch.setattr(harness, "_csv_lines", failing)
         out = tmp_path / "sweep.csv"
         with pytest.raises(OSError):
             run_sweep(small_spec(), out)
         lines = out.read_text().splitlines()
         assert lines[-1] == "# PARTIAL: sweep aborted before completion"
         assert len(lines) == 7  # header + 5 rows + marker
+
+    def test_failing_block_leaves_header_and_partial_marker(
+        self, tmp_path, monkeypatch
+    ):
+        def failing(spec, first_run, stop_run):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(harness, "_run_block", failing)
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_sweep(small_spec(), out)
+        assert out.read_text().splitlines() == [
+            ",".join(harness._CSV_FIELDS),
+            "# PARTIAL: sweep aborted before completion",
+        ]
 
 
 class TestResultRecord:
