@@ -18,18 +18,25 @@ and a block-diagonal analog matrix with one phase vector per RF chain
 (``design_partially_connected``).  The fully-connected narrowband design
 (``design_fully_connected``) is the dense structure with K = 1.
 
-The dense loop works on the subcarrier-concatenated layout: the digital
-iterate is ``F = [F_1 ... F_K]`` of shape (n_rf, K*n_s) and the targets are
-held once per design as ``T^H``, the (K*n_s, n_tx) conjugate transpose of
-``T = [T_1 ... T_K]``.  The sums over subcarriers of the wideband updates
-are then single products: ``sum_k T_k F_k^H = (F T^H)^H``,
-``sum_k F_k F_k^H = F F^H``, and the K digital right-hand sides are
-``(T^H F_RF)^H``.  Each iteration solves one analog-update system and one
-Gram system ``F_RF^H F_RF`` per instance.  The trace objective is taken as
-``||T||^2 + Re<F, R^H R F - 2 R^H T>`` from those small products, with
-``||T||^2`` computed once, so no target-sized residual is formed per
-iteration.  Kept iterates and results carry the digital matrices stacked
-per subcarrier, (K, n_rf, n_s).
+The dense loop works on the subcarrier-concatenated layout, with every
+operand held as rows: the digital iterate is ``F^H``, the (K*n_s, n_rf)
+conjugate transpose of ``F = [F_1 ... F_K]``, and the targets are held once
+per design as both ``T = [T_1 ... T_K]``, (n_tx, K*n_s), and ``T^H``.  The
+sums over subcarriers of the wideband updates are then single products:
+``sum_k T_k F_k^H = T F^H`` and ``sum_k F_k F_k^H = F F^H``, and the K
+digital right-hand sides are the rows of ``T^H F_RF``.  Both updates are
+checked row-form solves ``X = C A^-1`` (``numerics._solve_rows``):
+
+- analog, ``F_RF = (T F^H + rho (R - W)) (F F^H + rho I)^-1``;
+- digital, ``F^H = (T^H F_RF) (F_RF^H F_RF)^-1``.
+
+Each step ends by forming ``T F^H`` and ``F F^H`` of its new digital
+iterate.  They are carried into the measure and into the next analog
+update, and the trace objective is
+``||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H)``, from n_rf-sized
+products and ``||T||^2`` computed once, so no target-sized residual or
+product is formed for it.  Kept iterates and results carry the digital
+matrices stacked per subcarrier, (K, n_rf, n_s).
 
 Both structures run one loop (``_run_loop``) over a leading batch axis of
 independent instances: instance i starts from the seed ``cfg.seed + i`` and
@@ -39,7 +46,8 @@ the iterations it would follow alone.  A single design is a batch of one.
 Iteration traces record the feasible-point objective (evaluated at R, not
 at the unconstrained analog iterate) together with the primal residual
 ``||analog - R||_F``; the stagnation test compares consecutive trace
-objectives against ``tau``.
+objectives against ``tau``.  The loop records both into one row per
+iteration of per-instance arrays and builds each trace once, at the end.
 """
 
 import math
@@ -48,7 +56,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import solve_hpd
+from .numerics import _solve_rows
 
 __all__ = [
     "AdmmConfig",
@@ -74,6 +82,11 @@ PARTIALLY_CONNECTED = "partially_connected"
 # fails near 2**52 points; from 1024 bits the step 2*pi / 2**bits is not
 # even a float.
 _MAX_PHASE_BITS = 48
+
+# Smallest normal float64, and an exact power of two that lifts every
+# subnormal magnitude into the normal range without reaching overflow.
+_TINY = np.finfo(np.float64).tiny
+_UNSUBNORMAL = 2.0**600
 
 
 @dataclass(frozen=True)
@@ -161,8 +174,7 @@ class AdmmState:
     """One iterate of the dense-analog loop: analog matrix, digital matrix
     (stacked per subcarrier for the multicarrier variant), auxiliary
     unit-modulus copy and scaled dual.  Inside a batched design every field
-    carries a leading instance axis, and inside the loop the digital matrices
-    sit side by side, (n_rf, K*n_s)."""
+    carries a leading instance axis."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -232,16 +244,24 @@ class DesignBatch(tuple):
 def project_unit_modulus(x, phase_bits=None):
     """Entrywise projection onto unit-modulus phases.
 
-    Continuous mode divides each entry by its magnitude (zero entries map
-    to 1, i.e. phase 0).  Quantized mode snaps each phase to the nearest
-    point of the grid ``{2*pi*k / 2**phase_bits}``, breaking exact ties
-    toward the smaller angle.  Idempotent in both modes.
+    Continuous mode multiplies each entry by the reciprocal of its magnitude
+    (zero entries map to 1, i.e. phase 0).  Quantized mode snaps each phase
+    to the nearest point of the grid ``{2*pi*k / 2**phase_bits}``, breaking
+    exact ties toward the smaller angle.  Idempotent in both modes.
     """
     x = np.asarray(x, dtype=complex)
     if phase_bits is None:
         mag = np.abs(x)
-        safe = np.where(mag == 0.0, 1.0, mag)
-        return np.where(mag == 0.0, 1.0 + 0.0j, x / safe)
+        if mag.min(initial=_TINY) < _TINY:
+            # 1/|x| overflows below the normal range: such entries are first
+            # scaled by an exact power of two, which keeps their phase
+            small = mag < _TINY
+            x = x.copy()
+            x[small] *= _UNSUBNORMAL
+            mag = np.abs(x)
+            zero = mag == 0.0
+            return np.where(zero, 1.0 + 0.0j, x * (1.0 / np.where(zero, 1.0, mag)))
+        return x * (1.0 / mag)
     n_levels = 2**phase_bits
     step = 2.0 * np.pi / n_levels
     grid_pos = np.mod(np.angle(x), 2.0 * np.pi) / step
@@ -273,8 +293,8 @@ def least_squares_fbb(f_rf, f_target):
     f_target = np.asarray(f_target)
     if f_target.ndim > f_rf.ndim:
         # one more axis than the analog matrix: K targets share it
-        return _split(_solve_digital(f_rf, _concat_h(f_target)), f_target.shape[-3])
-    return _solve_digital(f_rf, f_target.conj().swapaxes(-1, -2))
+        return _split(_digital_h(f_rf, _concat_h(f_target)), f_target.shape[-3])
+    return _hermitian(_digital_h(f_rf, _hermitian(f_target)))
 
 
 def step_frf(state, f_target, rho):
@@ -288,13 +308,26 @@ def step_frf(state, f_target, rho):
     f_bb = np.asarray(state.f_bb)
     f_target = np.asarray(f_target)
     if f_bb.ndim > state.r.ndim:
-        # one digital matrix per subcarrier: concatenate them, [F_1 ... F_K]
-        *lead, k, n_rf, n_s = f_bb.shape
-        f_bb = f_bb.swapaxes(-3, -2).reshape(*lead, n_rf, k * n_s)
-        t_h = _concat_h(f_target)
+        # one digital matrix per subcarrier: [F_1 ... F_K]^H and [T_1 ... T_K]
+        f_bb_h = _concat_h(f_bb)
+        t = _concat(f_target)
     else:
-        t_h = f_target.conj().swapaxes(-1, -2)
-    return _analog_update(f_bb, t_h, state.r, state.w, rho)
+        f_bb_h = _hermitian(f_bb)
+        t = f_target
+    ff_h = _hermitian(f_bb_h) @ f_bb_h
+    return _analog_update(t @ f_bb_h, ff_h, state.r, state.w, rho)
+
+
+def _hermitian(x):
+    """The conjugate transpose of each matrix of a stack (a strided view)."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _concat(targets):
+    """Targets (..., K, n_tx, n_s) side by side, ``[T_1 ... T_K]``,
+    (..., n_tx, K*n_s)."""
+    *lead, k, n_tx, n_s = targets.shape
+    return targets.swapaxes(-3, -2).reshape(*lead, n_tx, k * n_s)
 
 
 def _concat_h(targets):
@@ -304,38 +337,31 @@ def _concat_h(targets):
     rows, so every product against it is one GEMM per instance.
     """
     *lead, k, n_tx, n_s = targets.shape
-    return targets.conj().swapaxes(-1, -2).reshape(*lead, k * n_s, n_tx)
+    return _hermitian(targets).reshape(*lead, k * n_s, n_tx)
 
 
-def _split(f_cat, k):
-    """Concatenated digital matrices (..., n_rf, K*n_s) as (..., K, n_rf, n_s)."""
-    *lead, n_rf, cols = f_cat.shape
+def _split(f_bb_h, k):
+    """Digital matrices held as ``[F_1 ... F_K]^H``, (..., K*n_s, n_rf), stacked
+    per subcarrier as (..., K, n_rf, n_s)."""
+    *lead, cols, n_rf = f_bb_h.shape
     return np.ascontiguousarray(
-        f_cat.reshape(*lead, n_rf, k, cols // k).swapaxes(-3, -2)
+        _hermitian(f_bb_h.reshape(*lead, k, cols // k, n_rf))
     )
 
 
-def _solve_digital(f_rf, t_h):
-    """Digital least squares ``(F_RF^H F_RF)^-1 (T^H F_RF)^H`` for ``T^H`` given.
+def _digital_h(f_rf, t_h):
+    """Digital least squares as ``F^H = (T^H F_RF) (F_RF^H F_RF)^-1``, ``T^H`` given.
 
     ``T^H F_RF`` keeps one subcarrier per row block, so identical targets get
     bitwise identical digital matrices.
     """
-    f_rf_h = f_rf.conj().swapaxes(-1, -2)
-    return solve_hpd(f_rf_h @ f_rf, (t_h @ f_rf).conj().swapaxes(-1, -2))
+    return _solve_rows(_hermitian(f_rf) @ f_rf, t_h @ f_rf)
 
 
-def _analog_update(f_bb, t_h, r, w, rho):
-    """``[T F^H + rho (R - W)] (F F^H + rho I)^-1`` for ``F`` and ``T^H`` given.
-
-    Solved from the right as the Hermitian system
-    ``(F F^H + rho I) X^H = F T^H + rho (R - W)^H``; X is returned C-ordered,
-    so the elementwise updates and products that take it stay on contiguous
-    memory.
-    """
-    a = f_bb @ f_bb.conj().swapaxes(-1, -2) + rho * np.eye(f_bb.shape[-2])
-    b = f_bb @ t_h + rho * (r - w).conj().swapaxes(-1, -2)
-    return np.ascontiguousarray(solve_hpd(a, b).conj().swapaxes(-1, -2))
+def _analog_update(tf_h, ff_h, r, w, rho):
+    """``[T F^H + rho (R - W)] (F F^H + rho I)^-1``, ``T F^H`` and ``F F^H``
+    given."""
+    return _solve_rows(ff_h + rho * np.eye(ff_h.shape[-1]), tf_h + rho * (r - w))
 
 
 def _init_analog(cfg, count, shape):
@@ -385,8 +411,13 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
     per-instance traces and the per-instance iterate lists (or None).
     """
     count = len(data[0])
-    objective, residual = measure(state, data)
-    traces = [[(0, o, r)] for o, r in zip(objective.tolist(), residual.tolist())]
+    # row t holds iteration t of every instance; rows are added by doubling,
+    # so a large max_iters reserves nothing for iterations never run
+    objectives = np.empty((min(cfg.max_iters, 32) + 1, count))
+    residuals = np.empty_like(objectives)
+    objective, residuals[0] = measure(state, data)
+    objectives[0] = objective
+    ends = np.full(count, cfg.max_iters)
     iterates = None
     if keep_iterates:
         iterates = [[_take(state, i).copy()] for i in range(count)]
@@ -395,15 +426,19 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
     for t in range(1, cfg.max_iters + 1):
         state = step(state, data, cfg)
         new_objective, residual = measure(state, data)
-        rows = zip(active.tolist(), new_objective.tolist(), residual.tolist())
-        for j, (i, o, r) in enumerate(rows):
-            traces[i].append((t, o, r))
-            if iterates is not None:
+        if t == len(objectives):
+            objectives = np.concatenate((objectives, np.empty_like(objectives)))
+            residuals = np.concatenate((residuals, np.empty_like(residuals)))
+        objectives[t, active] = new_objective
+        residuals[t, active] = residual
+        if iterates is not None:
+            for j, i in enumerate(active.tolist()):
                 iterates[i].append(_take(state, j).copy())
         stop = np.abs(objective - new_objective) < cfg.tau
         if t == cfg.max_iters:
             stop[:] = True
         if stop.any():
+            ends[active[stop]] = t
             for f in fields(state):
                 getattr(last, f.name)[active[stop]] = getattr(state, f.name)[stop]
             going = ~stop
@@ -412,6 +447,13 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
             active, data = active[going], tuple(x[going] for x in data)
             state, new_objective = _take(state, going), new_objective[going]
         objective = new_objective
+    rows = ends.max() + 1
+    traces = [
+        list(zip(range(end + 1), obj[: end + 1], res[: end + 1]))
+        for end, obj, res in zip(
+            ends.tolist(), objectives[:rows].T.tolist(), residuals[:rows].T.tolist()
+        )
+    ]
     return last, traces, iterates
 
 
@@ -431,23 +473,47 @@ def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
     return designs if batched else designs[0]
 
 
+@dataclass
+class _DenseIterate:
+    """The dense loop's own iterate.  The digital matrices are held as
+    ``f_bb_h = F^H``, (K*n_s, n_rf), and ``tf_h = T F^H`` and ``ff_h = F F^H``
+    carry the products of that digital iterate into the measure and the next
+    analog update.  Every field carries a leading instance axis."""
+
+    f_rf: np.ndarray
+    f_bb_h: np.ndarray
+    r: np.ndarray
+    w: np.ndarray
+    tf_h: np.ndarray
+    ff_h: np.ndarray
+
+    def copy(self):
+        return _DenseIterate(*(getattr(self, f.name).copy() for f in fields(self)))
+
+
+def _dense_iterate(f_rf, r, w, data):
+    """The iterate with analog part ``(f_rf, r, w)``: its digital least
+    squares and the two products carried from it."""
+    t, t_h, _ = data
+    f_bb_h = _digital_h(f_rf, t_h)
+    return _DenseIterate(f_rf, f_bb_h, r, w, t @ f_bb_h, _hermitian(f_bb_h) @ f_bb_h)
+
+
 def _dense_step(state, data, cfg):
-    t_h, _ = data
-    f_rf = _analog_update(state.f_bb, t_h, state.r, state.w, cfg.rho)
+    f_rf = _analog_update(state.tf_h, state.ff_h, state.r, state.w, cfg.rho)
     r = project_unit_modulus(f_rf + state.w, cfg.phase_bits)
-    return AdmmState(
-        f_rf=f_rf, f_bb=_solve_digital(f_rf, t_h), r=r, w=state.w + (f_rf - r)
-    )
+    return _dense_iterate(f_rf, r, state.w + (f_rf - r), data)
 
 
 def _dense_measure(state, data):
-    # ||T - R F||^2 = ||T||^2 + Re<F, R^H R F - 2 R^H T>, R^H T = (T^H R)^H:
-    # products of the small factors only, nothing of the targets' size
-    t_h, t_sq = data
-    r, f_bb = state.r, state.f_bb
-    gram = r.conj().swapaxes(-1, -2) @ r
-    cross = (t_h @ r).conj().swapaxes(-1, -2)
-    objective = t_sq + _real_inner(f_bb, gram @ f_bb - 2.0 * cross)
+    # ||T - R F||^2 = ||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H), and
+    # Re tr(A B) of a Hermitian B is the real inner product of A and B
+    r = state.r
+    objective = (
+        data[2]
+        + _real_inner(_hermitian(r) @ r, state.ff_h)
+        - 2.0 * _real_inner(r, state.tf_h)
+    )
     return objective, np.sqrt(_sqnorm(state.f_rf - r))
 
 
@@ -491,26 +557,24 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
 
     t_h = _concat_h(targets)
+    data = (_concat(targets), t_h, _sqnorm(t_h))
     f_rf = _init_analog(cfg, count, (n_tx, n_rf))
-    state = AdmmState(
-        f_rf=f_rf,
-        f_bb=_solve_digital(f_rf, t_h),
-        r=f_rf.copy(),
-        w=np.zeros_like(f_rf),
-    )
+    state = _dense_iterate(f_rf, f_rf.copy(), np.zeros_like(f_rf), data)
     last, traces, iterates = _run_loop(
-        state, (t_h, _sqnorm(t_h)), cfg, _dense_step, _dense_measure, keep_iterates
+        state, data, cfg, _dense_step, _dense_measure, keep_iterates
     )
-    for kept in iterates or ():
-        for st in kept:
-            st.f_bb = _split(st.f_bb, k)
+    if iterates is not None:
+        iterates = [
+            [AdmmState(st.f_rf, _split(st.f_bb_h, k), st.r, st.w) for st in kept]
+            for kept in iterates
+        ]
 
     f_rf_hat = last.r
-    f_bb_cat = _solve_digital(f_rf_hat, t_h)
+    f_bb_h = _digital_h(f_rf_hat, t_h)
     # (R F)^H, one row block per subcarrier
-    recon_h = f_bb_cat.conj().swapaxes(-1, -2) @ f_rf_hat.conj().swapaxes(-1, -2)
+    recon_h = f_bb_h @ _hermitian(f_rf_hat)
     final_objective = _sqnorm(t_h - recon_h).tolist()
-    f_bb_hat = _split(f_bb_cat, k)
+    f_bb_hat = _split(f_bb_h, k)
     if normalize_power:
         power = np.sqrt(_sqnorm(recon_h.reshape(count * k, -1))).reshape(count, k)
         f_bb_hat *= (np.sqrt(n_s) / power)[..., None, None]
@@ -576,7 +640,9 @@ def assemble_block_diag(f_vecs):
 def _partial_fbb(f_vecs, target3):
     # row i: ||f_i||^-2 f_i^H (target row block i)
     norms = np.sum(np.abs(f_vecs) ** 2, axis=-1)
-    return np.einsum("...ib,...ibs->...is", f_vecs.conj(), target3) / norms[..., None]
+    return np.einsum("...ib,...ibs->...is", f_vecs.conj(), target3) * (
+        1.0 / norms[..., None]
+    )
 
 
 def _partial_step(state, data, cfg):
@@ -587,7 +653,7 @@ def _partial_step(state, data, cfg):
         state.r_vecs - state.w_vecs
     )
     den = np.sum(np.abs(state.f_bb) ** 2, axis=-1)[..., None] + cfg.rho
-    f_vecs = num / den
+    f_vecs = num * (1.0 / den)
     r_vecs = project_unit_modulus(f_vecs + state.w_vecs, cfg.phase_bits)
     return PartialState(
         f_vecs=f_vecs,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,16 @@ class TestProjection:
         x = crandn(rng, 200)
         p = project_unit_modulus(x)
         assert np.max(np.abs(project_unit_modulus(p) - p)) < 1e-14
+
+    def test_subnormal_entries_keep_their_phase(self):
+        # 1/|x| of these overflows; a finite unit-modulus phase must come out
+        x = np.array([1e-310, 5e-324, -3e-320 + 2e-320j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = project_unit_modulus(x)
+        assert np.all(np.isfinite(p))
+        assert np.max(np.abs(np.abs(p) - 1.0)) < 1e-15
+        assert np.max(np.abs(np.angle(p) - np.angle(x))) < 1e-15
 
     def test_quantized_idempotent_bitwise(self):
         rng = np.random.default_rng(5)

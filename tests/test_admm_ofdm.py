@@ -190,3 +190,28 @@ class TestDesignWideband:
             design_wideband(
                 random_targets(rng, 4, 12, 3), 2, cfg, normalize_power=False
             )
+
+
+class TestTraceObjective:
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_batched_trace_is_the_direct_residual_of_kept_iterates(self, k):
+        # the loop takes the objective from n_rf-sized products; it must
+        # equal ||T - R F||_F^2 formed directly from each kept iterate
+        rng = np.random.default_rng(30 + k)
+        n_tx, n_rf, n_s, batch = 16, 4, 2, 3
+        targets = np.stack([random_targets(rng, k, n_tx, n_s) for _ in range(batch)])
+        cfg = AdmmConfig(
+            rho=scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=k),
+            max_iters=25,
+            tau=1e-6,
+            seed=5,
+        )
+        designs = design_wideband(
+            targets, n_rf, cfg, normalize_power=False, keep_iterates=True
+        )
+        for target, design in zip(targets, designs):
+            bound = 1e-12 * np.linalg.norm(target) ** 2
+            assert len(design.trace) == len(design.iterates) > 1
+            for (_, objective, _), state in zip(design.trace, design.iterates):
+                direct = np.linalg.norm(target - state.r @ state.f_bb) ** 2
+                assert abs(objective - direct) <= bound

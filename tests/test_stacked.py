@@ -1,14 +1,18 @@
 """Property tests of the stacked rate, SVD factors, SVD and HPD solve.
 
 Leading axes of ``spectral_efficiency``, ``optimal_factors``,
-``numerics.svd`` and ``numerics.solve_hpd`` are batch axes: every slice of a
-stacked call must be bitwise what the call on that slice alone returns, and
-one bad slice makes the whole call raise.  The factors of
+``numerics.svd``, ``numerics.solve_hpd`` and its row-form kernel
+``numerics._solve_rows`` are batch axes: every slice of a stacked call must
+be bitwise what the call on that slice alone returns, and one bad slice
+makes the whole call raise.  The factors of
 ``optimal_factors`` come from the smaller Gram matrix, so they are also
 checked against the SVD's subspaces.
 """
 
+import contextlib
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hybridsim import baseline  # noqa: E402
 from hybridsim.baseline import optimal_factors, spectral_efficiency  # noqa: E402
-from hybridsim.numerics import _RANK_TOL, solve_hpd, svd  # noqa: E402
+from hybridsim import numerics  # noqa: E402
+from hybridsim.numerics import _RANK_TOL, _solve_rows, solve_hpd, svd  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -198,6 +203,98 @@ def test_solve_hpd_one_bad_slice_fails_the_batch(case, kind, data):
         expected = (ValueError, "solve_hpd right-hand side contains non-finite")
     with pytest.raises(expected[0], match=expected[1]):
         solve_hpd(a, b)
+
+
+@st.composite
+def row_systems(draw):
+    """A (B, n, n) stack of HPD matrices, n <= 4, and right-hand sides as rows,
+    (B, m, n), up to the 64 rows of an analog update."""
+    bsz, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    m = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = crandn(rng, bsz, n, n)
+    a = g @ g.conj().swapaxes(-1, -2) + n * np.eye(n)
+    return a, crandn(rng, bsz, m, n)
+
+
+@contextlib.contextmanager
+def lapack(kernel):
+    """Run the row kernel on NumPy's LAPACK gufuncs, or on the ``numpy.linalg``
+    wrappers it falls back to where those gufuncs are missing."""
+    if kernel == "gufunc":
+        yield
+        return
+    with mock.patch.multiple(
+        numerics, _cholesky_lo=np.linalg.cholesky, _inv=np.linalg.inv
+    ):
+        yield
+
+
+def hermitian(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+@PROPERTY
+@given(row_systems())
+@pytest.mark.parametrize("kernel", ["gufunc", "fallback"])
+def test_row_kernel_is_solve_hpd_conj_transposed(kernel, case):
+    a, c = case
+    expected = hermitian(solve_hpd(a, hermitian(c)))
+    gufunc = _solve_rows(a, c)
+    with lapack(kernel):
+        x = _solve_rows(a, c)
+        assert x.tobytes() == np.ascontiguousarray(expected).tobytes()
+        for i in range(len(a)):
+            # slice i alone, with the same row count, is bitwise slice i
+            alone = _solve_rows(a[i : i + 1], c[i : i + 1])
+            assert x[i : i + 1].tobytes() == alone.tobytes()
+    assert x.tobytes() == gufunc.tobytes()
+
+
+# the messages solve_hpd has always raised
+BAD_SLICE = {
+    "indefinite": (
+        np.linalg.LinAlgError,
+        "matrix is not positive definite: Matrix is not positive definite",
+    ),
+    "rank": (
+        np.linalg.LinAlgError,
+        "matrix is numerically rank deficient (Cholesky pivot ratio 1.000e-15)",
+    ),
+    "matrix": (
+        ValueError,
+        "solve_hpd matrix contains non-finite entries (corrupted data)",
+    ),
+    "rhs": (
+        ValueError,
+        "solve_hpd right-hand side contains non-finite entries (corrupted data)",
+    ),
+}
+
+
+@PROPERTY
+@given(row_systems(), st.sampled_from(sorted(BAD_SLICE)), st.data())
+@pytest.mark.parametrize("kernel", ["gufunc", "fallback"])
+def test_row_kernel_bad_slice_raises_as_solve_hpd(kernel, case, kind, data):
+    a, c = case
+    n = a.shape[-1]
+    i = data.draw(st.integers(0, len(a) - 1))
+    if kind == "indefinite":
+        a[i] = np.diag([1.0] * (n - 1) + [-1.0])
+    elif kind == "rank":
+        hypothesis.assume(n >= 2)
+        # an exact Cholesky factor whose squared pivot ratio is _RANK_TOL / 10
+        a[i] = np.diag([1.0] * (n - 1) + [_RANK_TOL / 10])
+    elif kind == "matrix":
+        a[i, -1, 0] = np.nan
+    else:
+        c[i, -1, -1] = -np.inf
+    error, message = BAD_SLICE[kind]
+    with lapack(kernel), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (lambda: _solve_rows(a, c), lambda: solve_hpd(a, hermitian(c))):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                solve()
 
 
 def projector(x):

@@ -1,9 +1,10 @@
 """Property tests of the dense (wideband) ADMM loop.
 
 The loop holds the K digital matrices side by side and the targets as one
-conjugate-transposed block; these properties pin what that layout must
-keep: identical subcarriers stay bitwise identical, and the trace objective
-is the factorization residual of the kept iterates.
+block; these properties pin what that layout must keep: identical
+subcarriers stay bitwise identical, and the trace objective is the
+factorization residual of the kept iterates.  The continuous projection of
+each iteration is checked against its division form.
 """
 
 import numpy as np
@@ -12,7 +13,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st  # noqa: E402
 
-from hybridsim.admm import AdmmConfig, design_wideband, scale_matched_rho  # noqa: E402
+from hybridsim.admm import (  # noqa: E402
+    AdmmConfig,
+    design_wideband,
+    project_unit_modulus,
+    scale_matched_rho,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -80,3 +86,29 @@ def test_trace_objective_is_the_explicit_residual(shape, batch, phase_bits):
             assert abs(objective - explicit) <= 1e-10 * scale
             primal = np.linalg.norm(state.f_rf - state.r)
             assert abs(residual - primal) <= 1e-12 * (1.0 + primal)
+
+
+def division_form(x):
+    """The continuous projection as a division, the reference form."""
+    mag = np.abs(x)
+    return np.where(mag == 0, 1, x / np.where(mag == 0, 1, mag))
+
+
+# normal magnitudes, whose reciprocal neither overflows nor is subnormal
+# below |x| = 2**1022, and exact zeros
+ENTRIES = st.one_of(
+    st.complex_numbers(
+        min_magnitude=1e-300, max_magnitude=1e300, allow_subnormal=False
+    ),
+    st.just(0j),
+)
+
+
+@PROPERTY
+@given(st.lists(ENTRIES, min_size=1, max_size=64))
+def test_projection_equals_division_form(entries):
+    x = np.array(entries, dtype=complex)
+    got, want = project_unit_modulus(x), division_form(x)
+    # bit for bit, up to the sign of a zero real or imaginary part, which
+    # the product and the quotient round apart (adding +0.0 clears it)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
