@@ -22,9 +22,11 @@ linear index = p * side + q.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from .admm import check_finite, check_int
 
 __all__ = [
     "ArrayGeometry",
@@ -50,6 +52,8 @@ class ArrayGeometry:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "side", check_int(self.side, "side"))
+        check_finite(self.spacing_over_lambda, "spacing_over_lambda")
         if self.side < 1:
             raise ValueError("side must be >= 1")
         if self.spacing_over_lambda <= 0:
@@ -69,6 +73,9 @@ class ClusterParams:
     angular_spread_rad: float = np.radians(10.0)
 
     def __post_init__(self):
+        for name in ("n_clusters", "n_rays"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        check_finite(self.angular_spread_rad, "angular_spread_rad")
         if self.n_clusters < 1 or self.n_rays < 1:
             raise ValueError("n_clusters and n_rays must be positive")
         if self.angular_spread_rad < 0:
@@ -254,48 +261,56 @@ def save_channel(realization, path):
     interleaved real/imag parts, so the dump replays exactly across
     implementations.
     """
-    entries = []
-    for h in realization.matrices:
-        flat = np.ravel(h)
-        inter = np.empty(2 * flat.size)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        entries.append(inter.tolist())
     doc = {
         "format": _DUMP_FORMAT,
         "n_rx": realization.rx_geometry.n_elements,
         "n_tx": realization.tx_geometry.n_elements,
         "n_subcarriers": realization.n_subcarriers,
         "seed": realization.seed,
-        "tx_geometry": {
-            "side": realization.tx_geometry.side,
-            "spacing_over_lambda": realization.tx_geometry.spacing_over_lambda,
-        },
-        "rx_geometry": {
-            "side": realization.rx_geometry.side,
-            "spacing_over_lambda": realization.rx_geometry.spacing_over_lambda,
-        },
-        "cluster_params": {
-            "n_clusters": realization.params.n_clusters,
-            "n_rays": realization.params.n_rays,
-            "angular_spread_rad": realization.params.angular_spread_rad,
-        },
-        "entries": entries,
+        "tx_geometry": asdict(realization.tx_geometry),
+        "rx_geometry": asdict(realization.rx_geometry),
+        "cluster_params": asdict(realization.params),
+        # the (real, imag) pairs of each entry, as load_channel reads them
+        "entries": [
+            np.asarray(h, dtype=complex).ravel().view(np.float64).tolist()
+            for h in realization.matrices
+        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def load_channel(path):
-    """Read a ChannelRealization written by ``save_channel``."""
+    """Read a ChannelRealization written by ``save_channel``.
+
+    A dump whose matrix shape, subcarrier count, entry lengths, geometry or
+    cluster parameters do not agree is a ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != _DUMP_FORMAT:
         raise ValueError(f"unrecognized channel dump format: {doc.get('format')!r}")
-    n_rx = doc["n_rx"]
-    n_tx = doc["n_tx"]
+    n_rx, n_tx, n_subcarriers = (
+        check_int(doc[name], name) for name in ("n_rx", "n_tx", "n_subcarriers")
+    )
+    tx_geometry = ArrayGeometry(**doc["tx_geometry"])
+    rx_geometry = ArrayGeometry(**doc["rx_geometry"])
+    if (n_rx, n_tx) != (rx_geometry.n_elements, tx_geometry.n_elements):
+        raise ValueError(
+            f"{n_rx} x {n_tx} matrices do not match a {rx_geometry.n_elements}-"
+            f"element receive and a {tx_geometry.n_elements}-element transmit array"
+        )
+    if len(doc["entries"]) != n_subcarriers:
+        raise ValueError(
+            f"{len(doc['entries'])} entry lists for {n_subcarriers} subcarriers"
+        )
     matrices = []
     for inter in doc["entries"]:
+        if len(inter) != 2 * n_rx * n_tx:
+            raise ValueError(
+                f"an entry list holds {len(inter)} numbers, not the "
+                f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
+            )
         # reinterpret the (real, imag) pairs in place: exact, signed zeros
         # included, where ``re + 1j * im`` would turn -0.0 into 0.0
         flat = np.asarray(inter, dtype=float).view(complex)
@@ -303,8 +318,8 @@ def load_channel(path):
     return ChannelRealization(
         matrices=matrices,
         seed=doc["seed"],
-        tx_geometry=ArrayGeometry(**doc["tx_geometry"]),
-        rx_geometry=ArrayGeometry(**doc["rx_geometry"]),
+        tx_geometry=tx_geometry,
+        rx_geometry=rx_geometry,
         params=ClusterParams(**doc["cluster_params"]),
-        n_subcarriers=doc["n_subcarriers"],
+        n_subcarriers=n_subcarriers,
     )

@@ -8,8 +8,7 @@ import sys
 from dataclasses import replace
 
 from .baseline import optimal_factors
-from .channel import ArrayGeometry, ClusterParams, gen_wideband
-from .harness import load_config, run_sweep, scenario_design
+from .harness import draw_channels, load_config, run_sweep, scenario_design
 
 
 def main(argv=None):
@@ -69,23 +68,22 @@ def _run(spec, args):
 
 
 def _trace(spec, out_path):
-    """Run the first sweep point of run 0 and dump its iteration trace."""
-    realization = gen_wideband(
-        spec.base_seed,
-        ArrayGeometry(spec.n_tx_side),
-        ArrayGeometry(spec.n_rx_side),
-        ClusterParams(),
-        spec.n_subcarriers,
-    )
-    factors = optimal_factors(realization.matrices, spec.n_s)
-    designer, target = scenario_design(spec, factors, "f_opt")
-    design = designer(target, spec.n_rf[0], spec.admm, normalize_power=True)
+    """Dump the trace of run 0's start-0 precoder design at the first n_rf.
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "objective", "primal_residual"])
-        for it, obj, res in design.trace:
-            writer.writerow([it, f"{obj:.12e}", f"{res:.12e}"])
+    The file is opened first: an unwritable path fails before any design.
+    """
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            factors = optimal_factors(draw_channels(spec, 0, 1), spec.n_s)
+            designer, targets = scenario_design(spec, factors, "f_opt")
+            design = designer(targets, spec.n_rf[0], spec.admm, normalize_power=True)[0]
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["iteration", "objective", "primal_residual"])
+            for it, obj, res in design.trace:
+                writer.writerow([it, f"{obj:.12e}", f"{res:.12e}"])
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 1
     print(
         f"wrote {len(design.trace)} trace rows to {out_path} "
         f"(final objective {design.final_objective:.3e})"

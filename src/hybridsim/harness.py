@@ -2,16 +2,17 @@
 
 Each run is an independent work item seeded as ``base_seed + run_index``.
 The sweep's unit of work is a block of up to ``_BLOCK_RUNS`` consecutive
-run indices: a block draws the channel of each of its runs into one
-(runs, K, n_rx, n_tx) stack and takes the SVD factors of the whole stack in
-one call, then designs all runs in one batched designer call per (n_rf,
-precoder or combiner), with runs x multistarts as the batch axis.  Rates
-are taken on the block's stacks: one ``spectral_efficiency`` call for the
-digital rates of the block, and one per n_rf for its hybrid rates; each
-run's rate is the mean over its subcarriers.  Design call s of run r uses
-ADMM seed ``admm.seed + r * multistart + s``, so a block's instances have
-contiguous seeds, and the start with the lowest final factorization
-objective is kept (the first start wins a tie).
+run indices: a block draws its runs' channels into one (runs, K, n_rx,
+n_tx) stack (``draw_channels``, shared with ``hybridsim trace``), takes the
+SVD factors of the stack in one call, then designs all runs on those
+stacked factors in one batched designer call per (n_rf, side), with runs x
+multistarts as the batch axis.  Rates are taken on the block's stacks: one
+``spectral_efficiency`` call for the digital rates of the block, and one
+per n_rf for its hybrid rates; each run's rate is the mean over its
+subcarriers.  Design call s of run r uses ADMM seed
+``admm.seed + r * multistart + s``, so a block's instances have contiguous
+seeds, and the start with the lowest final factorization objective is kept
+(the first start wins a tie).
 
 A block returns its results as columns (``_Columns``), one array per
 quantity with runs first, not as rows.  The sweep joins the blocks' columns
@@ -52,6 +53,7 @@ __all__ = [
     "SCENARIOS",
     "SweepSpec",
     "ResultRecord",
+    "draw_channels",
     "load_config",
     "run_single",
     "run_sweep",
@@ -155,8 +157,7 @@ class SweepSpec:
             raise ValueError("n_s must be >= 1")
         if self.n_tx_side < 1 or self.n_rx_side < 1:
             raise ValueError("array sides must be >= 1")
-        n_tx = self.n_tx_side**2
-        n_rx = self.n_rx_side**2
+        n_tx, n_rx = self.n_tx, self.n_rx
         for n_rf in self.n_rf:
             if not self.n_s <= n_rf <= min(n_tx, n_rx):
                 raise ValueError(
@@ -237,8 +238,9 @@ class ResultRecord(NamedTuple):
     that n_rf (precoders and combiners, all starts).  Where a block fell
     back to one run at a time, a hybrid row has the run's own redesign time.
 
-    A sweep returns one record per row, so a record is a tuple: cheap to
-    build and formatted as a row in one ``%`` operation.  The dataclass
+    A sweep returns one record per row, so a record is a tuple, cheap to
+    build.  Rows are written by ``_csv_lines`` from the columns, and
+    ``_format_row`` of a record is the tests' reference line.  The dataclass
     decorator adds no ``__init__``, ``__repr__`` or ``__eq__``; it makes
     ``dataclasses.replace``, ``asdict`` and ``fields`` work on records and
     raises ``FrozenInstanceError`` on assignment.
@@ -293,32 +295,28 @@ class _Columns(NamedTuple):
     design_ms: np.ndarray
 
 
+def draw_channels(spec, first_run, stop_run):
+    """The (runs, K, n_rx, n_tx) channels of runs ``first_run .. stop_run - 1``.
+
+    Run i is ``gen_wideband`` with seed ``spec.base_seed + i`` on the spec's
+    square arrays, with the default cluster parameters.
+    """
+    tx, rx = ArrayGeometry(spec.n_tx_side), ArrayGeometry(spec.n_rx_side)
+    draws = [
+        gen_wideband(spec.base_seed + i, tx, rx, ClusterParams(), spec.n_subcarriers)
+        for i in range(first_run, stop_run)
+    ]
+    return np.array([draw.matrices for draw in draws])
+
+
 def _run_block(spec, first_run, stop_run):
     """Execute runs ``first_run .. stop_run - 1``; return their ``_Columns``."""
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
-    n_runs = stop_run - first_run
-    channels = np.empty(
-        (n_runs, spec.n_subcarriers, spec.n_rx, spec.n_tx), dtype=complex
-    )
-    for offset in range(n_runs):
-        channels[offset] = gen_wideband(
-            spec.base_seed + first_run + offset,
-            ArrayGeometry(spec.n_tx_side),
-            ArrayGeometry(spec.n_rx_side),
-            ClusterParams(),
-            spec.n_subcarriers,
-        ).matrices
+    channels = draw_channels(spec, first_run, stop_run)
     t0 = time.perf_counter()
-    stacked = optimal_factors(channels, spec.n_s)
-    digital_ms = 1e3 * (time.perf_counter() - t0) / n_runs
-    digital_se = _mean_rates(spec, channels, stacked.f_opt, stacked.w_opt, snrs)
-    # each slice of the stack is bitwise the run's own optimal_factors call
-    factors = [
-        OptimalFactors(f_opt, w_opt, s)
-        for f_opt, w_opt, s in zip(
-            stacked.f_opt, stacked.w_opt, stacked.singular_values
-        )
-    ]
+    factors = optimal_factors(channels, spec.n_s)
+    digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)
+    digital_se = _mean_rates(spec, channels, factors.f_opt, factors.w_opt, snrs)
     hybrid = [
         _hybrid_block(spec, channels, factors, n_rf, first_run, snrs)
         for n_rf in spec.n_rf
@@ -326,7 +324,7 @@ def _run_block(spec, first_run, stop_run):
     return _Columns(
         first_run,
         digital_se,
-        np.full(n_runs, digital_ms),
+        np.full(len(channels), digital_ms),
         *(np.stack(column, axis=1) for column in zip(*hybrid)),
     )
 
@@ -344,25 +342,27 @@ def _mean_rates(spec, channels, precoders, combiners, snrs):
 def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
     """Design and rate every run of a block at ``n_rf``.
 
+    ``channels`` and ``factors`` are the block's stacks, runs first.
     Returns the columns ``(rates, final_objective, iterations, design_ms)``:
     each run's per-SNR hybrid rates (runs, n_snr), its precoder's objective
     and iterations, and the block's design time per run.  The block is
     designed in one ``_design_block`` call and rated in one stacked call.
-    If either raises, the block is done again one run at a time, each run
-    redesigned to the same factors with its own design time, and a run that
-    still fails gets NaN rates, a NaN objective and 0 iterations.
+    If either raises, the block is done again one run at a time on slices
+    of the same stacks, each with its own design time, and a run that still
+    fails gets NaN rates, a NaN objective and 0 iterations.
     """
+    n_runs = len(channels)
     t0 = time.perf_counter()
     try:
         pairs = _design_block(spec, factors, n_rf, first_run)
-        design_ms = 1e3 * (time.perf_counter() - t0) / len(factors)
+        design_ms = 1e3 * (time.perf_counter() - t0) / n_runs
         # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
-        shape = (len(pairs), spec.n_subcarriers, -1, spec.n_s)
+        shape = (n_runs, spec.n_subcarriers, -1, spec.n_s)
         precoders = np.reshape([pre.f_rf @ pre.f_bb for pre, _ in pairs], shape)
         combiners = np.reshape([comb.f_rf @ comb.f_bb for _, comb in pairs], shape)
         rates = _mean_rates(spec, channels, precoders, combiners, snrs)
     except (np.linalg.LinAlgError, ValueError):
-        if len(factors) == 1:
+        if n_runs == 1:
             failed_ms = 1e3 * (time.perf_counter() - t0)
             return (
                 np.full((1, len(snrs)), math.nan),
@@ -370,51 +370,52 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
                 np.array([0]),
                 np.array([failed_ms]),
             )
+        stacks = zip(channels, factors.f_opt, factors.w_opt, factors.singular_values)
         runs = [
             _hybrid_block(
-                spec, channels[i : i + 1], [run_factors], n_rf, first_run + i, snrs
+                spec, h[None], OptimalFactors(f[None], w[None], s[None]), n_rf, i, snrs
             )
-            for i, run_factors in enumerate(factors)
+            for i, (h, f, w, s) in enumerate(stacks, first_run)
         ]
         return tuple(np.concatenate(column) for column in zip(*runs))
     return (
         rates,
         np.array([pre.final_objective for pre, _ in pairs]),
         np.array([pre.iterations for pre, _ in pairs]),
-        np.full(len(pairs), design_ms),
+        np.full(n_runs, design_ms),
     )
 
 
 def scenario_design(spec, factors, side):
-    """The designer of ``spec.scenario`` and the target it factors.
+    """The designer of ``spec.scenario`` and the targets it factors.
 
-    ``factors`` holds the SVD factors of one run, an ``OptimalFactors``
-    with a leading K (subcarrier) axis; ``side`` names the target,
-    ``"f_opt"`` (precoder) or ``"w_opt"`` (combiner).  The wideband
-    designer gets the (K, n, n_s) stack of per-subcarrier targets, the
-    narrowband ones the single target.
+    ``factors`` is an ``OptimalFactors`` of (..., K, n, n_s) targets, with
+    any leading axes; ``side`` names the target, ``"f_opt"`` (precoder) or
+    ``"w_opt"`` (combiner).  The wideband designer gets the targets as they
+    are, the narrowband ones those of subcarrier 0.  The designer is looked
+    up at each call, so a rebound module attribute is the one used.
     """
     targets = getattr(factors, side)
     if spec.scenario == "wideband":
         return design_wideband, targets
     if spec.scenario == "narrowband_partial":
-        return design_partially_connected, targets[0]
-    return design_fully_connected, targets[0]
+        return design_partially_connected, targets[..., 0, :, :]
+    return design_fully_connected, targets[..., 0, :, :]
 
 
 def _design_block(spec, factors, n_rf, first_run):
     """Design every run of a block in one batched call per side.
 
-    ``factors`` lists the SVD factors of each run, K-stacked.  Returns
-    one (precoder, combiner) pair per run, each the best of its starts.
+    ``factors`` holds the block's stacked SVD factors, (runs, K, n, n_s)
+    per side; each run's targets are repeated once per start.  Returns one
+    (precoder, combiner) pair per run, each the best of its starts.
     """
     starts = spec.multistart
     cfg = replace(spec.admm, seed=spec.admm.seed + first_run * starts)
     sides = []
     for side, normalize_power in (("f_opt", True), ("w_opt", False)):
-        picks = [scenario_design(spec, run_factors, side) for run_factors in factors]
-        designer = picks[0][0]
-        targets = np.repeat(np.stack([target for _, target in picks]), starts, axis=0)
+        designer, targets = scenario_design(spec, factors, side)
+        targets = np.repeat(targets, starts, axis=0)
         designs = designer(targets, n_rf, cfg, normalize_power)
         # min keeps the first of equal objectives
         sides.append(

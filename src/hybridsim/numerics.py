@@ -1,9 +1,12 @@
 """Complex dense linear-algebra kernels shared by the rest of the library.
 
 Matrices are plain ``numpy.ndarray`` objects with complex entries; no wrapper
-type is imposed.  The three kernels below are the only backend-facing
-operations the design algorithms rely on, so swapping the LAPACK-backed
-implementations for something else only requires keeping these contracts.
+type is imposed.  The design and rating code relies on two backend-facing
+kernels, ``svd`` (the SVD baseline's fallback) and the checked solve below,
+so swapping the LAPACK-backed implementations for something else only
+requires keeping their contracts.  ``logdet_eval`` is not on any sweep path:
+it is the direct Cholesky log-determinant that the tests check the rate
+evaluation against.
 
 The systems here are tiny (n_rf <= 4 for the solves), so the cost of a call
 is set by how LAPACK is driven, not by flops.  The checked solve therefore

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,21 @@ class TestArrayResponse:
         with pytest.raises(ValueError):
             ArrayGeometry(2, spacing_over_lambda=0.0)
 
+    @pytest.mark.parametrize("side", [2.5, math.nan, math.inf, True])
+    def test_non_integral_side_rejected(self, side):
+        # side 2.5 would give an array of 6.25 elements
+        with pytest.raises(ValueError, match="side"):
+            ArrayGeometry(side)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf])
+    def test_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing_over_lambda"):
+            ArrayGeometry(2, spacing_over_lambda=spacing)
+
+    def test_integral_float_side_becomes_int(self):
+        geom = ArrayGeometry(3.0)
+        assert type(geom.side) is int and geom.n_elements == 9
+
 
 class TestClusterAngles:
     def test_shapes_and_ranges(self):
@@ -128,6 +146,19 @@ class TestClusterAngles:
             ClusterParams(n_clusters=0)
         with pytest.raises(ValueError):
             ClusterParams(angular_spread_rad=-0.1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_clusters": 2.5}, {"n_rays": 1.5}, {"n_clusters": math.nan}],
+    )
+    def test_non_integral_counts_rejected(self, overrides):
+        with pytest.raises(ValueError, match="must be an integer|finite"):
+            ClusterParams(**overrides)
+
+    @pytest.mark.parametrize("spread", [math.nan, math.inf])
+    def test_non_finite_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="angular_spread_rad"):
+            ClusterParams(angular_spread_rad=spread)
 
 
 class TestGenerator:
@@ -226,3 +257,49 @@ class TestDump:
         with pytest.raises(ValueError):
             load_channel(path)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # a 3x3 (9-element) transmit array beside 4x4 matrices
+            (lambda doc: doc["tx_geometry"].update(side=3), "do not match"),
+            (
+                lambda doc: doc.update(n_subcarriers=5),
+                "2 entry lists for 5 subcarriers",
+            ),
+            (lambda doc: doc["entries"][1].pop(), "holds 31 numbers"),
+            (
+                lambda doc: doc["rx_geometry"].update(side=2.5),
+                "side must be an integer",
+            ),
+            (
+                lambda doc: doc["tx_geometry"].update(spacing_over_lambda=math.nan),
+                "spacing_over_lambda",
+            ),
+            (
+                lambda doc: doc["cluster_params"].update(n_rays=2.5),
+                "n_rays must be an integer",
+            ),
+            (
+                lambda doc: doc["cluster_params"].update(angular_spread_rad=math.inf),
+                "angular_spread_rad",
+            ),
+        ],
+        ids=[
+            "geometry",
+            "subcarriers",
+            "entry_length",
+            "side",
+            "spacing",
+            "cluster_count",
+            "spread",
+        ],
+    )
+    def test_rejects_inconsistent_dump(self, tmp_path, edit, match):
+        real = gen_wideband(3, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 2)
+        path = tmp_path / "chan.json"
+        save_channel(real, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_channel(path)

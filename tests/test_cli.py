@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hybridsim
-from hybridsim import harness
+from hybridsim import cli, harness
 from hybridsim.admm import AdmmConfig
 from hybridsim.cli import main
 from hybridsim.harness import SweepSpec
@@ -215,6 +215,91 @@ class TestTrace:
         objs = [float(r[1]) for r in body]
         assert objs[-1] <= objs[0]
         assert "trace rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("multistart", [1, 2])
+    @pytest.mark.parametrize(
+        "scenario, designer, overrides",
+        [
+            ("narrowband_full", "design_fully_connected", {"n_rf": [3, 2]}),
+            (
+                "narrowband_partial",
+                "design_partially_connected",
+                {"n_tx_side": 4, "n_rx_side": 2, "n_rf": [4, 2]},
+            ),
+            ("wideband", "design_wideband", {"n_rf": [3, 2], "n_subcarriers": 3}),
+        ],
+    )
+    def test_trace_is_run_zero_start_zero_precoder_of_a_sweep(
+        self, tmp_path, capsys, monkeypatch, scenario, designer, overrides, multistart
+    ):
+        # the first designer call of a one-run sweep is run 0's precoder
+        # batch at the first listed n_rf; its instance 0 is start 0
+        cfg = write_config(
+            tmp_path,
+            scenario=scenario,
+            runs=1,
+            multistart=multistart,
+            admm=AdmmConfig(rho=2 / 18, max_iters=6, tau=0.0, seed=3),
+            **overrides,
+        )
+        spec = harness.load_config(cfg)
+        calls = []
+        real = getattr(harness, designer)
+
+        def recorded(targets, n_rf, cfg, normalize_power):
+            designs = real(targets, n_rf, cfg, normalize_power)
+            calls.append((n_rf, normalize_power, designs))
+            return designs
+
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, designer, recorded)
+            records = harness.run_sweep(spec, tmp_path / "sweep.csv")
+        n_rf, normalize_power, designs = calls[0]
+        assert (n_rf, normalize_power) == (spec.n_rf[0], True)
+        want = designs[0]
+
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [
+            [str(it), f"{obj:.12e}", f"{res:.12e}"] for it, obj, res in want.trace
+        ]
+        printed = capsys.readouterr().out
+        assert f"(final objective {want.final_objective:.3e})" in printed
+        if multistart == 1:
+            (row,) = [
+                r
+                for r in records
+                if r.method != "digital_opt" and r.n_rf == spec.n_rf[0]
+            ]
+            assert row.final_objective == want.final_objective
+            assert f"(final objective {row.final_objective:.3e})" in printed
+
+    def test_unwritable_out_fails_before_any_design(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real_draw = cli.draw_channels
+        real_design = harness.design_fully_connected
+
+        def counted_draw(*args):
+            calls.append("draw")
+            return real_draw(*args)
+
+        def counted_design(*args, **kwargs):
+            calls.append("design")
+            return real_design(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "draw_channels", counted_draw)
+        monkeypatch.setattr(harness, "design_fully_connected", counted_design)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "missing_dir" / "trace.csv"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert calls == []
 
 
 @pytest.mark.skipif(

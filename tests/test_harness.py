@@ -41,7 +41,7 @@ def strip_wall_time(rows):
 def block_offset(first_run, factors, run_index):
     """Position of ``run_index`` in the block starting at ``first_run``."""
     offset = run_index - first_run
-    return offset if 0 <= offset < len(factors) else None
+    return offset if 0 <= offset < len(factors.f_opt) else None
 
 
 class TestSweepSpec:

@@ -90,7 +90,7 @@ def test_lines_order_and_aggregates_match_records(case):
     real = harness._design_block
 
     def flaky(spec, factors, n_rf, first_run):
-        if failing is not None and 0 <= failing - first_run < len(factors):
+        if failing is not None and 0 <= failing - first_run < len(factors.f_opt):
             raise np.linalg.LinAlgError("synthetic failure")
         return real(spec, factors, n_rf, first_run)
 
