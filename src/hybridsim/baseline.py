@@ -14,8 +14,9 @@ from .numerics import svd
 
 __all__ = ["OptimalFactors", "optimal_factors", "spectral_efficiency"]
 
-# Combiners whose singular-value ratio falls below this are rejected as
-# degenerate (the noise covariance would be numerically singular).
+# Combiners whose singular-value ratio falls below this, or that are zero, are
+# rejected as degenerate (the noise covariance Wc^H Wc would be numerically
+# singular); the rate whitens by the combiner's SVD and never forms it.
 _COMBINER_RANK_TOL = 1e-10
 
 # A channel slice whose ratio sigma_ns / sigma_1 falls below this takes its
@@ -98,10 +99,10 @@ def spectral_efficiency(h, f, wc, snr, n_s):
 
     Evaluates ``log2 det(I + (snr/n_s) * Rn^-1 Wc^H H F F^H H^H Wc)`` with
     ``Rn = Wc^H Wc``, where ``snr`` is the ratio of average received power to
-    noise variance.  Whitening by the Cholesky factor ``L`` of ``Rn`` turns
-    the determinant into ``prod(1 + snr/n_s * sigma_i^2)`` over the singular
-    values ``sigma`` of ``L^-1 Wc^H H F``, so a whole list of SNR points
-    costs one factorization and one SVD.
+    noise variance.  With the thin SVD ``Wc = U S V^H``, ``Rn^-1/2 Wc^H = V U^H``,
+    so the determinant is ``prod(1 + snr/n_s * sigma_i^2)`` over the singular
+    values ``sigma`` of ``U^H H F``: a list of SNR points costs two SVDs, and
+    ``Wc^H Wc``, which squares the combiner's condition number, is never formed.
 
     Leading axes of ``h``, ``f`` and ``wc`` are batch axes, equal on all
     three: a block of runs and subcarriers is rated in one stacked pass,
@@ -126,10 +127,9 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     Raises
     ------
     ValueError
-        On inconsistent shapes, a negative SNR or non-finite entries.
+        On inconsistent shapes, a negative or NaN SNR or non-finite entries.
     numpy.linalg.LinAlgError
-        When a combiner is rank deficient or ``Wc^H Wc`` is not positive
-        definite.
+        When a combiner is rank deficient.
     """
     h = np.asarray(h)
     f = np.asarray(f)
@@ -137,7 +137,7 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     snr = np.asarray(snr, dtype=float)
     if snr.ndim > 1:
         raise ValueError(f"snr must be a scalar or a 1-D array, got shape {snr.shape}")
-    if (snr < 0).any():
+    if not (snr >= 0).all():
         raise ValueError("snr must be nonnegative")
     batch = h.shape[:-2]
     if (
@@ -152,21 +152,19 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     for name, a in (("channel", h), ("precoder", f), ("combiner", wc)):
         if not np.isfinite(a).all():
             raise ValueError(f"{name} contains non-finite entries")
-    sv = np.linalg.svd(wc, compute_uv=False)
-    deficient = sv[..., -1] < _COMBINER_RANK_TOL * sv[..., 0]
+    if wc.shape[-2] < n_s:
+        raise np.linalg.LinAlgError(
+            f"combiner is rank deficient ({wc.shape[-2]} rows for {n_s} streams)"
+        )
+    u, sv, _ = np.linalg.svd(wc, full_matrices=False)
+    top = sv[..., 0]
+    deficient = (sv[..., -1] < _COMBINER_RANK_TOL * top) | (top == 0)
     if deficient.any():
-        ratio = (sv[..., -1] / sv[..., 0])[deficient].min()
+        ratio = (sv[..., -1] / np.maximum(top, np.finfo(float).tiny))[deficient].min()
         raise np.linalg.LinAlgError(
             f"combiner is rank deficient (singular-value ratio {ratio:.3e})"
         )
-    wc_h = wc.conj().swapaxes(-1, -2)
-    try:
-        chol = np.linalg.cholesky(wc_h @ wc)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"noise covariance is not positive definite: {exc}"
-        ) from exc
-    sigma2 = np.linalg.svd(np.linalg.solve(chol, wc_h @ h @ f), compute_uv=False) ** 2
+    sigma2 = np.linalg.svd(u.conj().swapaxes(-1, -2) @ h @ f, compute_uv=False) ** 2
     if snr.ndim:
         # (..., n_snr, n_s): one row of stream gains per SNR point
         sigma2 = sigma2[..., None, :]

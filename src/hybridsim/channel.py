@@ -254,12 +254,26 @@ def gen_narrowband(seed, tx_geom, rx_geom, params):
     return gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers=1)
 
 
+def _check_entries(entries, n_rx, n_tx, n_subcarriers):
+    """Raise ValueError unless a dump's entry lists fit its header."""
+    if len(entries) != n_subcarriers:
+        raise ValueError(f"{len(entries)} entry lists for {n_subcarriers} subcarriers")
+    for inter in entries:
+        if len(inter) != 2 * n_rx * n_tx:
+            raise ValueError(
+                f"an entry list holds {len(inter)} numbers, not the "
+                f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
+            )
+
+
 def save_channel(realization, path):
     """Write a ChannelRealization as structured text (JSON).
 
     Entries are stored per subcarrier as a flat row-major list of
     interleaved real/imag parts, so the dump replays exactly across
-    implementations.
+    implementations.  A realization whose matrices do not fit its
+    geometries and subcarrier count, which ``load_channel`` would reject,
+    is a ValueError before ``path`` is opened.
     """
     doc = {
         "format": _DUMP_FORMAT,
@@ -276,6 +290,7 @@ def save_channel(realization, path):
             for h in realization.matrices
         ],
     }
+    _check_entries(doc["entries"], doc["n_rx"], doc["n_tx"], doc["n_subcarriers"])
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -300,21 +315,13 @@ def load_channel(path):
             f"{n_rx} x {n_tx} matrices do not match a {rx_geometry.n_elements}-"
             f"element receive and a {tx_geometry.n_elements}-element transmit array"
         )
-    if len(doc["entries"]) != n_subcarriers:
-        raise ValueError(
-            f"{len(doc['entries'])} entry lists for {n_subcarriers} subcarriers"
-        )
-    matrices = []
-    for inter in doc["entries"]:
-        if len(inter) != 2 * n_rx * n_tx:
-            raise ValueError(
-                f"an entry list holds {len(inter)} numbers, not the "
-                f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
-            )
-        # reinterpret the (real, imag) pairs in place: exact, signed zeros
-        # included, where ``re + 1j * im`` would turn -0.0 into 0.0
-        flat = np.asarray(inter, dtype=float).view(complex)
-        matrices.append(flat.reshape(n_rx, n_tx))
+    _check_entries(doc["entries"], n_rx, n_tx, n_subcarriers)
+    # reinterpret the (real, imag) pairs in place: exact, signed zeros
+    # included, where ``re + 1j * im`` would turn -0.0 into 0.0
+    matrices = [
+        np.asarray(inter, dtype=float).view(complex).reshape(n_rx, n_tx)
+        for inter in doc["entries"]
+    ]
     return ChannelRealization(
         matrices=matrices,
         seed=doc["seed"],

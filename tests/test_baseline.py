@@ -125,11 +125,48 @@ class TestSpectralEfficiency:
         with pytest.raises(np.linalg.LinAlgError):
             spectral_efficiency(h, f, wc, 1.0, 2)
 
+    @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_ill_conditioned_combiner_exact_rate(self, c):
+        # Wc = [diag(1, c) R^H; 0] spans the first two receive axes whatever
+        # c is, so the rate is that of G = (H F)[:2] seen without whitening
+        rng = np.random.default_rng(13)
+        h, f = crandn(rng, 5, 7), crandn(rng, 7, 2)
+        t = 0.7
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) * np.exp(
+            [[0.3j], [-1.1j]]
+        )
+        wc = np.zeros((5, 2), dtype=complex)
+        wc[:2] = np.diag([1.0, c]) @ rot.conj().T
+        g = (h @ f)[:2]
+        for snr in (0.1, 1.0, 100.0):
+            exact = logdet_eval(np.eye(2) + (snr / 2) * (g @ g.conj().T))
+            got = spectral_efficiency(h, f, wc, snr, 2)
+            assert abs(got - exact) <= 1e-12 * exact
+
+    def test_near_parallel_combiner_is_rated(self):
+        # Wc^H Wc rounds to a singular matrix; the combiner itself does not
+        h = np.eye(3, dtype=complex)
+        f = np.eye(3, dtype=complex)[:, :2]
+        wc = np.array([[1, 1], [0, 1e-9], [0, 0]], dtype=complex)
+        got = spectral_efficiency(h, f, wc, 1.0, 2)
+        assert abs(got - 2 * np.log2(1.5)) <= 1e-14
+
+    def test_zero_and_short_combiners_rejected(self):
+        h = np.eye(3, dtype=complex)
+        f = np.eye(3, dtype=complex)[:, :2]
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            spectral_efficiency(h, f, np.zeros((3, 2), dtype=complex), 1.0, 2)
+        # one receive antenna cannot separate two streams
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            spectral_efficiency(h[:1], f, np.ones((1, 2), dtype=complex), 1.0, 2)
+
     def test_validation(self):
         h = np.eye(3, dtype=complex)
         f = np.eye(3, dtype=complex)[:, :2]
         with pytest.raises(ValueError):
             spectral_efficiency(h, f, f, -1.0, 2)  # negative snr
+        with pytest.raises(ValueError, match="nonnegative"):
+            spectral_efficiency(h, f, f, np.nan, 2)
         with pytest.raises(ValueError):
             spectral_efficiency(h, f[:2], f, 1.0, 2)  # bad precoder shape
 
@@ -165,6 +202,8 @@ class TestSpectralEfficiency:
         f = np.eye(3, dtype=complex)[:, :2]
         with pytest.raises(ValueError):
             spectral_efficiency(h, f, f, np.array([1.0, -1.0]), 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            spectral_efficiency(h, f, f, [1.0, np.nan], 2)
         with pytest.raises(ValueError):
             spectral_efficiency(h, f, f, np.ones((2, 2)), 2)
         bad = f.copy()

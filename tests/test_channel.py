@@ -251,6 +251,24 @@ class TestDump:
         save_channel(real, path)
         assert load_channel(path).matrices[0].tobytes() == h.tobytes()
 
+    @pytest.mark.parametrize(
+        "matrices, n_subcarriers, match",
+        [
+            # 4x4 matrices beside the default one-element geometries
+            ([np.ones((4, 4), dtype=complex)], 1, "holds 32 numbers, not the 2"),
+            ([np.ones((1, 1), dtype=complex)] * 2, 1, "2 entry lists for 1 subcarrier"),
+        ],
+        ids=["geometry", "subcarriers"],
+    )
+    def test_save_rejects_unloadable_realization(
+        self, tmp_path, matrices, n_subcarriers, match
+    ):
+        real = ChannelRealization(matrices=matrices, n_subcarriers=n_subcarriers)
+        path = tmp_path / "chan.json"
+        with pytest.raises(ValueError, match=match):
+            save_channel(real, path)
+        assert not path.exists()
+
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
