@@ -35,7 +35,7 @@ from .channel import (
     sample_cluster_angles,
     save_channel,
 )
-from .harness import ResultRecord, SweepSpec, load_config, run_single, run_sweep
+from .harness import ResultRecord, SweepSpec, load_config, run_sweep
 from .numerics import logdet_eval, solve_hpd, svd
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "logdet_eval",
     "optimal_factors",
     "project_unit_modulus",
-    "run_single",
     "run_sweep",
     "sample_cluster_angles",
     "save_channel",

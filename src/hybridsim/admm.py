@@ -181,11 +181,6 @@ class AdmmState:
     r: np.ndarray
     w: np.ndarray
 
-    def copy(self):
-        return AdmmState(
-            self.f_rf.copy(), self.f_bb.copy(), self.r.copy(), self.w.copy()
-        )
-
 
 @dataclass
 class PartialState:
@@ -197,14 +192,6 @@ class PartialState:
     f_bb: np.ndarray
     r_vecs: np.ndarray
     w_vecs: np.ndarray
-
-    def copy(self):
-        return PartialState(
-            self.f_vecs.copy(),
-            self.f_bb.copy(),
-            self.r_vecs.copy(),
-            self.w_vecs.copy(),
-        )
 
 
 @dataclass
@@ -394,8 +381,9 @@ def _real_inner(a, b):
 
 
 def _take(state, index):
-    """The instances ``index`` (an index or a mask) of a batched state."""
-    return type(state)(*(getattr(state, f.name)[index] for f in fields(state)))
+    """A copy of the instances ``index`` (an index, a slice or a mask) of a
+    batched state."""
+    return type(state)(*(getattr(state, f.name)[index].copy() for f in fields(state)))
 
 
 def _run_loop(state, data, cfg, step, measure, keep_iterates):
@@ -420,8 +408,8 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
     ends = np.full(count, cfg.max_iters)
     iterates = None
     if keep_iterates:
-        iterates = [[_take(state, i).copy()] for i in range(count)]
-    last = state.copy()
+        iterates = [[_take(state, i)] for i in range(count)]
+    last = _take(state, slice(None))
     active = np.arange(count)
     for t in range(1, cfg.max_iters + 1):
         state = step(state, data, cfg)
@@ -433,7 +421,7 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
         residuals[t, active] = residual
         if iterates is not None:
             for j, i in enumerate(active.tolist()):
-                iterates[i].append(_take(state, j).copy())
+                iterates[i].append(_take(state, j))
         stop = np.abs(objective - new_objective) < cfg.tau
         if t == cfg.max_iters:
             stop[:] = True
@@ -486,9 +474,6 @@ class _DenseIterate:
     w: np.ndarray
     tf_h: np.ndarray
     ff_h: np.ndarray
-
-    def copy(self):
-        return _DenseIterate(*(getattr(self, f.name).copy() for f in fields(self)))
 
 
 def _dense_iterate(f_rf, r, w, data):
@@ -553,6 +538,7 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
     if not batched:
         targets = targets[None]
     count, k, n_tx, n_s = targets.shape
+    n_rf = check_int(n_rf, "n_rf")
     if not n_s <= n_rf <= n_tx:
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
 
@@ -693,10 +679,11 @@ def design_partially_connected(
     if not batched:
         f_target = f_target[None]
     count, n_tx, n_s = f_target.shape
-    if n_tx % n_rf != 0:
-        raise ValueError(f"n_tx={n_tx} is not divisible by n_rf={n_rf}")
+    n_rf = check_int(n_rf, "n_rf")
     if not n_s <= n_rf:
         raise ValueError(f"need n_s <= n_rf, got n_s={n_s}, n_rf={n_rf}")
+    if n_tx % n_rf != 0:
+        raise ValueError(f"n_tx={n_tx} is not divisible by n_rf={n_rf}")
     block = n_tx // n_rf
     # row block i of the target, shape (B, n_rf, block, n_s)
     target3 = f_target.reshape(count, n_rf, block, n_s)

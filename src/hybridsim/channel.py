@@ -115,10 +115,10 @@ class ClusterAngles:
 
 @dataclass
 class ChannelRealization:
-    """One channel draw: ``matrices[k]`` is the n_rx x n_tx matrix at
-    subcarrier k (a single-element list when narrowband)."""
+    """One channel draw: ``matrices`` is the complex (K, n_rx, n_tx) array of
+    its K subcarriers' matrices (K = 1 when narrowband)."""
 
-    matrices: list = field(repr=False)
+    matrices: np.ndarray = field(repr=False)
     seed: int = 0
     tx_geometry: ArrayGeometry = ArrayGeometry(1)
     rx_geometry: ArrayGeometry = ArrayGeometry(1)
@@ -213,7 +213,9 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     Returns
     -------
     ChannelRealization
+        Its ``matrices`` are the (n_subcarriers, n_rx, n_tx) stack.
     """
+    n_subcarriers = check_int(n_subcarriers, "n_subcarriers")
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
     rng = np.random.default_rng(seed)
@@ -233,12 +235,13 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     gamma = np.sqrt(n_tx * n_rx / (params.n_clusters * params.n_rays))
 
     cluster_idx = np.repeat(np.arange(params.n_clusters), params.n_rays)
-    a_tx_h = a_tx.conj().T
-    matrices = []
-    for k in range(n_subcarriers):
-        delay = np.exp(-2j * np.pi * cluster_idx * k / n_subcarriers)
-        weights = gains.ravel() * delay
-        matrices.append(gamma * ((a_rx * weights) @ a_tx_h))
+    # (K, rays): row k is each ray's delay phase at subcarrier k
+    delay = np.exp(
+        np.outer(np.arange(n_subcarriers), -2j * np.pi * cluster_idx) / n_subcarriers
+    )
+    weights = gains.ravel() * delay
+    # one stacked product: slice k is a_rx diag(weights[k]) a_tx^H
+    matrices = gamma * ((a_rx * weights[:, None, :]) @ a_tx.conj().T)
     return ChannelRealization(
         matrices=matrices,
         seed=int(seed),
@@ -272,8 +275,9 @@ def save_channel(realization, path):
     Entries are stored per subcarrier as a flat row-major list of
     interleaved real/imag parts, so the dump replays exactly across
     implementations.  A realization whose matrices do not fit its
-    geometries and subcarrier count, which ``load_channel`` would reject,
-    is a ValueError before ``path`` is opened.
+    geometries and subcarrier count, whether ``load_channel`` would reject
+    them or read them back in another shape, is a ValueError before
+    ``path`` is opened.
     """
     doc = {
         "format": _DUMP_FORMAT,
@@ -291,6 +295,13 @@ def save_channel(realization, path):
         ],
     }
     _check_entries(doc["entries"], doc["n_rx"], doc["n_tx"], doc["n_subcarriers"])
+    for h in realization.matrices:
+        # the right count of entries in another shape loads reshaped
+        if np.shape(h) != (doc["n_rx"], doc["n_tx"]):
+            raise ValueError(
+                f"a {np.shape(h)} matrix is not the {doc['n_rx']} x {doc['n_tx']} "
+                f"of its receive and transmit arrays"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -318,10 +329,11 @@ def load_channel(path):
     _check_entries(doc["entries"], n_rx, n_tx, n_subcarriers)
     # reinterpret the (real, imag) pairs in place: exact, signed zeros
     # included, where ``re + 1j * im`` would turn -0.0 into 0.0
-    matrices = [
-        np.asarray(inter, dtype=float).view(complex).reshape(n_rx, n_tx)
-        for inter in doc["entries"]
-    ]
+    matrices = (
+        np.asarray(doc["entries"], dtype=float)
+        .view(complex)
+        .reshape(n_subcarriers, n_rx, n_tx)
+    )
     return ChannelRealization(
         matrices=matrices,
         seed=doc["seed"],

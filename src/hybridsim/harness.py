@@ -42,7 +42,6 @@ from .admm import (
     AdmmConfig,
     check_finite,
     check_int,
-    design_fully_connected,
     design_partially_connected,
     design_wideband,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ResultRecord",
     "draw_channels",
     "load_config",
-    "run_single",
     "run_sweep",
 ]
 
@@ -82,22 +80,6 @@ _INT_FIELDS = (
 # multistart count.  The batching gain levels off near 32, which also caps
 # the memory a block holds.
 _BLOCK_RUNS = 32
-
-_CSV_FIELDS = [
-    "scenario",
-    "snr_db",
-    "n_rf",
-    "run_index",
-    "seed",
-    "method",
-    "spectral_efficiency",
-    "final_objective",
-    "iterations_used",
-    "wall_time_ms",
-]
-
-# One CSV line, field by field as in _CSV_FIELDS
-_ROW_FORMAT = "%s,%.12e,%d,%d,%d,%s,%.12e,%.12e,%d,%.3f\n"
 
 
 @dataclass(frozen=True)
@@ -226,7 +208,6 @@ def _as_tuple(value):
     return (value,)
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class ResultRecord(NamedTuple):
     """One CSV row: the rate of one method at one sweep point in one run.
 
@@ -238,12 +219,10 @@ class ResultRecord(NamedTuple):
     that n_rf (precoders and combiners, all starts).  Where a block fell
     back to one run at a time, a hybrid row has the run's own redesign time.
 
-    A sweep returns one record per row, so a record is a tuple, cheap to
-    build.  Rows are written by ``_csv_lines`` from the columns, and
-    ``_format_row`` of a record is the tests' reference line.  The dataclass
-    decorator adds no ``__init__``, ``__repr__`` or ``__eq__``; it makes
-    ``dataclasses.replace``, ``asdict`` and ``fields`` work on records and
-    raises ``FrozenInstanceError`` on assignment.
+    A sweep returns one record per row, so a record is a plain NamedTuple,
+    cheap to build, and its field names are the CSV header.  Rows are
+    written by ``_csv_lines`` from the columns, and ``_format_row`` of a
+    record is the tests' reference line.
     """
 
     scenario: str
@@ -258,35 +237,31 @@ class ResultRecord(NamedTuple):
     wall_time_ms: float
 
 
+_CSV_FIELDS = list(ResultRecord._fields)
+
+# One CSV line, field by field as in _CSV_FIELDS
+_ROW_FORMAT = "%s,%.12e,%d,%d,%d,%s,%.12e,%.12e,%d,%.3f\n"
+
+
 def load_config(path):
     """Read a SweepSpec from a JSON config file."""
     with open(path, "r", encoding="utf-8") as fh:
         return SweepSpec.from_dict(json.load(fh))
 
 
-def run_single(spec, run_index):
-    """Execute one Monte Carlo run: one channel draw, all sweep points.
-
-    This is a block of one run.  Returns one ResultRecord per (snr, n_rf,
-    method) combination, in the sweep's row order.  Rates for the wideband
-    scenario are averaged over subcarriers.
-    """
-    return list(_records(spec, _run_block(spec, run_index, run_index + 1)))
-
-
 class _Columns(NamedTuple):
     """The results of consecutive runs, one array per quantity, runs first.
 
-    The runs are ``first_run`` onward.  ``digital_se`` is (runs, n_snr) and
-    ``digital_ms`` (runs,); the hybrid arrays have an n_rf axis of length
-    ``len(spec.n_rf)``, in the order of ``spec.n_rf``: ``hybrid_se`` is
-    (runs, len(n_rf), n_snr) and ``final_objective``, ``iterations`` and
-    ``design_ms`` are (runs, len(n_rf)).  The SNR axis is in the order of
-    ``spec.snr_db_list``.  A block returns one, and a sweep joins its blocks'
-    run-wise into one.
+    ``digital_se`` is (runs, n_snr) and ``digital_ms`` (runs,); the hybrid
+    arrays have an n_rf axis of length ``len(spec.n_rf)``, in the order of
+    ``spec.n_rf``: ``hybrid_se`` is (runs, len(n_rf), n_snr) and
+    ``final_objective``, ``iterations`` and ``design_ms`` are (runs,
+    len(n_rf)).  The SNR axis is in the order of ``spec.snr_db_list``.  A
+    block returns the columns of its own runs, and a sweep joins its blocks'
+    run-wise into the columns of runs 0 onward; the columns carry no run
+    index, so row and seed numbers count from run 0.
     """
 
-    first_run: int
     digital_se: np.ndarray
     digital_ms: np.ndarray
     hybrid_se: np.ndarray
@@ -306,7 +281,7 @@ def draw_channels(spec, first_run, stop_run):
         gen_wideband(spec.base_seed + i, tx, rx, ClusterParams(), spec.n_subcarriers)
         for i in range(first_run, stop_run)
     ]
-    return np.array([draw.matrices for draw in draws])
+    return np.stack([draw.matrices for draw in draws])
 
 
 def _run_block(spec, first_run, stop_run):
@@ -322,7 +297,6 @@ def _run_block(spec, first_run, stop_run):
         for n_rf in spec.n_rf
     ]
     return _Columns(
-        first_run,
         digital_se,
         np.full(len(channels), digital_ms),
         *(np.stack(column, axis=1) for column in zip(*hybrid)),
@@ -391,16 +365,16 @@ def scenario_design(spec, factors, side):
 
     ``factors`` is an ``OptimalFactors`` of (..., K, n, n_s) targets, with
     any leading axes; ``side`` names the target, ``"f_opt"`` (precoder) or
-    ``"w_opt"`` (combiner).  The wideband designer gets the targets as they
-    are, the narrowband ones those of subcarrier 0.  The designer is looked
-    up at each call, so a rebound module attribute is the one used.
+    ``"w_opt"`` (combiner).  The partially connected designer gets the
+    targets of subcarrier 0; every dense scenario gets ``design_wideband``
+    and the targets as they are, since the fully connected design is the
+    K = 1 wideband design.  The designer is looked up at each call, so a
+    rebound module attribute is the one used.
     """
     targets = getattr(factors, side)
-    if spec.scenario == "wideband":
-        return design_wideband, targets
     if spec.scenario == "narrowband_partial":
         return design_partially_connected, targets[..., 0, :, :]
-    return design_fully_connected, targets[..., 0, :, :]
+    return design_wideband, targets
 
 
 def _design_block(spec, factors, n_rf, first_run):
@@ -462,7 +436,7 @@ def run_sweep(spec, out_csv, workers=1):
             else:
                 blocks = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
             # the blocks' columns joined run-wise; the sweep starts at run 0
-            columns = _Columns(0, *map(np.concatenate, list(zip(*blocks))[1:]))
+            columns = _Columns(*map(np.concatenate, zip(*blocks)))
             fh.writelines(_csv_lines(spec, columns))
     except BaseException:
         _mark_partial(out_csv)
@@ -500,7 +474,7 @@ def _csv_lines(spec, columns):
     at every n_rf, once per (run, snr).
     """
     scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
-    runs = range(columns.first_run, columns.first_run + len(columns.digital_se))
+    runs = range(len(columns.digital_se))
     run_text = ["%d,%d," % (i, spec.base_seed + i) for i in runs]
     digital_tail = [
         ",%.12e,%d,%.3f\n" % (0.0, 0, ms) for ms in columns.digital_ms.tolist()
@@ -534,7 +508,7 @@ def _csv_lines(spec, columns):
 def _records(spec, columns):
     """The ResultRecords of ``columns``, in the row order of ``_csv_lines``."""
     scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
-    runs = range(columns.first_run, columns.first_run + len(columns.digital_se))
+    runs = range(len(columns.digital_se))
     seeds = [spec.base_seed + i for i in runs]
     digital_ms = columns.digital_ms.tolist()
     # [snr][run] and [n_rf][snr][run]: a sweep point's runs are one list

@@ -6,6 +6,8 @@ import pytest
 from hybridsim.admm import (
     AdmmConfig,
     design_fully_connected,
+    design_partially_connected,
+    design_wideband,
     least_squares_fbb,
     project_unit_modulus,
     scale_matched_rho,
@@ -430,6 +432,39 @@ class TestDesignFullyConnected:
             design_fully_connected(f_target, 9, cfg, normalize_power=False)
         with pytest.raises(ValueError):
             design_fully_connected(f_target[:, 0], 3, cfg, normalize_power=False)
+
+
+class TestRfChainCount:
+    """Every designer checks ``n_rf`` before it designs."""
+
+    # each designer with one 8 x 2 target (a stack of two for wideband)
+    DESIGNERS = {
+        "full": (design_fully_connected, (8, 2)),
+        "partial": (design_partially_connected, (8, 2)),
+        "wideband": (design_wideband, (2, 8, 2)),
+    }
+
+    def target(self, shape):
+        rng = np.random.default_rng(43)
+        return np.linalg.qr(crandn(rng, *shape))[0]
+
+    @pytest.mark.parametrize("structure", DESIGNERS)
+    @pytest.mark.parametrize("n_rf", [0, 2.5])
+    def test_rejects_bad_n_rf(self, structure, n_rf):
+        designer, shape = self.DESIGNERS[structure]
+        with pytest.raises(ValueError, match="n_rf"):
+            designer(self.target(shape), n_rf, AdmmConfig(), normalize_power=True)
+
+    @pytest.mark.parametrize("structure", DESIGNERS)
+    def test_integral_float_n_rf_designs_as_int(self, structure):
+        # like every integer setting of a config, 2.0 means 2
+        designer, shape = self.DESIGNERS[structure]
+        target, cfg = self.target(shape), AdmmConfig(max_iters=5, seed=2)
+        want = designer(target, 2, cfg, normalize_power=True)
+        got = designer(target, 2.0, cfg, normalize_power=True)
+        assert np.array_equal(got.f_rf, want.f_rf)
+        assert np.array_equal(got.f_bb, want.f_bb)
+        assert got.trace == want.trace
 
 
 class TestAdmmConfig:

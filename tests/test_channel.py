@@ -220,6 +220,9 @@ class TestGenerator:
     def test_invalid_subcarriers(self):
         with pytest.raises(ValueError):
             gen_wideband(0, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 0)
+        # the delay table would hold ceil(2.5) = 3 subcarriers
+        with pytest.raises(ValueError, match="n_subcarriers must be an integer"):
+            gen_wideband(0, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 2.5)
 
 
 class TestDump:
@@ -252,22 +255,51 @@ class TestDump:
         assert load_channel(path).matrices[0].tobytes() == h.tobytes()
 
     @pytest.mark.parametrize(
-        "matrices, n_subcarriers, match",
+        "matrices, n_subcarriers, tx_side, match",
         [
             # 4x4 matrices beside the default one-element geometries
-            ([np.ones((4, 4), dtype=complex)], 1, "holds 32 numbers, not the 2"),
-            ([np.ones((1, 1), dtype=complex)] * 2, 1, "2 entry lists for 1 subcarrier"),
+            ([np.ones((4, 4), dtype=complex)], 1, 1, "holds 32 numbers, not the 2"),
+            (
+                [np.ones((1, 1), dtype=complex)] * 2,
+                1,
+                1,
+                "2 entry lists for 1 subcarrier",
+            ),
+            # the 4 entries of a 1x4 matrix in a 4x1 shape would load as 1x4
+            (
+                [np.arange(4, dtype=complex).reshape(4, 1)],
+                1,
+                2,
+                r"a \(4, 1\) matrix is not the 1 x 4",
+            ),
         ],
-        ids=["geometry", "subcarriers"],
+        ids=["geometry", "subcarriers", "shape"],
     )
     def test_save_rejects_unloadable_realization(
-        self, tmp_path, matrices, n_subcarriers, match
+        self, tmp_path, matrices, n_subcarriers, tx_side, match
     ):
-        real = ChannelRealization(matrices=matrices, n_subcarriers=n_subcarriers)
+        real = ChannelRealization(
+            matrices=matrices,
+            tx_geometry=ArrayGeometry(tx_side),
+            n_subcarriers=n_subcarriers,
+        )
         path = tmp_path / "chan.json"
         with pytest.raises(ValueError, match=match):
             save_channel(real, path)
         assert not path.exists()
+
+    def test_matrices_are_one_complex_array(self, tmp_path):
+        real = gen_wideband(
+            23, ArrayGeometry(3), ArrayGeometry(2), ClusterParams(3, 2), 5
+        )
+        path = tmp_path / "chan.json"
+        save_channel(real, path)
+        back = load_channel(path)
+        for matrices in (real.matrices, back.matrices):
+            assert isinstance(matrices, np.ndarray)
+            assert matrices.dtype == np.complex128
+            assert matrices.shape == (5, 4, 9)
+        assert back.matrices.tobytes() == real.matrices.tobytes()
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"

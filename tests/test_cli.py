@@ -220,7 +220,7 @@ class TestTrace:
     @pytest.mark.parametrize(
         "scenario, designer, overrides",
         [
-            ("narrowband_full", "design_fully_connected", {"n_rf": [3, 2]}),
+            ("narrowband_full", "design_wideband", {"n_rf": [3, 2]}),
             (
                 "narrowband_partial",
                 "design_partially_connected",
@@ -281,7 +281,7 @@ class TestTrace:
     ):
         calls = []
         real_draw = cli.draw_channels
-        real_design = harness.design_fully_connected
+        real_design = harness.design_wideband
 
         def counted_draw(*args):
             calls.append("draw")
@@ -292,7 +292,7 @@ class TestTrace:
             return real_design(*args, **kwargs)
 
         monkeypatch.setattr(cli, "draw_channels", counted_draw)
-        monkeypatch.setattr(harness, "design_fully_connected", counted_design)
+        monkeypatch.setattr(harness, "design_wideband", counted_design)
         cfg = write_config(tmp_path)
         out = tmp_path / "missing_dir" / "trace.csv"
         assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 1

@@ -2,14 +2,13 @@ import csv
 import io
 import json
 import multiprocessing
-from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from hybridsim import harness
 from hybridsim.admm import AdmmConfig
-from hybridsim.harness import SweepSpec, load_config, run_single, run_sweep
+from hybridsim.harness import SweepSpec, load_config, run_sweep
 
 
 def small_spec(**overrides):
@@ -36,6 +35,12 @@ def read_rows(path):
 
 def strip_wall_time(rows):
     return [row[:-1] for row in rows]
+
+
+def run_rows(spec, run_index, tmp_path):
+    """The rows of one run, read from a sweep of the spec."""
+    records = run_sweep(spec, tmp_path / "sweep.csv")
+    return [r for r in records if r.run_index == run_index]
 
 
 def block_offset(first_run, factors, run_index):
@@ -148,9 +153,12 @@ class TestSweepSpec:
 
 
 class TestRunSingle:
-    def test_record_fields(self):
+    """One Monte Carlo run's rows, read from a sweep: one channel draw at
+    every sweep point."""
+
+    def test_record_fields(self, tmp_path):
         spec = small_spec(runs=1)
-        records = run_single(spec, 0)
+        records = run_rows(spec, 0, tmp_path)
         assert len(records) == 4  # 2 snrs x 2 methods, one n_rf
         for rec in records:
             assert rec.scenario == "narrowband_full"
@@ -167,40 +175,30 @@ class TestRunSingle:
             assert rec.iterations_used >= 1
             assert rec.final_objective >= 0.0
 
-    def test_hybrid_below_digital(self):
+    def test_hybrid_below_digital(self, tmp_path):
         # per-channel optimality of the unconstrained factorization
         spec = small_spec(runs=1)
         by_key = {}
-        for rec in run_single(spec, 0):
+        for rec in run_rows(spec, 0, tmp_path):
             by_key[(rec.snr_db, rec.method)] = rec.spectral_efficiency
         for snr_db in (0.0, 10.0):
             assert by_key[(snr_db, "hybrid_full")] <= by_key[(snr_db, "digital_opt")]
 
-    def test_wideband_scenario(self):
+    def test_wideband_scenario(self, tmp_path):
         spec = small_spec(
             scenario="wideband",
             n_subcarriers=4,
             snr_db_list=[0.0],
-            runs=1,
+            runs=3,
             admm=AdmmConfig(rho=4 * 2 / 18, max_iters=10, tau=0.0, seed=0),
         )
-        records = run_single(spec, 2)
+        records = run_rows(spec, 2, tmp_path)
         assert len(records) == 2
         assert records[0].seed == 102
         methods = {r.method for r in records}
         assert methods == {"digital_opt", "hybrid_wideband"}
         for rec in records:
             assert np.isfinite(rec.spectral_efficiency)
-
-    def test_equals_its_sweep_rows(self, tmp_path):
-        spec = small_spec(snr_db_list=[10.0, -5.0, 0.0], n_rf=[3, 2], multistart=2)
-        sweep = run_sweep(spec, tmp_path / "sweep.csv")
-        for run_index in range(spec.runs):
-            want = [
-                replace(r, wall_time_ms=0.0) for r in sweep if r.run_index == run_index
-            ]
-            got = [replace(r, wall_time_ms=0.0) for r in run_single(spec, run_index)]
-            assert got == want
 
 
 class TestRunSweep:
@@ -357,7 +355,7 @@ class TestRunSweep:
             offset = block_offset(first_run, factors, 1)
             if offset is not None:
                 comb = pairs[offset][1]
-                comb.f_bb[:, 1] = comb.f_bb[:, 0]
+                comb.f_bb[..., 1] = comb.f_bb[..., 0]
             return pairs
 
         monkeypatch.setattr(harness, "_design_block", rank_deficient_combiner)
@@ -382,7 +380,7 @@ class TestRunSweep:
                 offset = block_offset(first_run, factors, run_index)
                 if offset is not None:
                     comb = pairs[offset][1]
-                    comb.f_bb[:, 1] = comb.f_bb[:, 0]
+                    comb.f_bb[..., 1] = comb.f_bb[..., 0]
             return pairs
 
         spec = small_spec(runs=4)
@@ -402,9 +400,7 @@ class TestRunSweep:
                 ("hybrid_full", 0),
                 ("hybrid_full", 2),
             }:
-                assert replace(got, wall_time_ms=0) == replace(
-                    want, wall_time_ms=0
-                )
+                assert got._replace(wall_time_ms=0) == want._replace(wall_time_ms=0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_and_unrateable_runs_of_one_block(
@@ -424,7 +420,7 @@ class TestRunSweep:
             offset = block_offset(first_run, factors, 2)
             if offset is not None:
                 comb = pairs[offset][1]
-                comb.f_bb[:, 1] = comb.f_bb[:, 0]
+                comb.f_bb[..., 1] = comb.f_bb[..., 0]
             return pairs
 
         spec = small_spec(runs=4)
@@ -440,9 +436,7 @@ class TestRunSweep:
         assert len(records) == len(clean)
         for want, got in zip(clean, records):
             if (got.method, got.run_index) not in lost:
-                assert replace(got, wall_time_ms=0) == replace(
-                    want, wall_time_ms=0
-                )
+                assert got._replace(wall_time_ms=0) == want._replace(wall_time_ms=0)
 
     def test_nonfinite_factors_yield_nan_rows(self, tmp_path, monkeypatch):
         real = harness._design_block
@@ -451,7 +445,7 @@ class TestRunSweep:
             pairs = real(spec, factors, n_rf, first_run)
             offset = block_offset(first_run, factors, 2)
             if offset is not None:
-                pairs[offset][0].f_bb[0, 0] = np.nan
+                pairs[offset][0].f_bb[..., 0, 0] = np.nan
             return pairs
 
         monkeypatch.setattr(harness, "_design_block", corrupted)
@@ -473,7 +467,7 @@ class TestRunSweep:
         )
         clean = tmp_path / "clean.csv"
         run_sweep(spec, clean)
-        real = harness.design_fully_connected
+        real = harness.design_wideband
         batch_sizes = []
 
         def poisoned(targets, n_rf, cfg, normalize_power):
@@ -485,7 +479,7 @@ class TestRunSweep:
             batch_sizes.append(len(targets))
             return real(targets, n_rf, cfg, normalize_power)
 
-        monkeypatch.setattr(harness, "design_fully_connected", poisoned)
+        monkeypatch.setattr(harness, "design_wideband", poisoned)
         hit = tmp_path / "hit.csv"
         records = run_sweep(spec, hit)
         assert batch_sizes[0] == spec.runs * spec.multistart
@@ -549,11 +543,11 @@ class TestResultRecord:
         )
         rec = harness.ResultRecord(**values)
         assert rec == harness.ResultRecord(*values.values())
-        assert [f.name for f in fields(rec)] == harness._CSV_FIELDS
-        assert asdict(rec) == values
+        assert list(rec._fields) == harness._CSV_FIELDS == list(values)
+        assert rec._asdict() == values
         with pytest.raises(AttributeError):
             rec.n_rf = 2
-        assert replace(rec, n_rf=2) == harness.ResultRecord(**{**values, "n_rf": 2})
+        assert rec._replace(n_rf=2) == harness.ResultRecord(**{**values, "n_rf": 2})
         assert rec.n_rf == 4
 
 
