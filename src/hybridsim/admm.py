@@ -130,18 +130,25 @@ class AdmmConfig:
 
 
 def check_finite(value, name):
-    """Return ``value`` if it is a finite real number; raise ValueError if not."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
+    """Return ``value`` if it is a finite real in float range; else ValueError."""
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and isinstance(value, numbers.Real)
+            and math.isfinite(value)
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
 def check_int(value, name):
-    """``value`` as an int if it is a finite integral number; ValueError if not."""
+    """``value`` as an int: an integer as it is, however large, or a number that
+    ``check_finite`` accepts and that is integral; ValueError if neither."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     if int(check_finite(value, name)) != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admm import check_int
 from .numerics import svd
 
 __all__ = ["OptimalFactors", "optimal_factors", "spectral_efficiency"]
@@ -58,7 +59,8 @@ def optimal_factors(h, n_s):
         A channel matrix, or a stack of them (say, the K subcarriers of one
         draw); each slice is factored on its own.
     n_s : int
-        Number of data streams; must not exceed min(n_rx, n_tx).
+        Number of data streams, an integral number (2.0 is 2); must not
+        exceed min(n_rx, n_tx).
 
     Returns
     -------
@@ -70,6 +72,7 @@ def optimal_factors(h, n_s):
         ``sqrt(eps) * sigma_1`` carry only that absolute accuracy.
     """
     h = np.asarray(h)
+    n_s = check_int(n_s, "n_s")
     if h.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of them, got shape {h.shape}")
     if not 1 <= n_s <= min(h.shape[-2:]):

@@ -113,17 +113,42 @@ class ClusterAngles:
         return self.rx_el_mean[:, None] + self.rx_el_offset
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One channel draw: ``matrices`` is the complex (K, n_rx, n_tx) array of
-    its K subcarriers' matrices (K = 1 when narrowband)."""
+    its K subcarriers' matrices (K = 1 when narrowband).
+
+    The constructor stores ``matrices`` as one complex array and raises
+    ValueError unless K >= 1, (n_rx, n_tx) are the element counts of
+    ``rx_geometry`` and ``tx_geometry``, and ``seed`` is a nonnegative
+    integer; so every realization can be saved and read back as it is.
+    Realizations compare by identity.
+    """
 
     matrices: np.ndarray = field(repr=False)
     seed: int = 0
     tx_geometry: ArrayGeometry = ArrayGeometry(1)
     rx_geometry: ArrayGeometry = ArrayGeometry(1)
     params: ClusterParams = ClusterParams()
-    n_subcarriers: int = 1
+
+    def __post_init__(self):
+        matrices = np.asarray(self.matrices, dtype=complex)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        n_rx, n_tx = self.rx_geometry.n_elements, self.tx_geometry.n_elements
+        if matrices.shape[1:] != (n_rx, n_tx) or matrices.size == 0:
+            raise ValueError(
+                f"matrices of shape {matrices.shape} do not match a {n_rx}-element "
+                f"receive and a {n_tx}-element transmit array: need (K >= 1, "
+                f"{n_rx}, {n_tx})"
+            )
+
+    @property
+    def n_subcarriers(self):
+        """The subcarrier count K, ``len(matrices)``."""
+        return len(self.matrices)
 
     @property
     def matrix(self):
@@ -244,11 +269,10 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     matrices = gamma * ((a_rx * weights[:, None, :]) @ a_tx.conj().T)
     return ChannelRealization(
         matrices=matrices,
-        seed=int(seed),
+        seed=seed,
         tx_geometry=tx_geom,
         rx_geometry=rx_geom,
         params=params,
-        n_subcarriers=n_subcarriers,
     )
 
 
@@ -257,27 +281,14 @@ def gen_narrowband(seed, tx_geom, rx_geom, params):
     return gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers=1)
 
 
-def _check_entries(entries, n_rx, n_tx, n_subcarriers):
-    """Raise ValueError unless a dump's entry lists fit its header."""
-    if len(entries) != n_subcarriers:
-        raise ValueError(f"{len(entries)} entry lists for {n_subcarriers} subcarriers")
-    for inter in entries:
-        if len(inter) != 2 * n_rx * n_tx:
-            raise ValueError(
-                f"an entry list holds {len(inter)} numbers, not the "
-                f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
-            )
-
-
 def save_channel(realization, path):
     """Write a ChannelRealization as structured text (JSON).
 
     Entries are stored per subcarrier as a flat row-major list of
     interleaved real/imag parts, so the dump replays exactly across
-    implementations.  A realization whose matrices do not fit its
-    geometries and subcarrier count, whether ``load_channel`` would reject
-    them or read them back in another shape, is a ValueError before
-    ``path`` is opened.
+    implementations.  A realization checks its own shape and seed when it
+    is built, so every one saves into a dump that ``load_channel`` reads
+    back as it is.
     """
     doc = {
         "format": _DUMP_FORMAT,
@@ -289,19 +300,8 @@ def save_channel(realization, path):
         "rx_geometry": asdict(realization.rx_geometry),
         "cluster_params": asdict(realization.params),
         # the (real, imag) pairs of each entry, as load_channel reads them
-        "entries": [
-            np.asarray(h, dtype=complex).ravel().view(np.float64).tolist()
-            for h in realization.matrices
-        ],
+        "entries": [h.ravel().view(np.float64).tolist() for h in realization.matrices],
     }
-    _check_entries(doc["entries"], doc["n_rx"], doc["n_tx"], doc["n_subcarriers"])
-    for h in realization.matrices:
-        # the right count of entries in another shape loads reshaped
-        if np.shape(h) != (doc["n_rx"], doc["n_tx"]):
-            raise ValueError(
-                f"a {np.shape(h)} matrix is not the {doc['n_rx']} x {doc['n_tx']} "
-                f"of its receive and transmit arrays"
-            )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -319,26 +319,28 @@ def load_channel(path):
     n_rx, n_tx, n_subcarriers = (
         check_int(doc[name], name) for name in ("n_rx", "n_tx", "n_subcarriers")
     )
-    tx_geometry = ArrayGeometry(**doc["tx_geometry"])
-    rx_geometry = ArrayGeometry(**doc["rx_geometry"])
-    if (n_rx, n_tx) != (rx_geometry.n_elements, tx_geometry.n_elements):
-        raise ValueError(
-            f"{n_rx} x {n_tx} matrices do not match a {rx_geometry.n_elements}-"
-            f"element receive and a {tx_geometry.n_elements}-element transmit array"
-        )
-    _check_entries(doc["entries"], n_rx, n_tx, n_subcarriers)
+    if n_rx < 0 or n_tx < 0:
+        raise ValueError(f"{n_rx} x {n_tx} matrices have a negative size")
+    entries = doc["entries"]
+    if len(entries) != n_subcarriers:
+        raise ValueError(f"{len(entries)} entry lists for {n_subcarriers} subcarriers")
+    for inter in entries:
+        if len(inter) != 2 * n_rx * n_tx:
+            raise ValueError(
+                f"an entry list holds {len(inter)} numbers, not the "
+                f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
+            )
     # reinterpret the (real, imag) pairs in place: exact, signed zeros
     # included, where ``re + 1j * im`` would turn -0.0 into 0.0
     matrices = (
-        np.asarray(doc["entries"], dtype=float)
+        np.asarray(entries, dtype=float)
         .view(complex)
         .reshape(n_subcarriers, n_rx, n_tx)
     )
     return ChannelRealization(
         matrices=matrices,
         seed=doc["seed"],
-        tx_geometry=tx_geometry,
-        rx_geometry=rx_geometry,
+        tx_geometry=ArrayGeometry(**doc["tx_geometry"]),
+        rx_geometry=ArrayGeometry(**doc["rx_geometry"]),
         params=ClusterParams(**doc["cluster_params"]),
-        n_subcarriers=n_subcarriers,
     )

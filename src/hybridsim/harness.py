@@ -16,10 +16,11 @@ seeds, and the start with the lowest final factorization objective is kept
 
 A block returns its results as columns (``_Columns``), one array per
 quantity with runs first, not as rows.  The sweep joins the blocks' columns
-and walks them in row order, sorted n_rf -> sorted snr_db -> run -> method,
-so the rows need no sort; each field's text is formatted once and shared by
-every line that holds it.  The ``meta.json`` aggregates read each sweep
-point's run vector straight from the columns.
+and walks them once in row order, sorted n_rf -> sorted snr_db -> run ->
+method, so the rows need no sort; the walk yields each row's CSV line with
+its record, and each field's text is formatted once and shared by every
+line that holds it.  The ``meta.json`` aggregates read each sweep point's
+run vector straight from the columns.
 
 Determinism: a batched design returns, for every instance, bitwise the
 design that instance gets alone.  Rows are therefore the same for any block
@@ -220,9 +221,9 @@ class ResultRecord(NamedTuple):
     back to one run at a time, a hybrid row has the run's own redesign time.
 
     A sweep returns one record per row, so a record is a plain NamedTuple,
-    cheap to build, and its field names are the CSV header.  Rows are
-    written by ``_csv_lines`` from the columns, and ``_format_row`` of a
-    record is the tests' reference line.
+    cheap to build, and its field names are the CSV header.  One walk over
+    the columns, ``_rows``, yields each row's CSV line with its record, and
+    ``_format_row`` of a record is the tests' reference for that line.
     """
 
     scenario: str
@@ -258,8 +259,9 @@ class _Columns(NamedTuple):
     ``final_objective``, ``iterations`` and ``design_ms`` are (runs,
     len(n_rf)).  The SNR axis is in the order of ``spec.snr_db_list``.  A
     block returns the columns of its own runs, and a sweep joins its blocks'
-    run-wise into the columns of runs 0 onward; the columns carry no run
-    index, so row and seed numbers count from run 0.
+    run-wise into the columns of runs 0 onward, which ``_rows`` walks into
+    lines and records; the columns carry no run index, so row and seed
+    numbers count from run 0.
     """
 
     digital_se: np.ndarray
@@ -437,7 +439,10 @@ def run_sweep(spec, out_csv, workers=1):
                 blocks = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
             # the blocks' columns joined run-wise; the sweep starts at run 0
             columns = _Columns(*map(np.concatenate, zip(*blocks)))
-            fh.writelines(_csv_lines(spec, columns))
+            records = []
+            for line, record in _rows(spec, columns):
+                fh.write(line)
+                records.append(record)
     except BaseException:
         _mark_partial(out_csv)
         raise
@@ -455,7 +460,7 @@ def run_sweep(spec, out_csv, workers=1):
     }
     with open(str(out_csv) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    return list(_records(spec, columns))
+    return records
 
 
 def _sorted_positions(values):
@@ -463,80 +468,58 @@ def _sorted_positions(values):
     return sorted(range(len(values)), key=values.__getitem__)
 
 
-def _csv_lines(spec, columns):
-    """The CSV lines of ``columns``, in row order, one line at a time.
+def _rows(spec, columns):
+    """Each row of ``columns`` in row order, as its CSV line and its record.
 
-    Each line equals ``_format_row`` of its record, but is joined from
-    field texts formatted once each: the (scenario, snr_db, n_rf) head once
-    per sweep point, (run_index, seed) once per run, the hybrid
-    (final_objective, iterations_used, wall_time_ms) tail once per (run,
-    n_rf), and a digital row's text after its run fields, which is the same
-    at every n_rf, once per (run, snr).
+    Yields ``(line, record)`` pairs.  Each line equals ``_format_row`` of
+    its record, but is joined from field texts formatted once each: the
+    (scenario, snr_db, n_rf) head once per sweep point, (run_index, seed)
+    once per run, the hybrid (final_objective, iterations_used,
+    wall_time_ms) tail once per (run, n_rf), and a digital row's text after
+    its run fields, which is the same at every n_rf, once per (run, snr).
     """
     scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
     runs = range(len(columns.digital_se))
-    run_text = ["%d,%d," % (i, spec.base_seed + i) for i in runs]
-    digital_tail = [
-        ",%.12e,%d,%.3f\n" % (0.0, 0, ms) for ms in columns.digital_ms.tolist()
-    ]
+    seeds = [spec.base_seed + i for i in runs]
+    run_text = ["%d,%d," % run for run in zip(runs, seeds)]
+    digital_ms = columns.digital_ms.tolist()
+    digital_tail = [",%.12e,%d,%.3f\n" % (0.0, 0, ms) for ms in digital_ms]
     # indexed [snr][run], [n_rf][run] and [n_rf][snr][run]: the runs of a
     # sweep point are one list
+    digital_se = columns.digital_se.T.tolist()
     digital_text = [
         ["digital_opt,%.12e%s" % fields for fields in zip(rates, digital_tail)]
-        for rates in columns.digital_se.T.tolist()
+        for rates in digital_se
     ]
-    hybrid_tail = [
-        [",%.12e,%d,%.3f\n" % fields for fields in zip(*point_fields)]
-        for point_fields in zip(
-            columns.final_objective.T.tolist(),
-            columns.iterations.T.tolist(),
-            columns.design_ms.T.tolist(),
-        )
-    ]
-    hybrid_se = columns.hybrid_se.transpose(1, 2, 0).tolist()
-    for k in _sorted_positions(spec.n_rf):
-        for j in _sorted_positions(spec.snr_db_list):
-            head = "%s,%.12e,%d," % (scenario, spec.snr_db_list[j], spec.n_rf[k])
-            for text, digital, se, tail in zip(
-                run_text, digital_text[j], hybrid_se[k][j], hybrid_tail[k]
-            ):
-                lead = head + text
-                yield lead + digital
-                yield "%s%s,%.12e%s" % (lead, method, se, tail)
-
-
-def _records(spec, columns):
-    """The ResultRecords of ``columns``, in the row order of ``_csv_lines``."""
-    scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
-    runs = range(len(columns.digital_se))
-    seeds = [spec.base_seed + i for i in runs]
-    digital_ms = columns.digital_ms.tolist()
-    # [snr][run] and [n_rf][snr][run]: a sweep point's runs are one list
-    digital_se = columns.digital_se.T.tolist()
-    hybrid_se = columns.hybrid_se.transpose(1, 2, 0).tolist()
     objective = columns.final_objective.T.tolist()
     iterations = columns.iterations.T.tolist()
     design_ms = columns.design_ms.T.tolist()
+    hybrid_tail = [
+        [",%.12e,%d,%.3f\n" % fields for fields in zip(*point_fields)]
+        for point_fields in zip(objective, iterations, design_ms)
+    ]
+    hybrid_se = columns.hybrid_se.transpose(1, 2, 0).tolist()
     for k in _sorted_positions(spec.n_rf):
         n_rf = spec.n_rf[k]
+        hybrid = list(zip(objective[k], iterations[k], design_ms[k], hybrid_tail[k]))
         for j in _sorted_positions(spec.snr_db_list):
             snr_db = spec.snr_db_list[j]
-            for run_index, seed, dig_se, dig_ms, hyb_se, obj, iters, hyb_ms in zip(
-                runs, seeds, digital_se[j], digital_ms,
-                hybrid_se[k][j], objective[k], iterations[k], design_ms[k],
-            ):
-                yield ResultRecord(
-                    scenario, snr_db, n_rf, run_index, seed,
-                    "digital_opt", dig_se, 0.0, 0, dig_ms,
+            head = "%s,%.12e,%d," % (scenario, snr_db, n_rf)
+            for i, (obj, iters, hyb_ms, tail) in enumerate(hybrid):
+                lead = head + run_text[i]
+                dig_se, hyb_se = digital_se[j][i], hybrid_se[k][j][i]
+                yield lead + digital_text[j][i], ResultRecord(
+                    scenario, snr_db, n_rf, i, seeds[i],
+                    "digital_opt", dig_se, 0.0, 0, digital_ms[i],
                 )
-                yield ResultRecord(
-                    scenario, snr_db, n_rf, run_index, seed,
+                yield "%s%s,%.12e%s" % (lead, method, hyb_se, tail), ResultRecord(
+                    scenario, snr_db, n_rf, i, seeds[i],
                     method, hyb_se, obj, iters, hyb_ms,
                 )
 
 
 def _format_row(rec):
-    """One CSV line of a record: the reference ``_csv_lines`` must match.
+    """One CSV line of a record: the reference the lines of ``_rows`` match.
 
     No field ever needs quoting (identifiers and numbers only), so this is
     the line ``csv.writer`` would write for the same fields.

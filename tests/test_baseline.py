@@ -55,6 +55,13 @@ class TestOptimalFactors:
         with pytest.raises(ValueError):
             optimal_factors(h, 0)
 
+    @pytest.mark.parametrize("n_s, match", [(2.5, "an integer"), (True, "a finite")])
+    def test_n_s_must_be_integral(self, n_s, match):
+        h = crandn(np.random.default_rng(2), 3, 4)
+        assert optimal_factors(h, 2.0).f_opt.shape == (4, 2)
+        with pytest.raises(ValueError, match=f"n_s must be {match}"):
+            optimal_factors(h, n_s)
+
 
 class TestSpectralEfficiency:
     def test_identity_channel_closed_form(self):

@@ -255,38 +255,41 @@ class TestDump:
         assert load_channel(path).matrices[0].tobytes() == h.tobytes()
 
     @pytest.mark.parametrize(
-        "matrices, n_subcarriers, tx_side, match",
+        "matrices, tx_side, match",
         [
             # 4x4 matrices beside the default one-element geometries
-            ([np.ones((4, 4), dtype=complex)], 1, 1, "holds 32 numbers, not the 2"),
-            (
-                [np.ones((1, 1), dtype=complex)] * 2,
-                1,
-                1,
-                "2 entry lists for 1 subcarrier",
-            ),
+            ([np.ones((4, 4), dtype=complex)], 1, r"\(1, 4, 4\) do not match"),
+            # a stack of no subcarriers
+            (np.ones((0, 1, 1), dtype=complex), 1, r"\(0, 1, 1\) do not match"),
             # the 4 entries of a 1x4 matrix in a 4x1 shape would load as 1x4
             (
                 [np.arange(4, dtype=complex).reshape(4, 1)],
-                1,
                 2,
-                r"a \(4, 1\) matrix is not the 1 x 4",
+                r"\(1, 4, 1\) do not match a 1-element receive and a 4-element",
             ),
         ],
         ids=["geometry", "subcarriers", "shape"],
     )
-    def test_save_rejects_unloadable_realization(
-        self, tmp_path, matrices, n_subcarriers, tx_side, match
-    ):
-        real = ChannelRealization(
-            matrices=matrices,
-            tx_geometry=ArrayGeometry(tx_side),
-            n_subcarriers=n_subcarriers,
-        )
-        path = tmp_path / "chan.json"
+    def test_save_rejects_unloadable_realization(self, matrices, tx_side, match):
+        # a realization that would not load back as it is cannot be built,
+        # so save_channel never sees one
         with pytest.raises(ValueError, match=match):
-            save_channel(real, path)
-        assert not path.exists()
+            ChannelRealization(matrices=matrices, tx_geometry=ArrayGeometry(tx_side))
+
+    def test_realizations_compare_by_identity(self):
+        args = (5, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 2)
+        a, b = gen_wideband(*args), gen_wideband(*args)
+        assert (a == b) is False
+        assert (a == a) is True
+
+    def test_seed_beyond_float_range_round_trips(self, tmp_path):
+        geom = ArrayGeometry(2)
+        real = gen_wideband(2**70, geom, geom, ClusterParams(), 2)
+        path = tmp_path / "chan.json"
+        save_channel(real, path)
+        back = load_channel(path)
+        assert back.seed == real.seed == 2**70
+        assert back.matrices.tobytes() == real.matrices.tobytes()
 
     def test_matrices_are_one_complex_array(self, tmp_path):
         real = gen_wideband(
@@ -333,6 +336,12 @@ class TestDump:
                 lambda doc: doc["cluster_params"].update(angular_spread_rad=math.inf),
                 "angular_spread_rad",
             ),
+            # entry lists of the right length for (-4) x (-4) matrices
+            (lambda doc: doc.update(n_rx=-4, n_tx=-4), "-4 x -4 matrices have a neg"),
+            (lambda doc: doc.update(seed="abc"), "seed must be a finite number"),
+            (lambda doc: doc.update(seed=-5.5), "seed must be an integer"),
+            (lambda doc: doc.update(seed=True), "seed must be a finite number"),
+            (lambda doc: doc.update(seed=-1), "seed must be nonnegative"),
         ],
         ids=[
             "geometry",
@@ -342,6 +351,11 @@ class TestDump:
             "spacing",
             "cluster_count",
             "spread",
+            "negative_sizes",
+            "seed_text",
+            "seed_fraction",
+            "seed_bool",
+            "seed_negative",
         ],
     )
     def test_rejects_inconsistent_dump(self, tmp_path, edit, match):

@@ -128,6 +128,33 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "phase_bits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, code",
+        [
+            # 401 digits: no float holds it, so a float field rejects it
+            (("admm", "rho"), 2),
+            (("admm", "tau"), 2),
+            (("snr_db_list",), 2),
+            # a seed is taken as the integer it is
+            (("base_seed",), 0),
+            (("admm", "seed"), 0),
+        ],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, capsys, path, code):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == code
+        out = capsys.readouterr()
+        if code:
+            assert out.err.startswith("config error:")
+        else:
+            assert out.out.strip() == "config OK"
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")

@@ -495,15 +495,15 @@ class TestRunSweep:
                 assert got == want
 
     def test_io_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
-        real = harness._csv_lines
+        real = harness._rows
 
         def failing(spec, columns):
-            for n, line in enumerate(real(spec, columns), 1):
+            for n, row in enumerate(real(spec, columns), 1):
                 if n > 5:
                     raise OSError("disk full")
-                yield line
+                yield row
 
-        monkeypatch.setattr(harness, "_csv_lines", failing)
+        monkeypatch.setattr(harness, "_rows", failing)
         out = tmp_path / "sweep.csv"
         with pytest.raises(OSError):
             run_sweep(small_spec(), out)
