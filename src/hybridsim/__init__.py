@@ -36,7 +36,7 @@ from .channel import (
     save_channel,
 )
 from .harness import ResultRecord, SweepSpec, load_config, run_sweep
-from .numerics import logdet_eval, solve_hpd, svd
+from .numerics import logdet_eval
 
 __version__ = "0.1.0"
 
@@ -70,9 +70,7 @@ __all__ = [
     "sample_cluster_angles",
     "save_channel",
     "scale_matched_rho",
-    "solve_hpd",
     "spectral_efficiency",
     "step_frf",
-    "svd",
     "__version__",
 ]

@@ -165,8 +165,14 @@ def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTE
     two puts rho at (subcarriers x streams) / (active analog entries):
     n_tx * n_rf entries for the dense structure, n_tx for the block
     diagonal one.  Worth using instead of the default rho = 1 whenever
-    n_tx is large relative to n_s.
+    n_tx is large relative to n_s.  Each count is an integer (2.0 counts as
+    2) and at least 1; ValueError otherwise.
     """
+    counts = {"n_tx": n_tx, "n_rf": n_rf, "n_s": n_s, "n_subcarriers": n_subcarriers}
+    for name, value in counts.items():
+        if check_int(value, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    n_tx, n_rf, n_s, n_subcarriers = map(int, counts.values())
     if structure == PARTIALLY_CONNECTED:
         entries = n_tx
     elif structure == FULLY_CONNECTED:

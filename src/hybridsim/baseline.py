@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import check_int
-from .numerics import svd
 
 __all__ = ["OptimalFactors", "optimal_factors", "spectral_efficiency"]
 
@@ -49,7 +48,7 @@ def optimal_factors(h, n_s):
     ``H H^H`` when n_rx <= n_tx and ``H^H H`` otherwise; the other side is
     recovered as ``V = H^H U / s`` (or ``U = H V / s``), so each pair meets
     ``H v_i = s_i u_i``.  A slice with ``sigma_ns / sigma_1`` below
-    ``_GRAM_RATIO_TOL`` (1e-2) takes all its fields from ``numerics.svd``
+    ``_GRAM_RATIO_TOL`` (1e-2) takes all its fields from ``np.linalg.svd``
     instead.  The test and the fallback are per slice, so a slice's factors
     never depend on its neighbours in the stack.
 
@@ -92,8 +91,9 @@ def optimal_factors(h, n_s):
     u, v = (near, far) if wide else (far, near)
     if not ok.all():
         bad = ~ok
-        u_bad, s[bad], v_bad = svd(h[bad])
-        u[bad], v[bad] = u_bad[..., :n_s], v_bad[..., :n_s]
+        u_bad, s[bad], vh_bad = np.linalg.svd(h[bad], full_matrices=False)
+        u[bad] = u_bad[..., :n_s]
+        v[bad] = vh_bad[..., :n_s, :].conj().swapaxes(-1, -2)
     return OptimalFactors(f_opt=v, w_opt=u, singular_values=s)
 
 
@@ -121,6 +121,7 @@ def spectral_efficiency(h, f, wc, snr, n_s):
         Composite combiner; every slice must have full column rank.
     snr : float or 1-D array of floats
     n_s : int
+        Number of data streams, an integral number (2.0 is 2).
 
     Returns
     -------
@@ -138,6 +139,7 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     f = np.asarray(f)
     wc = np.asarray(wc)
     snr = np.asarray(snr, dtype=float)
+    n_s = check_int(n_s, "n_s")
     if snr.ndim > 1:
         raise ValueError(f"snr must be a scalar or a 1-D array, got shape {snr.shape}")
     if not (snr >= 0).all():

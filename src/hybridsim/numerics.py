@@ -1,28 +1,25 @@
 """Complex dense linear-algebra kernels shared by the rest of the library.
 
 Matrices are plain ``numpy.ndarray`` objects with complex entries; no wrapper
-type is imposed.  The design and rating code relies on two backend-facing
-kernels, ``svd`` (the SVD baseline's fallback) and the checked solve below,
-so swapping the LAPACK-backed implementations for something else only
-requires keeping their contracts.  ``logdet_eval`` is not on any sweep path:
-it is the direct Cholesky log-determinant that the tests check the rate
-evaluation against.
+type is imposed.  The module holds the checked solve that both least-squares
+updates of the ADMM iteration run through, ``_solve_rows``, and
+``logdet_eval``, which is not on any sweep path: it is the direct Cholesky
+log-determinant that the tests check the rate evaluation against.
 
 The systems here are tiny (n_rf <= 4 for the solves), so the cost of a call
 is set by how LAPACK is driven, not by flops.  The checked solve therefore
 takes its right-hand sides as rows, ``X = C A^-1``: it inverts each checked
 matrix and applies the inverse from the right, so all right-hand sides of a
 slice sit on the rows of one product, where a stacked LU solve pays for
-every right-hand-side column.  ``_solve_rows`` is that kernel; the dense
-ADMM loop holds its operands as rows and calls it directly, and
-``solve_hpd`` is the column-form wrapper ``X^H = B^H A^-1``.  The kernel
-drives NumPy's LAPACK gufuncs without the ``numpy.linalg`` wrappers, whose
-Python-level checks cost more than the factorizations on these sizes.
+every right-hand-side column.  The dense ADMM loop holds its operands as
+rows and calls the kernel directly.  The kernel drives NumPy's LAPACK
+gufuncs without the ``numpy.linalg`` wrappers, whose Python-level checks
+cost more than the factorizations on these sizes.
 """
 
 import numpy as np
 
-__all__ = ["svd", "solve_hpd", "logdet_eval"]
+__all__ = ["logdet_eval"]
 
 # Relative pivot-ratio threshold below which a Cholesky factor is treated as
 # numerically rank deficient.
@@ -46,92 +43,23 @@ def _require_finite(a, name):
         raise ValueError(f"{name} contains non-finite entries (corrupted data)")
 
 
-def svd(a):
-    """Singular value decomposition A = U @ diag(s) @ V^H.
-
-    Parameters
-    ----------
-    a : ndarray, shape (..., m, n)
-        Complex matrix, or a stack of them, to factor.  Leading axes are
-        batch axes: each slice is factored on its own, bitwise as it would
-        be alone.
-
-    Returns
-    -------
-    u : ndarray, shape (..., m, k)
-        Left singular vectors, orthonormal columns, k = min(m, n).
-    s : ndarray, shape (..., k)
-        Singular values in decreasing order.
-    v : ndarray, shape (..., n, k)
-        Right singular vectors, orthonormal columns.  Note this is V, not
-        V^H; reconstruct with ``u @ np.diag(s) @ v.conj().T``.
-    """
-    a = np.asarray(a)
-    _require_finite(a, "svd input")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().swapaxes(-1, -2)
-
-
-def solve_hpd(a, b):
-    """Solve A @ X = B for Hermitian positive definite A.
-
-    ``a`` is one (n, n) matrix or a batch of shape (B, n, n).  For one
-    matrix, ``b`` is a vector, an (n, m) matrix or a stack of K right-hand
-    sides of shape (K, n, m); a batch takes the same shapes with the leading
-    B axis, (B, n, m) or (B, K, n, m), slice i solved against ``a[i]``.  The
-    result has the shape of ``b``.
-
-    The column form of ``_solve_rows``, which checks every slice of A:
-    finite entries, a Cholesky factor (positive definite) and its pivot
-    ratio (numerical rank).  Each slice is then inverted, and the inverse is
-    applied from the right, ``X^H = B^H A^-1``: every right-hand side of a
-    slice becomes one row of a single product against its inverse.  On
-    these tiny matrices the right-hand sides, not flops, set the cost of a
-    stacked LAPACK solve:
-    ``np.linalg.solve`` on a (32, 4, 4) batch took 240 us with 64 columns
-    per slice against 45 us with 2 (timeit, one BLAS thread).  Rows rather
-    than columns, because a GEMM computes equal rows of its left operand
-    into bitwise equal rows of the result, so identical right-hand sides get
-    identical solutions; a lone right-hand side is a matrix-vector product
-    and may differ from the same one among others in the last bits.  Each
-    slice is computed on its own, so slice i does not depend on the other
-    slices of the batch.
-
-    Raises ``numpy.linalg.LinAlgError`` when a slice of A is not positive
-    definite within tolerance (rank-deficient Gram matrices land here).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a batch of them, got {a.shape}")
-    batched = a.ndim == 3
-    n = a.shape[-1]
-    a3 = a if batched else a[None]
-    # right-hand sides as (B, K, n, m)
-    b4 = b if batched else b[None]
-    if b4.ndim == 2:
-        b4 = b4[:, None, :, None]
-    elif b4.ndim == 3:
-        b4 = b4[:, None]
-    if b4.ndim != 4 or b4.shape[0] != a3.shape[0] or b4.shape[2] != n:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    # the K*m right-hand sides of a slice as the rows of B^H, (B, K*m, n)
-    n_b, k, _, m = b4.shape
-    b_h = b4.swapaxes(-1, -2).conj().reshape(n_b, k * m, n)
-    x_h = _solve_rows(a3, b_h)
-    return x_h.conj().reshape(n_b, k, m, n).swapaxes(-1, -2).reshape(b.shape)
-
-
 def _solve_rows(a, c):
     """``X = C A^-1`` for a (B, n, n) stack of HPD matrices and rows (B, m, n).
 
-    The checks of :func:`solve_hpd`, with its exceptions and messages: finite
-    A and C (ValueError), then a Cholesky factor of every slice of A and its
-    squared pivot ratio against ``_RANK_TOL`` (LinAlgError).  Slice i of the
+    Checks finite A and C (ValueError), then a Cholesky factor of every
+    slice of A and its squared pivot ratio against ``_RANK_TOL``
+    (LinAlgError: a rank-deficient Gram matrix lands here).  Slice i of the
     result is ``c[i] @ inv(a[i])``, one product per slice, so it does not
-    depend on the other slices and equal rows of ``c[i]`` give bitwise equal
-    rows of the result.
+    depend on the other slices.  Rows rather than columns, because a GEMM
+    computes equal rows of its left operand into bitwise equal rows of the
+    result, so identical right-hand sides get identical solutions; a lone
+    row is a matrix-vector product and may differ from the same row among
+    others in the last bits.  On these sizes the right-hand sides, not
+    flops, set the cost of a stacked LAPACK solve: ``np.linalg.solve`` on a
+    (32, 4, 4) batch took 240 us with 64 columns per slice against 45 us
+    with 2 (timeit, one BLAS thread).
     """
+    # tests pin these messages, which keep the solve's former public name
     _require_finite(a, "solve_hpd matrix")
     _require_finite(c, "solve_hpd right-hand side")
     try:

@@ -22,7 +22,7 @@ def crandn(rng, *shape):
 
 
 def gauss_solve(a, b):
-    """Gaussian elimination with partial pivoting; independent of solve_hpd."""
+    """Gaussian elimination with partial pivoting; independent of the checked solve."""
     a = np.array(a, dtype=complex)
     b = np.array(b, dtype=complex)
     n = a.shape[0]
@@ -518,3 +518,25 @@ class TestAdmmConfig:
         assert (
             scale_matched_rho(64, 4, 2, structure="partially_connected") == 2 / 64
         )
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((64, 0, 2), "n_rf must be >= 1"),
+            ((0, 4, 2), "n_tx must be >= 1"),
+            ((64, 4, 0), "n_s must be >= 1"),
+            ((64, 4, 2, 0), "n_subcarriers must be >= 1"),
+            ((64, True, 2), "n_rf must be a finite number"),
+            ((64, 4, 2.5), "n_s must be an integer"),
+        ],
+        ids=["n_rf_0", "n_tx_0", "n_s_0", "n_subcarriers_0", "n_rf_bool", "n_s_2.5"],
+    )
+    def test_scale_matched_rho_rejects_bad_counts(self, args, match):
+        for structure in ("fully_connected", "partially_connected"):
+            with pytest.raises(ValueError, match=match):
+                scale_matched_rho(*args, structure=structure)
+
+    def test_scale_matched_rho_integral_floats_count_as_ints(self):
+        assert scale_matched_rho(64.0, 4.0, 2.0, 1.0) == scale_matched_rho(64, 4, 2)
+        got = scale_matched_rho(36, 4, np.int64(3), n_subcarriers=16.0)
+        assert got == 16 * 3 / 144

@@ -177,6 +177,24 @@ class TestSpectralEfficiency:
         with pytest.raises(ValueError):
             spectral_efficiency(h, f[:2], f, 1.0, 2)  # bad precoder shape
 
+    @pytest.mark.parametrize("n_s, match", [(2.5, "an integer"), (True, "a finite")])
+    def test_n_s_must_be_integral(self, n_s, match):
+        # on one-stream factors, True would otherwise rate as 1 stream
+        h = crandn(np.random.default_rng(3), 4, 4)
+        fo = optimal_factors(h, 1)
+        with pytest.raises(ValueError, match=f"n_s must be {match}"):
+            spectral_efficiency(h, fo.f_opt, fo.w_opt, 10.0, n_s)
+
+    def test_integral_float_n_s_counts_as_int(self):
+        rng = np.random.default_rng(4)
+        h = crandn(rng, 4, 5)
+        fo = optimal_factors(h, 2)
+        snrs = np.array([0.1, 1.0, 10.0])
+        want = spectral_efficiency(h, fo.f_opt, fo.w_opt, snrs, 2)
+        got = spectral_efficiency(h, fo.f_opt, fo.w_opt, snrs, 2.0)
+        assert got.tobytes() == want.tobytes()
+        assert spectral_efficiency(h, fo.f_opt, fo.w_opt, 1.0, 2.0) == want[1]
+
     def test_snr_list_matches_per_snr_logdet_form(self):
         # one whitening and one SVD per call must reproduce the
         # difference-of-log-dets form at every SNR point
