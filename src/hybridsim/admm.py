@@ -393,13 +393,12 @@ def _real_inner(a, b):
     return (_floats(a) * _floats(b)).sum(axis=1)
 
 
-def _take(state, index):
-    """A copy of the instances ``index`` (an index, a slice or a mask) of a
-    batched state."""
-    return type(state)(*(getattr(state, f.name)[index].copy() for f in fields(state)))
+def _take(state, i):
+    """A copy of instance ``i`` of a batched state."""
+    return type(state)(*(getattr(state, f.name)[i].copy() for f in fields(state)))
 
 
-def _run_loop(state, data, cfg, step, measure, keep_iterates):
+def _run_loop(state, data, cfg, step, measure, keep_iterates, final):
     """The ADMM loop shared by both structures, over a batch of instances.
 
     ``data`` is a tuple of per-instance arrays (the targets and whatever is
@@ -408,8 +407,9 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
     residual).  An instance stops once its objective changes by less than
     ``cfg.tau``; the loop then carries on with the remaining instances only,
     so every instance follows the iterations it would follow alone.
-    Returns the last iterate of every instance (one batched state), the
-    per-instance traces and the per-instance iterate lists (or None).
+    Returns the field ``final`` of every instance's last iterate, stacked
+    (the one field a designer reads after the loop), the per-instance
+    traces and the per-instance iterate lists (or None).
     """
     count = len(data[0])
     # row t holds iteration t of every instance; rows are added by doubling,
@@ -422,7 +422,8 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
     iterates = None
     if keep_iterates:
         iterates = [[_take(state, i)] for i in range(count)]
-    last = _take(state, slice(None))
+    out = np.empty_like(getattr(state, final))
+    data = list(data)
     active = np.arange(count)
     for t in range(1, cfg.max_iters + 1):
         state = step(state, data, cfg)
@@ -440,13 +441,16 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
             stop[:] = True
         if stop.any():
             ends[active[stop]] = t
-            for f in fields(state):
-                getattr(last, f.name)[active[stop]] = getattr(state, f.name)[stop]
+            out[active[stop]] = getattr(state, final)[stop]
             going = ~stop
             if not going.any():
                 break
-            active, data = active[going], tuple(x[going] for x in data)
-            state, new_objective = _take(state, going), new_objective[going]
+            active, new_objective = active[going], new_objective[going]
+            # one array at a time, so each is freed before the next is copied
+            for f in fields(state):
+                setattr(state, f.name, getattr(state, f.name)[going])
+            for j in range(len(data)):
+                data[j] = data[j][going]
         objective = new_objective
     rows = ends.max() + 1
     traces = [
@@ -455,7 +459,7 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates):
             ends.tolist(), objectives[:rows].T.tolist(), residuals[:rows].T.tolist()
         )
     ]
-    return last, traces, iterates
+    return out, traces, iterates
 
 
 def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
@@ -495,6 +499,11 @@ def _dense_iterate(f_rf, r, w, data):
     t, t_h, _ = data
     f_bb_h = _digital_h(f_rf, t_h)
     return _DenseIterate(f_rf, f_bb_h, r, w, t @ f_bb_h, _hermitian(f_bb_h) @ f_bb_h)
+
+
+def _dense_start(f_rf, data):
+    """The first iterate: analog start ``f_rf``, R equal to it, a zero dual."""
+    return _dense_iterate(f_rf, f_rf.copy(), np.zeros_like(f_rf), data)
 
 
 def _dense_step(state, data, cfg):
@@ -557,10 +566,16 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
 
     t_h = _concat_h(targets)
     data = (_concat(targets), t_h, _sqnorm(t_h))
-    f_rf = _init_analog(cfg, count, (n_tx, n_rf))
-    state = _dense_iterate(f_rf, f_rf.copy(), np.zeros_like(f_rf), data)
-    last, traces, iterates = _run_loop(
-        state, data, cfg, _dense_step, _dense_measure, keep_iterates
+    # the first iterate is built in the call, so no name here keeps it alive
+    # through the loop
+    f_rf_hat, traces, iterates = _run_loop(
+        _dense_start(_init_analog(cfg, count, (n_tx, n_rf)), data),
+        data,
+        cfg,
+        _dense_step,
+        _dense_measure,
+        keep_iterates,
+        "r",
     )
     if iterates is not None:
         iterates = [
@@ -568,7 +583,6 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
             for kept in iterates
         ]
 
-    f_rf_hat = last.r
     f_bb_h = _digital_h(f_rf_hat, t_h)
     # (R F)^H, one row block per subcarrier
     recon_h = f_bb_h @ _hermitian(f_rf_hat)
@@ -644,6 +658,16 @@ def _partial_fbb(f_vecs, target3):
     )
 
 
+def _partial_start(f_vecs, target3):
+    """The first iterate: analog start ``f_vecs``, R equal to it, a zero dual."""
+    return PartialState(
+        f_vecs=f_vecs,
+        f_bb=_partial_fbb(f_vecs, target3),
+        r_vecs=f_vecs.copy(),
+        w_vecs=np.zeros_like(f_vecs),
+    )
+
+
 def _partial_step(state, data, cfg):
     (target3,) = data
     # per-scalar analog update: matching target row times digital row
@@ -701,19 +725,20 @@ def design_partially_connected(
     # row block i of the target, shape (B, n_rf, block, n_s)
     target3 = f_target.reshape(count, n_rf, block, n_s)
 
-    f_vecs = _init_analog(cfg, count, (n_rf, block))
-    state = PartialState(
-        f_vecs=f_vecs,
-        f_bb=_partial_fbb(f_vecs, target3),
-        r_vecs=f_vecs.copy(),
-        w_vecs=np.zeros_like(f_vecs),
-    )
-    last, traces, iterates = _run_loop(
-        state, (target3,), cfg, _partial_step, _partial_measure, keep_iterates
+    # the first iterate is built in the call, so no name here keeps it alive
+    # through the loop
+    r_vecs, traces, iterates = _run_loop(
+        _partial_start(_init_analog(cfg, count, (n_rf, block)), target3),
+        (target3,),
+        cfg,
+        _partial_step,
+        _partial_measure,
+        keep_iterates,
+        "r_vecs",
     )
 
-    f_rf_hat = assemble_block_diag(last.r_vecs)
-    f_bb_hat = _partial_fbb(last.r_vecs, target3)
+    f_rf_hat = assemble_block_diag(r_vecs)
+    f_bb_hat = _partial_fbb(r_vecs, target3)
     final_objective = _sqnorm(f_target - f_rf_hat @ f_bb_hat).tolist()
     if normalize_power:
         f_bb_hat *= (np.sqrt(n_s * n_rf / n_tx) / np.sqrt(_sqnorm(f_bb_hat)))[

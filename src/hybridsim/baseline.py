@@ -121,7 +121,7 @@ def spectral_efficiency(h, f, wc, snr, n_s):
         Composite combiner; every slice must have full column rank.
     snr : float or 1-D array of floats
     n_s : int
-        Number of data streams, an integral number (2.0 is 2).
+        Number of data streams, an integral number (2.0 is 2), at least 1.
 
     Returns
     -------
@@ -131,7 +131,8 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     Raises
     ------
     ValueError
-        On inconsistent shapes, a negative or NaN SNR or non-finite entries.
+        On ``n_s < 1``, inconsistent shapes, a negative or NaN SNR or
+        non-finite entries.
     numpy.linalg.LinAlgError
         When a combiner is rank deficient.
     """
@@ -140,6 +141,8 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     wc = np.asarray(wc)
     snr = np.asarray(snr, dtype=float)
     n_s = check_int(n_s, "n_s")
+    if n_s < 1:
+        raise ValueError(f"n_s must be >= 1, got {n_s}")
     if snr.ndim > 1:
         raise ValueError(f"snr must be a scalar or a 1-D array, got shape {snr.shape}")
     if not (snr >= 0).all():

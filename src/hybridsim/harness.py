@@ -1,15 +1,17 @@
 """Monte Carlo sweeps: channel draws -> designs -> rate evaluation -> CSV.
 
 Each run is an independent work item seeded as ``base_seed + run_index``.
-The sweep's unit of work is a block of up to ``_BLOCK_RUNS`` consecutive
-run indices: a block draws its runs' channels into one (runs, K, n_rx,
-n_tx) stack (``draw_channels``, shared with ``hybridsim trace``), takes the
-SVD factors of the stack in one call, then designs all runs on those
-stacked factors in one batched designer call per (n_rf, side), with runs x
-multistarts as the batch axis.  Rates are taken on the block's stacks: one
-``spectral_efficiency`` call for the digital rates of the block, and one
-per n_rf for its hybrid rates; each run's rate is the mean over its
-subcarriers.  Design call s of run r uses ADMM seed
+The sweep's unit of work is a block of consecutive run indices
+(``_blocks``): the fewest blocks that keep each within ``_BLOCK_RUNS`` runs
+and within the designers' working-set budget ``_BLOCK_ENTRIES``, with the
+runs split evenly among them.  A block draws its runs' channels into one
+(runs, K, n_rx, n_tx) stack (``draw_channels``, shared with ``hybridsim
+trace``), takes the SVD factors of the stack in one call, then designs all
+runs on those stacked factors in one batched designer call per (n_rf,
+side), with runs x multistarts as the batch axis.  Rates are taken on the
+block's stacks: one ``spectral_efficiency`` call for the digital rates of
+the block, and one per n_rf for its hybrid rates; each run's rate is the
+mean over its subcarriers.  Design call s of run r uses ADMM seed
 ``admm.seed + r * multistart + s``, so a block's instances have contiguous
 seeds, and the start with the lowest final factorization objective is kept
 (the first start wins a tie).
@@ -77,10 +79,23 @@ _INT_FIELDS = (
     "multistart",
 )
 
-# Runs per block: one batched design call covers this many runs times the
-# multistart count.  The batching gain levels off near 32, which also caps
-# the memory a block holds.
-_BLOCK_RUNS = 32
+# Most runs in a block: one batched design call covers this many runs times
+# the multistart count.  A block pays a fixed cost in every batched ADMM
+# iteration, so fewer, fuller blocks are faster, and the caps are set by
+# memory.  Measured on a 2-vCPU Xeon with one BLAS thread: a batched
+# iteration of 64x4 designs took 81 us for one instance and 517 us for 32;
+# 100 narrowband 64x16 runs in one block were 8% faster than in two of 50,
+# but the sweep's peak memory was 11% higher.
+_BLOCK_RUNS = 64
+
+# Most complex entries the designers of one block may hold, counted per run
+# as multistart * (n_tx + n_rx) * (2 K n_s + 15 max(n_rf)): the targets twice
+# over, and some fifteen n x n_rf iterates and temporaries.  It admits two
+# blocks of 50 for 100 narrowband 64x16 runs (5,120 entries a run) but not
+# one of 100, and holds wideband 36x16 runs with 16 subcarriers and 2 starts
+# (16,224 entries) to 18 a block: 64 such runs peaked at 47 MB in blocks of
+# 16, against 56 MB in blocks of 32 and 73 MB in one block.
+_BLOCK_ENTRIES = 300_000
 
 
 @dataclass(frozen=True)
@@ -286,6 +301,27 @@ def draw_channels(spec, first_run, stop_run):
     return np.stack([draw.matrices for draw in draws])
 
 
+def _blocks(spec, workers):
+    """The first runs and the stop runs of a sweep's blocks, in run order.
+
+    A block holds at most ``_BLOCK_RUNS`` runs, and no more than keep its
+    designers within ``_BLOCK_ENTRIES`` complex entries.  The sweep takes the
+    fewest blocks under that cap, rounded up to a multiple of ``workers``
+    where there are enough runs, so that each worker gets an equal share,
+    and splits the runs evenly among them: block sizes differ by at most one
+    run, and the larger blocks come first.
+    """
+    per_run = spec.multistart * (spec.n_tx + spec.n_rx) * (
+        2 * spec.n_subcarriers * spec.n_s + 15 * max(spec.n_rf)
+    )
+    cap = max(1, min(_BLOCK_RUNS, _BLOCK_ENTRIES // per_run))
+    count = -(-spec.runs // cap)
+    count = min(spec.runs, -(-count // workers) * workers)
+    size, extra = divmod(spec.runs, count)
+    stops = [(i + 1) * size + min(i + 1, extra) for i in range(count)]
+    return [0, *stops[:-1]], stops
+
+
 def _run_block(spec, first_run, stop_run):
     """Execute runs ``first_run .. stop_run - 1``; return their ``_Columns``."""
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
@@ -406,12 +442,15 @@ def _design_block(spec, factors, n_rf, first_run):
 def run_sweep(spec, out_csv, workers=1):
     """Execute a full sweep, write the CSV and a metadata JSON.
 
-    Runs are executed in blocks of ``_BLOCK_RUNS`` consecutive run indices,
-    serially or across ``workers`` processes.  Rows come in (n_rf, snr_db,
-    run_index, method) order, so output is deterministic for any worker
-    count.  The CSV is opened and its header written before the first
-    block, so an unwritable path fails before any run; a sweep that raises
-    after that leaves the rows written so far and a ``# PARTIAL`` marker.
+    Runs are executed in blocks of consecutive run indices (``_blocks``):
+    the fewest blocks under the block caps, their count a multiple of
+    ``workers`` where there are enough runs, with sizes that differ by at
+    most one run; serially, or across ``workers`` processes.  Rows come in
+    (n_rf, snr_db, run_index, method) order, so output is deterministic for
+    any worker count.  The CSV is opened and its header written before the
+    first block, so an unwritable path fails before any run; a sweep that
+    raises after that leaves the rows written so far and a ``# PARTIAL``
+    marker.
     Metadata lands next to the CSV (``<out_csv>.meta.json``) and carries the
     resolved spec plus per-point aggregate means and standard errors.
     Returns the rows as ResultRecords, in row order.
@@ -426,8 +465,7 @@ def run_sweep(spec, out_csv, workers=1):
             # before any run: a failing write shows now, and forked workers
             # inherit no buffered text
             fh.flush()
-            firsts = range(0, spec.runs, _BLOCK_RUNS)
-            stops = [min(first + _BLOCK_RUNS, spec.runs) for first in firsts]
+            firsts, stops = _blocks(spec, workers)
             if workers > 1:
                 # imported here: the pool's modules cost every serial sweep
                 # about 20 ms of start-up

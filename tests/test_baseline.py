@@ -185,6 +185,15 @@ class TestSpectralEfficiency:
         with pytest.raises(ValueError, match=f"n_s must be {match}"):
             spectral_efficiency(h, fo.f_opt, fo.w_opt, 10.0, n_s)
 
+    @pytest.mark.parametrize("n_s", [0, -1])
+    def test_n_s_must_be_positive(self, n_s):
+        # zero streams with (n, 0) composites pass the shape check; without the
+        # range check the rank test indexes an empty SVD
+        h = crandn(np.random.default_rng(3), 4, 4)
+        empty = np.zeros((4, max(n_s, 0)), dtype=complex)
+        with pytest.raises(ValueError, match="n_s must be >= 1"):
+            spectral_efficiency(h, empty, empty, 10.0, n_s)
+
     def test_integral_float_n_s_counts_as_int(self):
         rng = np.random.default_rng(4)
         h = crandn(rng, 4, 5)

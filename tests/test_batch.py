@@ -5,6 +5,7 @@ return bitwise what the single design with that seed returns, whatever else
 is in the batch, and every design must be feasible and power normalized.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -136,3 +137,38 @@ def test_wideband_batch_matches_single_designs(case):
 def test_partially_connected_batch_matches_single_designs(case):
     check_batch_matches_singles("partial", case)
 
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that NumPy and Python allocate during ``fn(*args)``, and its
+    result; a first call outside the trace leaves lazy set-up out."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+@pytest.mark.parametrize(
+    "structure, cfg, units, bound",
+    [
+        # the unit is the batch's dense analog matrices; the loop once peaked
+        # at 18.9 of them here, copying its whole state at each stop while
+        # the old state was still alive
+        ("wideband", AdmmConfig(rho=2 / 256, tau=1e-3), 64 * 4, 13.0),
+        # the unit is the batch's phase vectors; once 16.2 of them here
+        ("partial", AdmmConfig(rho=2 / 64, tau=1e-3, phase_bits=3), 64, 13.0),
+    ],
+)
+def test_batched_design_memory_stays_bounded(structure, cfg, units, bound):
+    batch, n_tx, n_rf, n_s = 64, 64, 4, 2
+    targets = column_orthonormal(np.random.default_rng(5), batch, n_tx=n_tx, n_s=n_s)
+    if structure == "wideband":
+        targets = targets[:, None]
+    peak, designs = traced_peak(DESIGNERS[structure], targets, n_rf, cfg, True)
+    # instances stop at different iterations, so the loop compacts its batch
+    assert len({design.iterations for design in designs}) > 1
+    assert peak / (16 * batch * units) < bound

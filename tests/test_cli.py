@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -341,6 +342,39 @@ def test_console_script_end_to_end(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.strip() == "config OK"
+
+
+def test_cli_sweep_rows_equal_for_one_and_two_workers(tmp_path):
+    # 7 runs split unevenly; two workers take the process pool, each in a
+    # fresh interpreter started as a user starts the command
+    src = str(Path(hybridsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cfg = write_config(
+        tmp_path,
+        runs=7,
+        snr_db_list=[-10.0, 10.0],
+        admm=AdmmConfig(rho=2 / 18, max_iters=15, tau=3e-2, seed=3),
+    )
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+        res = subprocess.run(
+            [sys.executable, "-m", "hybridsim.cli", *argv, "--workers", str(workers)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        with open(out, newline="") as fh:
+            rows = [row[:-1] for row in csv.reader(fh)]  # all but wall_time_ms
+        with open(str(out) + ".meta.json") as fh:
+            outputs[workers] = rows, json.load(fh)
+    rows, meta = outputs[1]
+    assert len(rows) == 1 + 2 * 7 * 2
+    assert len({row[8] for row in rows[1:]}) > 2  # varied iterations
+    assert outputs[2] == (rows, meta)
 
 
 def test_import_leaves_process_pool_unloaded():

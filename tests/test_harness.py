@@ -527,6 +527,110 @@ class TestRunSweep:
         ]
 
 
+def wideband_ofdm_spec(runs):
+    """36x16 wideband, 16 subcarriers, 2 starts: the shapes of the benchmark's
+    wideband workload."""
+    return small_spec(
+        scenario="wideband",
+        n_s=3,
+        n_rf=4,
+        n_tx_side=6,
+        n_rx_side=4,
+        n_subcarriers=16,
+        runs=runs,
+        multistart=2,
+    )
+
+
+def narrowband_spec(scenario, runs):
+    """64x16 narrowband at n_rf 2 and 4: the shapes of the benchmark's
+    narrowband workloads."""
+    return small_spec(
+        scenario=scenario, n_rf=[2, 4], n_tx_side=8, n_rx_side=4, runs=runs
+    )
+
+
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestBlockLayout:
+    def layout(self, spec, workers, monkeypatch, tmp_path):
+        """The (first_run, stop_run) pairs that run_sweep passes to _run_block."""
+        import concurrent.futures
+
+        calls = []
+
+        def recorded(spec, first_run, stop_run):
+            calls.append((first_run, stop_run))
+            n, k, j = stop_run - first_run, len(spec.n_rf), len(spec.snr_db_list)
+            return harness._Columns(
+                np.ones((n, j)),
+                np.zeros(n),
+                np.ones((n, k, j)),
+                np.zeros((n, k)),
+                np.zeros((n, k), dtype=int),
+                np.zeros((n, k)),
+            )
+
+        monkeypatch.setattr(harness, "_run_block", recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        run_sweep(spec, tmp_path / "sweep.csv", workers=workers)
+        return calls
+
+    @pytest.mark.parametrize("block_runs", [5, harness._BLOCK_RUNS])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shapes", [small_spec, wideband_ofdm_spec])
+    def test_even_contiguous_blocks_under_the_cap(
+        self, tmp_path, monkeypatch, shapes, workers, block_runs
+    ):
+        monkeypatch.setattr(harness, "_BLOCK_RUNS", block_runs)
+        for runs in (1, 2, 3, 7, 12, 64, 100, 129):
+            calls = self.layout(shapes(runs=runs), workers, monkeypatch, tmp_path)
+            firsts, stops = zip(*calls)
+            assert firsts[0] == 0 and stops[-1] == runs
+            assert list(firsts[1:]) == list(stops[:-1])
+            sizes = [stop - first for first, stop in calls]
+            assert min(sizes) >= 1
+            assert max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= block_runs
+            if workers == 2 and runs >= 2:
+                assert len(calls) % 2 == 0, (runs, sizes)
+
+    @pytest.mark.parametrize(
+        "spec, sizes",
+        [
+            (narrowband_spec("narrowband_full", 100), [50, 50]),
+            (narrowband_spec("narrowband_partial", 100), [50, 50]),
+            (wideband_ofdm_spec(10), [10]),
+        ],
+        ids=["nb_full", "partial_snr_sweep", "wideband_ofdm"],
+    )
+    def test_benchmark_shapes(self, tmp_path, monkeypatch, spec, sizes):
+        calls = self.layout(spec, 1, monkeypatch, tmp_path)
+        assert [stop - first for first, stop in calls] == sizes
+
+    def test_many_wideband_runs_are_capped_by_working_set(
+        self, tmp_path, monkeypatch
+    ):
+        # 64 runs fit the run cap, but the designers of one block of them
+        # would hold over three times _BLOCK_ENTRIES complex entries
+        calls = self.layout(wideband_ofdm_spec(64), 1, monkeypatch, tmp_path)
+        assert len(calls) >= 3
+
+
 class TestResultRecord:
     def test_keyword_built_immutable_and_replaceable(self):
         values = dict(
