@@ -111,9 +111,7 @@ class AdmmConfig:
         for name in ("max_iters", "seed"):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.phase_bits is not None:
-            object.__setattr__(
-                self, "phase_bits", check_int(self.phase_bits, "phase_bits")
-            )
+            object.__setattr__(self, "phase_bits", _check_phase_bits(self.phase_bits))
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.max_iters < 1:
@@ -122,11 +120,6 @@ class AdmmConfig:
             raise ValueError("tau must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.phase_bits is not None and not 1 <= self.phase_bits <= _MAX_PHASE_BITS:
-            raise ValueError(
-                f"phase_bits must be an integer from 1 to {_MAX_PHASE_BITS}, "
-                f"got {self.phase_bits}"
-            )
 
 
 def check_finite(value, name):
@@ -152,6 +145,21 @@ def check_int(value, name):
     if int(check_finite(value, name)) != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_phase_bits(value):
+    """``value`` as an int from 1 to ``_MAX_PHASE_BITS`` (2.0 counts as 2);
+    ValueError otherwise."""
+    try:
+        bits = check_int(value, "phase_bits")
+    except ValueError:
+        bits = 0
+    if not 1 <= bits <= _MAX_PHASE_BITS:
+        raise ValueError(
+            f"phase_bits must be an integer from 1 to {_MAX_PHASE_BITS}, "
+            f"got {value!r}"
+        )
+    return bits
 
 
 def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTED):
@@ -186,8 +194,9 @@ def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTE
 class AdmmState:
     """One iterate of the dense-analog loop: analog matrix, digital matrix
     (stacked per subcarrier for the multicarrier variant), auxiliary
-    unit-modulus copy and scaled dual.  Inside a batched design every field
-    carries a leading instance axis."""
+    unit-modulus copy and scaled dual.  It is the type of a kept iterate of
+    one design and the state ``step_frf`` takes; the batched loop runs on
+    its own iterate type."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -248,6 +257,7 @@ def project_unit_modulus(x, phase_bits=None):
     (zero entries map to 1, i.e. phase 0).  Quantized mode snaps each phase
     to the nearest point of the grid ``{2*pi*k / 2**phase_bits}``, breaking
     exact ties toward the smaller angle.  Idempotent in both modes.
+    ``phase_bits`` is checked as ``AdmmConfig`` checks it.
     """
     x = np.asarray(x, dtype=complex)
     if phase_bits is None:
@@ -262,7 +272,7 @@ def project_unit_modulus(x, phase_bits=None):
             zero = mag == 0.0
             return np.where(zero, 1.0 + 0.0j, x * (1.0 / np.where(zero, 1.0, mag)))
         return x * (1.0 / mag)
-    n_levels = 2**phase_bits
+    n_levels = 2 ** _check_phase_bits(phase_bits)
     step = 2.0 * np.pi / n_levels
     grid_pos = np.mod(np.angle(x), 2.0 * np.pi) / step
     # ceil(t - 1/2) rounds to nearest, exact ties to the lower grid point;
@@ -298,36 +308,21 @@ def least_squares_fbb(f_rf, f_target):
 
 
 def step_frf(state, f_target, rho):
-    """Closed-form analog update of the dense loop.
+    """Closed-form analog update of the single-carrier dense loop.
 
-    Returns ``[sum_k T_k F_k^H + rho (R - W)] (sum_k F_k F_k^H + rho I)^-1``
-    over the targets T_k and digital matrices F_k (one pair, or stacks of K),
-    the stationary point of the augmented Lagrangian in the analog matrix.
-    A state with a leading batch axis updates every instance.
+    Returns ``[T F^H + rho (R - W)] (F F^H + rho I)^-1`` for the target T and
+    the state's digital matrix F, the stationary point of the augmented
+    Lagrangian in the analog matrix.  A state with a leading batch axis
+    updates every instance.
     """
-    f_bb = np.asarray(state.f_bb)
-    f_target = np.asarray(f_target)
-    if f_bb.ndim > state.r.ndim:
-        # one digital matrix per subcarrier: [F_1 ... F_K]^H and [T_1 ... T_K]
-        f_bb_h = _concat_h(f_bb)
-        t = _concat(f_target)
-    else:
-        f_bb_h = _hermitian(f_bb)
-        t = f_target
+    f_bb_h = _hermitian(np.asarray(state.f_bb))
     ff_h = _hermitian(f_bb_h) @ f_bb_h
-    return _analog_update(t @ f_bb_h, ff_h, state.r, state.w, rho)
+    return _analog_update(np.asarray(f_target) @ f_bb_h, ff_h, state.r, state.w, rho)
 
 
 def _hermitian(x):
     """The conjugate transpose of each matrix of a stack (a strided view)."""
     return x.conj().swapaxes(-1, -2)
-
-
-def _concat(targets):
-    """Targets (..., K, n_tx, n_s) side by side, ``[T_1 ... T_K]``,
-    (..., n_tx, K*n_s)."""
-    *lead, k, n_tx, n_s = targets.shape
-    return targets.swapaxes(-3, -2).reshape(*lead, n_tx, k * n_s)
 
 
 def _concat_h(targets):
@@ -564,8 +559,10 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
     if not n_s <= n_rf <= n_tx:
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
 
+    # [T_1 ... T_K] and its conjugate transpose
+    t = targets.swapaxes(-3, -2).reshape(count, n_tx, k * n_s)
     t_h = _concat_h(targets)
-    data = (_concat(targets), t_h, _sqnorm(t_h))
+    data = (t, t_h, _sqnorm(t_h))
     # the first iterate is built in the call, so no name here keeps it alive
     # through the loop
     f_rf_hat, traces, iterates = _run_loop(

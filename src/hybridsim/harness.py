@@ -60,24 +60,13 @@ __all__ = [
     "run_sweep",
 ]
 
-SCENARIOS = ("narrowband_full", "narrowband_partial", "wideband")
-
 _HYBRID_METHOD = {
     "narrowband_full": "hybrid_full",
     "narrowband_partial": "hybrid_partial",
     "wideband": "hybrid_wideband",
 }
 
-# SweepSpec fields that must hold integers
-_INT_FIELDS = (
-    "n_s",
-    "n_tx_side",
-    "n_rx_side",
-    "n_subcarriers",
-    "runs",
-    "base_seed",
-    "multistart",
-)
+SCENARIOS = tuple(_HYBRID_METHOD)
 
 # Most runs in a block: one batched design call covers this many runs times
 # the multistart count.  A block pays a fixed cost in every batched ADMM
@@ -125,7 +114,8 @@ class SweepSpec:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
-        for name in _INT_FIELDS:
+        # this module does not postpone annotations, so an int field's type is int
+        for name in (f.name for f in fields(self) if f.type is int):
             object.__setattr__(self, name, check_int(getattr(self, name), name))
         object.__setattr__(
             self, "n_rf", tuple(check_int(v, "n_rf") for v in _as_tuple(self.n_rf))
@@ -455,6 +445,9 @@ def run_sweep(spec, out_csv, workers=1):
     resolved spec plus per-point aggregate means and standard errors.
     Returns the rows as ResultRecords, in row order.
     """
+    # imported here: the package imports this module before it sets the version
+    from . import __version__
+
     workers = check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -490,7 +483,7 @@ def run_sweep(spec, out_csv, workers=1):
     error_rows = len(spec.n_rf) * nan_digital + int(np.isnan(columns.hybrid_se).sum())
     meta = {
         "spec": spec.to_dict(),
-        "version": _package_version(),
+        "version": __version__,
         "rows": 2 * columns.hybrid_se.size,
         "error_rows": error_rows,
         "wideband_se_convention": "mean over subcarriers",
@@ -611,9 +604,3 @@ def _point_stats(rates):
         "stderr": stderr,
         "n": int(arr.size),
     }
-
-
-def _package_version():
-    from . import __version__
-
-    return __version__

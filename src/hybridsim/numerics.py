@@ -19,21 +19,15 @@ cost more than the factorizations on these sizes.
 
 import numpy as np
 
+# the gufuncs behind np.linalg.cholesky and np.linalg.inv; they return NaN for
+# a failed slice instead of raising, which _solve_rows checks for
+from numpy.linalg._umath_linalg import cholesky_lo, inv
+
 __all__ = ["logdet_eval"]
 
 # Relative pivot-ratio threshold below which a Cholesky factor is treated as
 # numerically rank deficient.
 _RANK_TOL = 1e-14
-
-# The gufuncs behind np.linalg.cholesky and np.linalg.inv.  They return NaN
-# for a failed slice instead of raising, which _solve_rows checks for; a NumPy
-# without them falls back to the wrappers, which raise LinAlgError.
-try:
-    from numpy.linalg import _umath_linalg
-
-    _cholesky_lo, _inv = _umath_linalg.cholesky_lo, _umath_linalg.inv
-except (ImportError, AttributeError):  # pragma: no cover - depends on NumPy
-    _cholesky_lo, _inv = np.linalg.cholesky, np.linalg.inv
 
 _NOT_PD = "matrix is not positive definite: Matrix is not positive definite"
 
@@ -59,15 +53,11 @@ def _solve_rows(a, c):
     (32, 4, 4) batch took 240 us with 64 columns per slice against 45 us
     with 2 (timeit, one BLAS thread).
     """
-    # tests pin these messages, which keep the solve's former public name
-    _require_finite(a, "solve_hpd matrix")
-    _require_finite(c, "solve_hpd right-hand side")
-    try:
-        # a failed gufunc slice is NaN and raises the invalid flag
-        with np.errstate(invalid="ignore"):
-            factor = _cholesky_lo(a)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(_NOT_PD) from exc
+    _require_finite(a, "matrix")
+    _require_finite(c, "right-hand side")
+    # a failed slice is NaN and raises the invalid flag
+    with np.errstate(invalid="ignore"):
+        factor = cholesky_lo(a)
     # a Cholesky factor has a real positive diagonal; NaN marks a failed one
     diag = factor.diagonal(axis1=-2, axis2=-1).real
     worst = ((diag.min(axis=-1) / diag.max(axis=-1)) ** 2).min()
@@ -78,7 +68,7 @@ def _solve_rows(a, c):
             "matrix is numerically rank deficient (Cholesky pivot ratio "
             f"{worst:.3e})"
         )
-    return c @ _inv(a)
+    return c @ inv(a)
 
 
 def logdet_eval(a):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -169,6 +170,20 @@ class TestProjection:
             got = project_unit_modulus(x, bits)
             assert got.tobytes() == exp_form_project(x, bits).tobytes(), bits
         assert wraparound_ties > 0
+
+    @pytest.mark.parametrize("bits", [2.5, 0, -1, True, 49])
+    def test_bad_phase_bits_rejected_as_by_the_config(self, bits):
+        # a fractional bit count would give phases on no grid, and 0, -1 or
+        # True a grid the caller did not ask for
+        message = f"phase_bits must be an integer from 1 to 48, got {bits!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AdmmConfig(phase_bits=bits)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_unit_modulus(1j, bits)
+
+    def test_integral_float_phase_bits_count_as_ints(self):
+        x = crandn(np.random.default_rng(8), 50)
+        assert np.array_equal(project_unit_modulus(x, 2.0), project_unit_modulus(x, 2))
 
     def test_quantized_nan_propagates(self):
         # a NaN entry has no grid point to look up; it stays NaN, as exp of
@@ -535,6 +550,10 @@ class TestAdmmConfig:
         for structure in ("fully_connected", "partially_connected"):
             with pytest.raises(ValueError, match=match):
                 scale_matched_rho(*args, structure=structure)
+
+    def test_scale_matched_rho_rejects_unknown_structure(self):
+        with pytest.raises(ValueError, match="^unknown structure 'diagonal'$"):
+            scale_matched_rho(64, 4, 2, structure="diagonal")
 
     def test_scale_matched_rho_integral_floats_count_as_ints(self):
         assert scale_matched_rho(64.0, 4.0, 2.0, 1.0) == scale_matched_rho(64, 4, 2)

@@ -210,6 +210,8 @@ class TestDesignPartiallyConnected:
             design_partially_connected(
                 scaled_target(rng, 12, 2), 1, cfg, normalize_power=False
             )
+        with pytest.raises(ValueError, match="target must be a matrix"):
+            design_partially_connected(np.ones(8), 4, cfg, normalize_power=False)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)

@@ -55,6 +55,10 @@ class TestOptimalFactors:
         with pytest.raises(ValueError):
             optimal_factors(h, 0)
 
+    def test_vector_channel_rejected(self):
+        with pytest.raises(ValueError, match="expected a matrix or a stack"):
+            optimal_factors(np.ones(4), 1)
+
     @pytest.mark.parametrize("n_s, match", [(2.5, "an integer"), (True, "a finite")])
     def test_n_s_must_be_integral(self, n_s, match):
         h = crandn(np.random.default_rng(2), 3, 4)

@@ -137,6 +137,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"multistart": 0}, "multistart must be >= 1"),
+            ({"n_s": 0}, "n_s must be >= 1"),
+            ({"n_tx_side": 0}, "array sides must be >= 1"),
+            (
+                {"scenario": "wideband", "n_subcarriers": 0},
+                "n_subcarriers must be >= 1",
+            ),
+        ],
+    )
+    def test_counts_below_one_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(**overrides)
+
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ValueError, match="base_seed"):
             small_spec(base_seed=-1)
@@ -341,6 +357,25 @@ class TestRunSweep:
         body = read_rows(out)[1:]
         assert len(body) == 12
         assert sum("nan" in r[6] for r in body) == 2
+
+    def test_sweep_with_every_hybrid_design_failing(self, tmp_path, monkeypatch):
+        # every sweep point's hybrid runs are all NaN, so only the digital
+        # aggregates are written
+        def failing(spec, factors, n_rf, first_run):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(harness, "_design_block", failing)
+        out = tmp_path / "sweep.csv"
+        records = run_sweep(small_spec(n_rf=[2, 3]), out)
+        hybrid = [r for r in records if r.method == "hybrid_full"]
+        assert len(hybrid) == 12
+        assert all(np.isnan(r.spectral_efficiency) for r in hybrid)
+        with open(str(out) + ".meta.json") as fh:
+            meta = json.load(fh)
+        assert meta["rows"] == 24
+        assert meta["error_rows"] == 12
+        assert [agg["method"] for agg in meta["aggregates"]] == ["digital_opt"] * 4
+        assert all(agg["n"] == 3 for agg in meta["aggregates"])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unrateable_design_yields_nan_rows(self, tmp_path, monkeypatch, workers):

@@ -3,8 +3,8 @@ that ``optimal_factors`` falls back to.
 
 ``_solve_rows`` solves ``X = C A^-1`` with the right-hand sides as rows.  The
 solve tests state their systems in column form, ``A X = B``, and hand the
-kernel the rows ``B^H``, so ``X^H`` comes back.  They carry the name
-``solve_hpd`` that the solve's error messages still use.
+kernel the rows ``B^H``, so ``X^H`` comes back.  Their names keep
+``solve_hpd``, the solve's former public name.
 """
 
 import numpy as np
@@ -244,3 +244,7 @@ class TestLogdet:
     def test_indefinite_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             logdet_eval(np.diag([2.0, -3.0]).astype(complex))
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="expected square matrix"):
+            logdet_eval(np.eye(2, 3))
