@@ -38,6 +38,15 @@ products and ``||T||^2`` computed once, so no target-sized residual or
 product is formed for it.  Kept iterates and results carry the digital
 matrices stacked per subcarrier, (K, n_rf, n_s).
 
+The partially connected loop carries the same kind of products per RF
+chain: with T_i the chain's (L, n_s) target row block, r_i its unit-modulus
+copy and f_i its digital row, each step ends by forming ``T_i conj(f_i)``
+and ``|f_i|^2`` of its new digital rows (per-chain ``matmul`` products).
+The next analog update reads them, and the trace objective is
+``||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2``, the chains'
+blocks of ``R F`` being disjoint; the primal residual is the norm of the
+step's own ``f - r``.  Kept iterates are converted to ``PartialState``.
+
 Both structures run one loop (``_run_loop``) over a leading batch axis of
 independent instances: instance i starts from the seed ``cfg.seed + i`` and
 leaves the batch when its own stagnation test fires, so it follows, bitwise,
@@ -52,6 +61,7 @@ iteration of per-instance arrays and builds each trace once, at the end.
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -87,6 +97,12 @@ _MAX_PHASE_BITS = 48
 # subnormal magnitude into the normal range without reaching overflow.
 _TINY = np.finfo(np.float64).tiny
 _UNSUBNORMAL = 2.0**600
+
+# seed -> (its generator, the doubles drawn from it so far), for the seeds of
+# the last _init_analog call only; the lock keeps a generator from being
+# advanced by two threads at once
+_STARTS = {}
+_STARTS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -274,12 +290,16 @@ def project_unit_modulus(x, phase_bits=None):
         return x * (1.0 / mag)
     n_levels = 2 ** _check_phase_bits(phase_bits)
     step = 2.0 * np.pi / n_levels
-    grid_pos = np.mod(np.angle(x), 2.0 * np.pi) / step
+    # the angle taken to [0, 2*pi) as np.mod(angle, 2*pi) takes it, a negative
+    # angle lifted by one turn; rebinding the name frees the angles
+    grid_pos = np.angle(x)
+    grid_pos = np.where(grid_pos < 0.0, grid_pos + 2.0 * np.pi, grid_pos) / step
     # ceil(t - 1/2) rounds to nearest, exact ties to the lower grid point;
-    # the wraparound tie is equidistant from (n-1)*step and 0, and 0 is the
-    # smaller angle, so it is remapped explicitly
-    k = np.ceil(grid_pos - 0.5)
-    k = np.mod(np.where(grid_pos == n_levels - 0.5, 0.0, k), n_levels)
+    # from the wraparound tie on, which is equidistant from (n-1)*step and 0,
+    # every position is nearer 0, the smaller angle, so it maps to 0.  The
+    # -0.0 that ceil gives below 1/2 projects as 0.0 does: it indexes entry 0
+    # of the table, and exp(1j * step * -0.0) is exactly 1
+    k = np.where(grid_pos >= n_levels - 0.5, 0.0, np.ceil(grid_pos - 0.5))
     if n_levels > x.size or np.isnan(k).any():
         # a table with more points than x has entries costs more than the
         # exp of each entry, and at many bits it does not fit in memory;
@@ -361,11 +381,26 @@ def _analog_update(tf_h, ff_h, r, w, rho):
 
 def _init_analog(cfg, count, shape):
     # instance i draws from its own generator seeded cfg.seed + i, so it
-    # starts where a single design with that seed starts
-    draws = np.stack(
-        [np.random.default_rng(cfg.seed + i).uniform(size=shape) for i in range(count)]
-    )
-    f_rf = np.exp(2j * np.pi * draws)
+    # starts where a single design with that seed starts.  A start of n
+    # entries is the first n doubles of that generator's stream (uniform(0, 1)
+    # gives the bits of random()), so a shorter start is a prefix of a longer
+    # one; a sweep block designs both sides at every n_rf from the same seeds,
+    # and _STARTS keeps each seed of the last call with its generator and the
+    # doubles drawn from it so far, extended from that generator when a call
+    # needs more
+    size = math.prod(shape)
+    seeds = range(cfg.seed, cfg.seed + count)
+    with _STARTS_LOCK:
+        streams = {}
+        for seed in seeds:
+            rng, drawn = _STARTS.get(seed) or (np.random.default_rng(seed), np.empty(0))
+            if len(drawn) < size:
+                drawn = np.concatenate((drawn, rng.random(size - len(drawn))))
+            streams[seed] = rng, drawn
+        _STARTS.clear()
+        _STARTS.update(streams)
+    draws = np.stack([streams[seed][1][:size] for seed in seeds])
+    f_rf = np.exp(2j * np.pi * draws.reshape(count, *shape))
     if cfg.phase_bits is not None:
         # start inside the quantized feasible set
         f_rf = project_unit_modulus(f_rf, cfg.phase_bits)
@@ -647,46 +682,80 @@ def assemble_block_diag(f_vecs):
     return out
 
 
+def _chain_sqnorm(x):
+    """Squared norm of each row of a stack of per-chain vectors (last axis)."""
+    v = x.view(np.float64)
+    return (v * v).sum(axis=-1)
+
+
 def _partial_fbb(f_vecs, target3):
     # row i: ||f_i||^-2 f_i^H (target row block i)
-    norms = np.sum(np.abs(f_vecs) ** 2, axis=-1)
-    return np.einsum("...ib,...ibs->...is", f_vecs.conj(), target3) * (
-        1.0 / norms[..., None]
+    rows = (f_vecs.conj()[..., None, :] @ target3)[..., 0, :]
+    return rows * (1.0 / _chain_sqnorm(f_vecs))[..., None]
+
+
+@dataclass
+class _PartialIterate:
+    """The partially connected loop's own iterate: the ``PartialState`` fields,
+    ``tf`` and ``fb_sq``, the products ``T_i conj(f_i)`` and ``|f_i|^2`` of
+    each chain's target row block T_i and digital row f_i carried into the
+    measure and the next analog update, and ``primal``, the norm of the
+    step's own ``f_vecs - r_vecs``.  Every field carries a leading instance
+    axis."""
+
+    f_vecs: np.ndarray
+    f_bb: np.ndarray
+    r_vecs: np.ndarray
+    w_vecs: np.ndarray
+    tf: np.ndarray
+    fb_sq: np.ndarray
+    primal: np.ndarray
+
+
+def _partial_iterate(f_vecs, r_vecs, w_vecs, primal, target3):
+    """The iterate with analog part ``(f_vecs, r_vecs, w_vecs)``: its digital
+    rows and the two products carried from them."""
+    f_bb = _partial_fbb(f_vecs, target3)
+    tf = (target3 @ f_bb.conj()[..., None])[..., 0]
+    return _PartialIterate(
+        f_vecs, f_bb, r_vecs, w_vecs, tf, _chain_sqnorm(f_bb), primal
     )
 
 
 def _partial_start(f_vecs, target3):
     """The first iterate: analog start ``f_vecs``, R equal to it, a zero dual."""
-    return PartialState(
-        f_vecs=f_vecs,
-        f_bb=_partial_fbb(f_vecs, target3),
-        r_vecs=f_vecs.copy(),
-        w_vecs=np.zeros_like(f_vecs),
+    primal = np.zeros(len(f_vecs))
+    return _partial_iterate(
+        f_vecs, f_vecs.copy(), np.zeros_like(f_vecs), primal, target3
     )
 
 
 def _partial_step(state, data, cfg):
-    (target3,) = data
     # per-scalar analog update: matching target row times digital row
-    # conjugate, plus the penalty pull toward r - w
-    num = np.einsum("...ibs,...is->...ib", target3, state.f_bb.conj()) + cfg.rho * (
-        state.r_vecs - state.w_vecs
-    )
-    den = np.sum(np.abs(state.f_bb) ** 2, axis=-1)[..., None] + cfg.rho
-    f_vecs = num * (1.0 / den)
+    # conjugate, plus the penalty pull toward r - w; each array is built in
+    # place, so no temporary outlives its line
+    f_vecs = state.r_vecs - state.w_vecs
+    f_vecs *= cfg.rho
+    f_vecs += state.tf
+    f_vecs *= (1.0 / (state.fb_sq + cfg.rho))[..., None]
     r_vecs = project_unit_modulus(f_vecs + state.w_vecs, cfg.phase_bits)
-    return PartialState(
-        f_vecs=f_vecs,
-        f_bb=_partial_fbb(f_vecs, target3),
-        r_vecs=r_vecs,
-        w_vecs=state.w_vecs + (f_vecs - r_vecs),
-    )
+    w_vecs = f_vecs - r_vecs
+    primal = np.sqrt(_sqnorm(w_vecs))
+    # w + (f - r): a sum's bits do not depend on the order of its two terms
+    w_vecs += state.w_vecs
+    return _partial_iterate(f_vecs, r_vecs, w_vecs, primal, data[0])
 
 
 def _partial_measure(state, data):
-    (target3,) = data
-    recon = state.r_vecs[..., None] * state.f_bb[..., None, :]
-    return _sqnorm(target3 - recon), np.sqrt(_sqnorm(state.f_vecs - state.r_vecs))
+    # ||T - R F||^2 = ||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2,
+    # the chains' blocks of R F being disjoint
+    r = state.r_vecs
+    objective = (
+        data[1]
+        - 2.0 * _real_inner(r, state.tf)
+        + (_chain_sqnorm(r) * state.fb_sq).sum(axis=-1)
+    )
+    return objective, state.primal
 
 
 def design_partially_connected(
@@ -726,13 +795,18 @@ def design_partially_connected(
     # through the loop
     r_vecs, traces, iterates = _run_loop(
         _partial_start(_init_analog(cfg, count, (n_rf, block)), target3),
-        (target3,),
+        (target3, _sqnorm(f_target)),
         cfg,
         _partial_step,
         _partial_measure,
         keep_iterates,
         "r_vecs",
     )
+    if iterates is not None:
+        iterates = [
+            [PartialState(st.f_vecs, st.f_bb, st.r_vecs, st.w_vecs) for st in kept]
+            for kept in iterates
+        ]
 
     f_rf_hat = assemble_block_diag(r_vecs)
     f_bb_hat = _partial_fbb(r_vecs, target3)

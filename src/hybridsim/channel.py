@@ -191,7 +191,11 @@ def _response_matrix(geom, azimuth, elevation):
     q_phase = np.exp(1j * k * np.outer(idx, np.cos(elevation)))
     # (p, q, angle) -> row-major flatten over (p, q) gives index p*side + q
     a = p_phase[:, None, :] * q_phase[None, :, :]
-    return a.reshape(geom.side * geom.side, azimuth.size) / geom.side
+    # NumPy divides a complex array by a real scalar as by a complex one,
+    # scaling both parts by the scalar's reciprocal: on entries with no zero
+    # part, as steering entries have, this product gives the quotient's bits
+    # without the cost of a complex division
+    return a.reshape(geom.side * geom.side, azimuth.size) * (1.0 / geom.side)
 
 
 def sample_cluster_angles(rng, params):

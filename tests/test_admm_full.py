@@ -14,6 +14,7 @@ from hybridsim.admm import (
     scale_matched_rho,
     step_frf,
 )
+from hybridsim import admm
 from hybridsim.admm import AdmmState
 from hybridsim.channel import ArrayGeometry, array_response
 
@@ -170,6 +171,52 @@ class TestProjection:
             got = project_unit_modulus(x, bits)
             assert got.tobytes() == exp_form_project(x, bits).tobytes(), bits
         assert wraparound_ties > 0
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 48])
+    def test_quantized_matches_the_mod_formula_bitwise(self, bits):
+        # the projection lifts a negative angle by one turn where
+        # exp_form_project takes np.mod of it; both must give the same bits
+        # on grid points, ties, the wraparound tie, the negative real axis
+        # with either sign of zero, signed zeros, tiny and huge magnitudes
+        # and NaN, on the table path (bits 1 to 8) and the exp path
+        rng = np.random.default_rng(bits)
+        n = 2**bits
+        step = 2 * np.pi / n
+        k = np.concatenate([np.arange(min(n, 32)), n - 1 - np.arange(min(n, 32))])
+        angles = np.concatenate([k * step, (k + 0.5) * step, [-step / 2]])
+        # points a few thousand ulps around the direction -step/2, where the
+        # wraparound tie sits if a float angle reaches it
+        y = -np.tan(step / 2)
+        near_wrap = 1.0 + 1j * (y + np.arange(-4000, 4001) * np.spacing(y))
+        wrap_pos = np.mod(np.angle(near_wrap), 2 * np.pi) / step
+        signed_zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        negative_axis = [
+            complex(-m, im) for m in (1.0, 1e-300, 1e300) for im in (0.0, -0.0)
+        ]
+        x = np.concatenate(
+            [
+                np.exp(1j * angles),
+                np.cos(angles) + 1j * np.sin(angles),
+                near_wrap[wrap_pos == n - 0.5],
+                near_wrap[::500],
+                [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j],
+                signed_zeros,
+                negative_axis,
+                1e-300 * crandn(rng, 20),
+                1e300 * crandn(rng, 20),
+                crandn(rng, 300),
+            ]
+        )
+        grid_pos = np.mod(np.angle(x), 2 * np.pi) / step
+        if bits <= 8:
+            assert (grid_pos % 1 == 0.5).any()  # exact ties are exercised
+        if bits in (1, 2, 5):
+            # on the other grids no float angle lands exactly on this tie
+            assert (grid_pos == n - 0.5).any()
+        nans = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, -1.0)]
+        for cases in (x, np.concatenate([x, nans])):
+            got = project_unit_modulus(cases, bits)
+            assert got.tobytes() == exp_form_project(cases, bits).tobytes()
 
     @pytest.mark.parametrize("bits", [2.5, 0, -1, True, 49])
     def test_bad_phase_bits_rejected_as_by_the_config(self, bits):
@@ -559,3 +606,31 @@ class TestAdmmConfig:
         assert scale_matched_rho(64.0, 4.0, 2.0, 1.0) == scale_matched_rho(64, 4, 2)
         got = scale_matched_rho(36, 4, np.int64(3), n_subcarriers=16.0)
         assert got == 16 * 3 / 144
+
+
+class TestStartStreams:
+    @pytest.mark.parametrize(
+        "designer", [design_fully_connected, design_partially_connected]
+    )
+    @pytest.mark.parametrize("batch_n, single_n", [(8, 12), (12, 8)])
+    def test_single_design_after_a_batched_call_matches_a_fresh_one(
+        self, designer, batch_n, single_n
+    ):
+        # a batched call leaves seeds 10-13 drawn to the length of its
+        # starts; the single design with seed 12 then takes a longer or a
+        # shorter start from that stream
+        rng = np.random.default_rng(batch_n)
+        cfg = AdmmConfig(rho=0.1, max_iters=10, tau=0.0, phase_bits=3, seed=10)
+        targets = np.stack([random_target(rng, batch_n, 2) for _ in range(4)])
+        designer(targets, 2, cfg, True)
+        assert sorted(admm._STARTS) == [10, 11, 12, 13]
+        target = random_target(rng, single_n, 2)
+        single = AdmmConfig(rho=0.1, max_iters=10, tau=0.0, phase_bits=3, seed=12)
+        after = designer(target, 4, single, True)
+        # only the last call's seeds are kept
+        assert list(admm._STARTS) == [12]
+        admm._STARTS.clear()
+        fresh = designer(target, 4, single, True)
+        assert after.f_rf.tobytes() == fresh.f_rf.tobytes()
+        assert after.f_bb.tobytes() == fresh.f_bb.tobytes()
+        assert after.trace == fresh.trace

@@ -238,3 +238,33 @@ class TestDesignPartiallyConnected:
         step = 2 * np.pi / 2**bits
         pos = np.mod(np.angle(on), 2 * np.pi) / step
         assert np.max(np.abs(pos - np.round(pos))) < 1e-9
+
+
+@pytest.mark.parametrize("phase_bits", [None, 3])
+@pytest.mark.parametrize("batched", [False, True])
+def test_trace_objective_is_the_residual_of_its_iterate(phase_bits, batched):
+    # the loop takes its objective from carried per-chain products; it must
+    # equal the explicit residual of the kept iterate's feasible point, and
+    # the primal residual the norm of the iterate's f - r
+    rng = np.random.default_rng(10)
+    targets = np.stack([scaled_target(rng, 24, 2) for _ in range(3)])
+    cfg = AdmmConfig(
+        rho=scale_matched_rho(24, 4, 2, structure=PARTIALLY_CONNECTED),
+        max_iters=12,
+        tau=0.0,
+        phase_bits=phase_bits,
+        seed=11,
+    )
+    designs = design_partially_connected(
+        targets if batched else targets[0], 4, cfg, False, keep_iterates=True
+    )
+    if not batched:
+        designs, targets = [designs], targets[:1]
+    for target, design in zip(targets, designs):
+        assert len(design.iterates) == len(design.trace) == 13
+        for (_, objective, residual), st in zip(design.trace, design.iterates):
+            fit = target - assemble_block_diag(st.r_vecs) @ st.f_bb
+            expected = np.linalg.norm(fit) ** 2
+            assert abs(objective - expected) <= 1e-10 * expected
+            gap = np.linalg.norm(st.f_vecs - st.r_vecs)
+            assert abs(residual - gap) <= 1e-12 * gap

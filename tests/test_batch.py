@@ -14,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hybridsim import admm  # noqa: E402
 from hybridsim.admm import (  # noqa: E402
     AdmmConfig,
     DesignBatch,
@@ -137,6 +138,35 @@ def test_wideband_batch_matches_single_designs(case):
 def test_partially_connected_batch_matches_single_designs(case):
     check_batch_matches_singles("partial", case)
 
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 12),
+            st.integers(1, 5),
+            st.tuples(st.integers(1, 4), st.integers(1, 6)),
+            st.sampled_from([None, 3]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_shared_start_streams_match_fresh_generators(calls):
+    # starts share one generator per seed across calls; in any order of
+    # shapes and seed ranges each must be what a new generator per
+    # instance draws, and only the last call's seeds stay in the memo
+    for seed, count, shape, phase_bits in calls:
+        cfg = AdmmConfig(seed=seed, phase_bits=phase_bits)
+        got = admm._init_analog(cfg, count, shape)
+        draws = [
+            np.random.default_rng(seed + i).uniform(size=shape) for i in range(count)
+        ]
+        want = np.exp(2j * np.pi * np.stack(draws))
+        if phase_bits is not None:
+            want = admm.project_unit_modulus(want, phase_bits)
+        assert got.tobytes() == want.tobytes()
+        assert sorted(admm._STARTS) == list(range(seed, seed + count))
 
 
 def traced_peak(fn, *args):

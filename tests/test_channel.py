@@ -8,6 +8,7 @@ from hybridsim.channel import (
     ArrayGeometry,
     ChannelRealization,
     ClusterParams,
+    _response_matrix,
     array_response,
     gen_narrowband,
     gen_wideband,
@@ -83,6 +84,24 @@ class TestArrayResponse:
                 assert np.allclose(
                     array_response(geom, az, el), steer_ref(geom, az, el), atol=1e-13
                 )
+
+    @pytest.mark.parametrize("side", range(1, 13))
+    def test_scale_gives_the_bits_of_dividing_by_side(self, side):
+        # the steering matrix is scaled by 1.0 / side; on its entries that
+        # must give the bits of the quotient by side, on the oldest NumPy
+        # admitted as on the newest
+        geom = ArrayGeometry(side, 0.5)
+        rng = np.random.default_rng(side)
+        edges = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+        az = np.concatenate([rng.uniform(-7.0, 7.0, 50), edges, np.roll(edges, 1)])
+        el = np.concatenate([rng.uniform(-7.0, 7.0, 50), np.roll(edges, 2), edges])
+        idx = np.arange(side)
+        k = 2.0 * np.pi * geom.spacing_over_lambda
+        p_phase = np.exp(1j * k * np.outer(idx, np.sin(az) * np.sin(el)))
+        q_phase = np.exp(1j * k * np.outer(idx, np.cos(el)))
+        product = (p_phase[:, None, :] * q_phase[None, :, :]).reshape(side**2, -1)
+        got = _response_matrix(geom, az, el)
+        assert got.tobytes() == (product / side).tobytes()
 
     def test_unit_norm(self):
         rng = np.random.default_rng(12)
