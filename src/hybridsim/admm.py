@@ -48,9 +48,13 @@ blocks of ``R F`` being disjoint; the primal residual is the norm of the
 step's own ``f - r``.  Kept iterates are converted to ``PartialState``.
 
 Both structures run one loop (``_run_loop``) over a leading batch axis of
-independent instances: instance i starts from the seed ``cfg.seed + i`` and
-leaves the batch when its own stagnation test fires, so it follows, bitwise,
-the iterations it would follow alone.  A single design is a batch of one.
+independent instances: instance i leaves the batch when its own stagnation
+test fires, so it follows, bitwise, the iterations it would follow alone.
+A single design is a batch of one.  A design's start is an input: instance
+i's analog start is ``exp(2j pi u)`` of uniform doubles u, projected onto
+the phase grid in quantized mode, and u is row i of the designer's
+``draws`` argument or, without one, the stream of ``default_rng(cfg.seed +
+i)``.  A design's result depends on its arguments alone.
 
 Iteration traces record the feasible-point objective (evaluated at R, not
 at the unconstrained analog iterate) together with the primal residual
@@ -61,7 +65,6 @@ iteration of per-instance arrays and builds each trace once, at the end.
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -97,12 +100,6 @@ _MAX_PHASE_BITS = 48
 # subnormal magnitude into the normal range without reaching overflow.
 _TINY = np.finfo(np.float64).tiny
 _UNSUBNORMAL = 2.0**600
-
-# seed -> (its generator, the doubles drawn from it so far), for the seeds of
-# the last _init_analog call only; the lock keeps a generator from being
-# advanced by two threads at once
-_STARTS = {}
-_STARTS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -379,28 +376,29 @@ def _analog_update(tf_h, ff_h, r, w, rho):
     return _solve_rows(ff_h + rho * np.eye(ff_h.shape[-1]), tf_h + rho * (r - w))
 
 
-def _init_analog(cfg, count, shape):
-    # instance i draws from its own generator seeded cfg.seed + i, so it
-    # starts where a single design with that seed starts.  A start of n
-    # entries is the first n doubles of that generator's stream (uniform(0, 1)
-    # gives the bits of random()), so a shorter start is a prefix of a longer
-    # one; a sweep block designs both sides at every n_rf from the same seeds,
-    # and _STARTS keeps each seed of the last call with its generator and the
-    # doubles drawn from it so far, extended from that generator when a call
-    # needs more
+def _init_analog(cfg, count, shape, draws):
+    """The (count, *shape) analog starts: ``exp(2j pi u)`` of the first
+    ``prod(shape)`` uniform doubles u of each row of ``draws``, projected onto
+    the phase grid when ``cfg.phase_bits`` is set.
+
+    ``draws`` None draws row i from ``default_rng(cfg.seed + i)``.  A row
+    longer than the start gives the start of its prefix, so one stream drawn
+    to the longest start serves every shorter one; a ``draws`` without
+    ``count`` rows of at least that many doubles is a ValueError.
+    """
     size = math.prod(shape)
-    seeds = range(cfg.seed, cfg.seed + count)
-    with _STARTS_LOCK:
-        streams = {}
-        for seed in seeds:
-            rng, drawn = _STARTS.get(seed) or (np.random.default_rng(seed), np.empty(0))
-            if len(drawn) < size:
-                drawn = np.concatenate((drawn, rng.random(size - len(drawn))))
-            streams[seed] = rng, drawn
-        _STARTS.clear()
-        _STARTS.update(streams)
-    draws = np.stack([streams[seed][1][:size] for seed in seeds])
-    f_rf = np.exp(2j * np.pi * draws.reshape(count, *shape))
+    if draws is None:
+        draws = np.stack(
+            [np.random.default_rng(cfg.seed + i).random(size) for i in range(count)]
+        )
+    else:
+        draws = np.asarray(draws, dtype=float)
+        if draws.ndim != 2 or len(draws) != count or draws.shape[1] < size:
+            raise ValueError(
+                f"draws must hold {count} rows of at least {size} doubles, "
+                f"got shape {draws.shape}"
+            )
+    f_rf = np.exp(2j * np.pi * draws[:, :size].reshape(count, *shape))
     if cfg.phase_bits is not None:
         # start inside the quantized feasible set
         f_rf = project_unit_modulus(f_rf, cfg.phase_bits)
@@ -554,7 +552,9 @@ def _dense_measure(state, data):
     return objective, np.sqrt(_sqnorm(state.f_rf - r))
 
 
-def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
+def design_wideband(
+    targets, n_rf, cfg, normalize_power, keep_iterates=False, draws=None
+):
     """Design one shared analog matrix and per-subcarrier digital matrices.
 
     Parameters
@@ -562,9 +562,9 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
     targets : array-like, shape (K, n_tx, n_s) or (B, K, n_tx, n_s)
         Per-subcarrier target matrices (stacked, or a list of matrices):
         unconstrained optimal precoders, or combiners.  A leading batch axis
-        designs B independent instances in one pass; instance i uses the
-        seed ``cfg.seed + i`` and its result is bitwise the result of the
-        single design ``design_wideband(targets[i], ...)`` with that seed.
+        designs B independent instances in one pass; instance i's result is
+        bitwise the result of the single design ``design_wideband(targets[i],
+        ...)`` from the same start.
     n_rf : int
         Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
     cfg : AdmmConfig
@@ -574,6 +574,11 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
         skip this.
     keep_iterates : bool
         Attach per-iteration :class:`AdmmState` copies to the result.
+    draws : array-like, shape (B, m), optional
+        Row i holds instance i's uniform doubles in [0, 1), m >= n_tx * n_rf
+        (B = 1 for unbatched targets); its analog start is ``exp(2j pi u)``
+        of the first n_tx * n_rf of them, u reshaped to (n_tx, n_rf).
+        Without it, row i is drawn from ``default_rng(cfg.seed + i)``.
 
     Returns
     -------
@@ -601,7 +606,7 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
     # the first iterate is built in the call, so no name here keeps it alive
     # through the loop
     f_rf_hat, traces, iterates = _run_loop(
-        _dense_start(_init_analog(cfg, count, (n_tx, n_rf)), data),
+        _dense_start(_init_analog(cfg, count, (n_tx, n_rf), draws), data),
         data,
         cfg,
         _dense_step,
@@ -628,7 +633,9 @@ def design_wideband(targets, n_rf, cfg, normalize_power, keep_iterates=False):
     )
 
 
-def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=False):
+def design_fully_connected(
+    f_target, n_rf, cfg, normalize_power, keep_iterates=False, draws=None
+):
     """Design a dense unit-modulus analog matrix and digital matrix.
 
     This is :func:`design_wideband` with one subcarrier, unwrapped to a
@@ -638,8 +645,7 @@ def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=F
     ----------
     f_target : ndarray, shape (n_tx, n_s) or (B, n_tx, n_s)
         Matrix to factor (unconstrained optimal precoder, or combiner).  A
-        leading batch axis designs B instances in one pass, instance i with
-        the seed ``cfg.seed + i``.
+        leading batch axis designs B instances in one pass.
     n_rf : int
         Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
     cfg : AdmmConfig
@@ -648,6 +654,9 @@ def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=F
         ``||f_rf @ f_bb||_F^2 = n_s`` (precoder side); combiners skip this.
     keep_iterates : bool
         Attach per-iteration :class:`AdmmState` copies to the result.
+    draws : array-like, shape (B, m), optional
+        The instances' uniform doubles, as :func:`design_wideband` takes
+        them; without it, instance i draws from ``default_rng(cfg.seed + i)``.
 
     Returns
     -------
@@ -657,7 +666,7 @@ def design_fully_connected(f_target, n_rf, cfg, normalize_power, keep_iterates=F
     if f_target.ndim not in (2, 3):
         raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
     result = design_wideband(
-        f_target[..., None, :, :], n_rf, cfg, normalize_power, keep_iterates
+        f_target[..., None, :, :], n_rf, cfg, normalize_power, keep_iterates, draws
     )
     for design in result if f_target.ndim == 3 else (result,):
         design.f_bb = design.f_bb[0]
@@ -759,7 +768,7 @@ def _partial_measure(state, data):
 
 
 def design_partially_connected(
-    f_target, n_rf, cfg, normalize_power, keep_iterates=False
+    f_target, n_rf, cfg, normalize_power, keep_iterates=False, draws=None
 ):
     """Design one unit-modulus phase vector per RF chain (block-diagonal
     analog matrix) and the matching digital matrix.
@@ -772,8 +781,12 @@ def design_partially_connected(
     composite satisfies ``||f_rf @ f_bb||_F^2 = n_s``, which for the block
     structure pins ``||f_bb||_F^2 = n_s * n_rf / n_tx``.
 
-    A (B, n_tx, n_s) stack of targets designs B instances in one pass,
-    instance i with the seed ``cfg.seed + i``, and returns a DesignBatch.
+    A (B, n_tx, n_s) stack of targets designs B instances in one pass and
+    returns a DesignBatch.  ``draws``, a (B, m) array with m >= n_tx (B = 1
+    for one target), holds instance i's uniform doubles in row i: chain j's
+    start is ``exp(2j pi u)`` of doubles j*L .. (j+1)*L - 1, L = n_tx/n_rf,
+    projected onto the phase grid in quantized mode.  Without it, row i is
+    drawn from ``default_rng(cfg.seed + i)``.
     """
     f_target = np.asarray(f_target, dtype=complex)
     if f_target.ndim not in (2, 3):
@@ -794,7 +807,7 @@ def design_partially_connected(
     # the first iterate is built in the call, so no name here keeps it alive
     # through the loop
     r_vecs, traces, iterates = _run_loop(
-        _partial_start(_init_analog(cfg, count, (n_rf, block)), target3),
+        _partial_start(_init_analog(cfg, count, (n_rf, block), draws), target3),
         (target3, _sqnorm(f_target)),
         cfg,
         _partial_step,

@@ -22,7 +22,7 @@ linear index = p * side + q.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,17 @@ __all__ = [
 ]
 
 _DUMP_FORMAT = "hybridsim-channel-v1"
+# the keys save_channel writes besides "format", each of which load_channel reads
+_DUMP_KEYS = (
+    "n_rx",
+    "n_tx",
+    "n_subcarriers",
+    "seed",
+    "tx_geometry",
+    "rx_geometry",
+    "cluster_params",
+    "entries",
+)
 
 
 @dataclass(frozen=True)
@@ -313,19 +324,27 @@ def save_channel(realization, path):
 def load_channel(path):
     """Read a ChannelRealization written by ``save_channel``.
 
-    A dump whose matrix shape, subcarrier count, entry lengths, geometry or
-    cluster parameters do not agree is a ValueError.
+    A dump that is not such a JSON object, lacks a key, or whose matrix
+    shape, subcarrier count, entry lists, geometry or cluster parameters do
+    not agree is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a channel dump is a JSON object, not a {type(doc).__name__}")
     if doc.get("format") != _DUMP_FORMAT:
         raise ValueError(f"unrecognized channel dump format: {doc.get('format')!r}")
+    missing = [key for key in _DUMP_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"the channel dump lacks {missing}")
     n_rx, n_tx, n_subcarriers = (
         check_int(doc[name], name) for name in ("n_rx", "n_tx", "n_subcarriers")
     )
     if n_rx < 0 or n_tx < 0:
         raise ValueError(f"{n_rx} x {n_tx} matrices have a negative size")
     entries = doc["entries"]
+    if not isinstance(entries, list) or not all(isinstance(e, list) for e in entries):
+        raise ValueError("entries must be a list of number lists, one per subcarrier")
     if len(entries) != n_subcarriers:
         raise ValueError(f"{len(entries)} entry lists for {n_subcarriers} subcarriers")
     for inter in entries:
@@ -344,7 +363,19 @@ def load_channel(path):
     return ChannelRealization(
         matrices=matrices,
         seed=doc["seed"],
-        tx_geometry=ArrayGeometry(**doc["tx_geometry"]),
-        rx_geometry=ArrayGeometry(**doc["rx_geometry"]),
-        params=ClusterParams(**doc["cluster_params"]),
+        tx_geometry=_dump_object(doc, "tx_geometry", ArrayGeometry),
+        rx_geometry=_dump_object(doc, "rx_geometry", ArrayGeometry),
+        params=_dump_object(doc, "cluster_params", ClusterParams),
     )
+
+
+def _dump_object(doc, key, cls):
+    """``cls`` built from the dump's ``key`` object, which holds every field of
+    ``cls`` and nothing else, as ``save_channel`` writes it; ValueError if not."""
+    value = doc[key]
+    names = sorted(f.name for f in fields(cls))
+    if not isinstance(value, dict) or sorted(value) != names:
+        raise ValueError(
+            f"{key} must be an object with the keys {names}, got {value!r}"
+        )
+    return cls(**value)

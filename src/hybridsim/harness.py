@@ -11,10 +11,13 @@ runs on those stacked factors in one batched designer call per (n_rf,
 side), with runs x multistarts as the batch axis.  Rates are taken on the
 block's stacks: one ``spectral_efficiency`` call for the digital rates of
 the block, and one per n_rf for its hybrid rates; each run's rate is the
-mean over its subcarriers.  Design call s of run r uses ADMM seed
-``admm.seed + r * multistart + s``, so a block's instances have contiguous
-seeds, and the start with the lowest final factorization objective is kept
-(the first start wins a tie).
+mean over its subcarriers.  Start s of run r is seeded ``admm.seed + r *
+multistart + s``: the block draws that seed's stream once, as many uniform
+doubles as the largest start of the sweep takes, and every designer call of
+the block starts that instance from a prefix of the same row, so the start
+is the one a design seeded alone would draw.  Of each run's starts, the one
+with the lowest final factorization objective is kept (the first start wins
+a tie).
 
 A block returns its results as columns (``_Columns``), one array per
 quantity with runs first, not as rows.  The sweep joins the blocks' columns
@@ -313,15 +316,30 @@ def _blocks(spec, workers):
 
 
 def _run_block(spec, first_run, stop_run):
-    """Execute runs ``first_run .. stop_run - 1``; return their ``_Columns``."""
+    """Execute runs ``first_run .. stop_run - 1``; return their ``_Columns``.
+
+    The block's ADMM starts are drawn here, once: row ``(r - first_run) *
+    multistart + s`` holds ``max(n_tx, n_rx) * max(n_rf)`` uniform doubles,
+    the longest start of the sweep, from ``default_rng(admm.seed + r *
+    multistart + s)``, and every designer call of the block takes its
+    starts from these rows.
+    """
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
     channels = draw_channels(spec, first_run, stop_run)
+    seed = spec.admm.seed + first_run * spec.multistart
+    size = max(spec.n_tx, spec.n_rx) * max(spec.n_rf)
+    draws = np.stack(
+        [
+            np.random.default_rng(seed + j).random(size)
+            for j in range(len(channels) * spec.multistart)
+        ]
+    )
     t0 = time.perf_counter()
     factors = optimal_factors(channels, spec.n_s)
     digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)
     digital_se = _mean_rates(spec, channels, factors.f_opt, factors.w_opt, snrs)
     hybrid = [
-        _hybrid_block(spec, channels, factors, n_rf, first_run, snrs)
+        _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws)
         for n_rf in spec.n_rf
     ]
     return _Columns(
@@ -341,10 +359,11 @@ def _mean_rates(spec, channels, precoders, combiners, snrs):
     return rates.mean(axis=1)
 
 
-def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
+def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws):
     """Design and rate every run of a block at ``n_rf``.
 
-    ``channels`` and ``factors`` are the block's stacks, runs first.
+    ``channels`` and ``factors`` are the block's stacks, runs first, and
+    ``draws`` its start rows, ``multistart`` per run (see ``_run_block``).
     Returns the columns ``(rates, final_objective, iterations, design_ms)``:
     each run's per-SNR hybrid rates (runs, n_snr), its precoder's objective
     and iterations, and the block's design time per run.  The block is
@@ -356,7 +375,7 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
     n_runs = len(channels)
     t0 = time.perf_counter()
     try:
-        pairs = _design_block(spec, factors, n_rf, first_run)
+        pairs = _design_block(spec, factors, n_rf, first_run, draws)
         design_ms = 1e3 * (time.perf_counter() - t0) / n_runs
         # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
         shape = (n_runs, spec.n_subcarriers, -1, spec.n_s)
@@ -373,11 +392,18 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs):
                 np.array([failed_ms]),
             )
         stacks = zip(channels, factors.f_opt, factors.w_opt, factors.singular_values)
+        starts = spec.multistart
         runs = [
             _hybrid_block(
-                spec, h[None], OptimalFactors(f[None], w[None], s[None]), n_rf, i, snrs
+                spec,
+                h[None],
+                OptimalFactors(f[None], w[None], s[None]),
+                n_rf,
+                first_run + j,
+                snrs,
+                draws[j * starts : (j + 1) * starts],
             )
-            for i, (h, f, w, s) in enumerate(stacks, first_run)
+            for j, (h, f, w, s) in enumerate(stacks)
         ]
         return tuple(np.concatenate(column) for column in zip(*runs))
     return (
@@ -405,12 +431,17 @@ def scenario_design(spec, factors, side):
     return design_wideband, targets
 
 
-def _design_block(spec, factors, n_rf, first_run):
+def _design_block(spec, factors, n_rf, first_run, draws):
     """Design every run of a block in one batched call per side.
 
     ``factors`` holds the block's stacked SVD factors, (runs, K, n, n_s)
-    per side; each run's targets are repeated once per start.  Returns one
-    (precoder, combiner) pair per run, each the best of its starts.
+    per side; each run's targets are repeated once per start.  ``draws``
+    holds one row of uniform doubles per instance, runs x starts, at least
+    as long as the longest start at ``n_rf``; both sides start from its
+    rows, each designer from the prefix its start takes.  The designers'
+    ``cfg`` carries the seed of the block's first instance, the seed its
+    row was drawn from.  Returns one (precoder, combiner) pair per run,
+    each the best of its starts.
     """
     starts = spec.multistart
     cfg = replace(spec.admm, seed=spec.admm.seed + first_run * starts)
@@ -418,7 +449,7 @@ def _design_block(spec, factors, n_rf, first_run):
     for side, normalize_power in (("f_opt", True), ("w_opt", False)):
         designer, targets = scenario_design(spec, factors, side)
         targets = np.repeat(targets, starts, axis=0)
-        designs = designer(targets, n_rf, cfg, normalize_power)
+        designs = designer(targets, n_rf, cfg, normalize_power, draws=draws)
         # min keeps the first of equal objectives
         sides.append(
             [

@@ -1,5 +1,7 @@
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from hybridsim.admm import (
     scale_matched_rho,
     step_frf,
 )
-from hybridsim import admm
 from hybridsim.admm import AdmmState
 from hybridsim.channel import ArrayGeometry, array_response
 
@@ -608,29 +609,72 @@ class TestAdmmConfig:
         assert got == 16 * 3 / 144
 
 
-class TestStartStreams:
-    @pytest.mark.parametrize(
-        "designer", [design_fully_connected, design_partially_connected]
-    )
-    @pytest.mark.parametrize("batch_n, single_n", [(8, 12), (12, 8)])
-    def test_single_design_after_a_batched_call_matches_a_fresh_one(
-        self, designer, batch_n, single_n
-    ):
-        # a batched call leaves seeds 10-13 drawn to the length of its
-        # starts; the single design with seed 12 then takes a longer or a
-        # shorter start from that stream
-        rng = np.random.default_rng(batch_n)
-        cfg = AdmmConfig(rho=0.1, max_iters=10, tau=0.0, phase_bits=3, seed=10)
-        targets = np.stack([random_target(rng, batch_n, 2) for _ in range(4)])
-        designer(targets, 2, cfg, True)
-        assert sorted(admm._STARTS) == [10, 11, 12, 13]
-        target = random_target(rng, single_n, 2)
-        single = AdmmConfig(rho=0.1, max_iters=10, tau=0.0, phase_bits=3, seed=12)
-        after = designer(target, 4, single, True)
-        # only the last call's seeds are kept
-        assert list(admm._STARTS) == [12]
-        admm._STARTS.clear()
-        fresh = designer(target, 4, single, True)
-        assert after.f_rf.tobytes() == fresh.f_rf.tobytes()
-        assert after.f_bb.tobytes() == fresh.f_bb.tobytes()
-        assert after.trace == fresh.trace
+class TestStartDraws:
+    # each designer and the doubles the start of an 8 x 2 design at n_rf = 2
+    # takes
+    DESIGNERS = {
+        "full": (design_fully_connected, 16),
+        "wideband": (design_wideband, 16),
+        "partial": (design_partially_connected, 8),
+    }
+
+    def batch(self, name, count):
+        """The designer, ``count`` 8 x 2 targets for it (on 3 identical
+        subcarriers for the wideband one) and the doubles a start takes."""
+        designer, size = self.DESIGNERS[name]
+        rng = np.random.default_rng(count)
+        targets = np.stack([random_target(rng, 8, 2) for _ in range(count)])
+        if name == "wideband":
+            targets = np.repeat(targets[:, None], 3, axis=1)
+        return designer, targets, size
+
+    @pytest.mark.parametrize("name", ["full", "wideband", "partial"])
+    @pytest.mark.parametrize("rows, extra", [(2, 0), (4, 0), (3, -1)])
+    def test_draws_that_do_not_fit_are_rejected(self, name, rows, extra):
+        # the batch holds 3 instances, each start takes `size` doubles
+        designer, targets, size = self.batch(name, 3)
+        draws = np.random.default_rng(0).random((rows, size + extra))
+        with pytest.raises(ValueError, match="draws must hold 3 rows of at least"):
+            designer(targets, 2, AdmmConfig(), True, draws=draws)
+
+    @pytest.mark.parametrize("name", ["full", "wideband", "partial"])
+    def test_a_single_design_takes_one_row_of_draws(self, name):
+        designer, targets, size = self.batch(name, 1)
+        draws = np.random.default_rng(7).random((1, size + 5))
+        cfg = AdmmConfig(rho=0.1, max_iters=5, tau=0.0, seed=7)
+        got = designer(targets[0], 2, cfg, True, draws=draws)
+        want = designer(targets[0], 2, cfg, True)
+        assert got.f_rf.tobytes() == want.f_rf.tobytes()
+        assert got.trace == want.trace
+        with pytest.raises(ValueError, match="draws must hold 1 rows"):
+            designer(targets[0], 2, cfg, True, draws=draws[0])
+
+    def test_designs_from_four_threads_match_serial_designs(self):
+        # every design draws its own starts, so designs running at once in
+        # one process give what they give one after another
+        calls = []
+        for seed in range(8):
+            name = ("full", "wideband", "partial")[seed % 3]
+            designer, targets, _ = self.batch(name, 1 + seed % 4)
+            bits = None if seed % 2 else 3
+            cfg = AdmmConfig(rho=0.1, max_iters=20, tau=0.0, phase_bits=bits, seed=seed)
+            calls.append((designer, targets, cfg))
+
+        def design(call):
+            designer, targets, cfg = call
+            return designer(targets, 2, cfg, True)
+
+        serial = [design(call) for call in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(design, calls * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial * 3):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.f_rf.tobytes() == w.f_rf.tobytes()
+                assert g.f_bb.tobytes() == w.f_bb.tobytes()
+                assert g.trace == w.trace

@@ -1,8 +1,10 @@
 """Property tests of the batched designers.
 
-Instance i of a batched design call uses the seed ``cfg.seed + i``; it must
-return bitwise what the single design with that seed returns, whatever else
-is in the batch, and every design must be feasible and power normalized.
+Instance i of a batched design call without ``draws`` starts from the seed
+``cfg.seed + i``; it must return bitwise what the single design with that
+seed returns, whatever else is in the batch, and every design must be
+feasible and power normalized.  Start rows drawn from those seeds, of any
+length past the start's, give the same designs.
 """
 
 import tracemalloc
@@ -14,13 +16,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hybridsim import admm  # noqa: E402
 from hybridsim.admm import (  # noqa: E402
     AdmmConfig,
     DesignBatch,
     design_fully_connected,
     design_partially_connected,
     design_wideband,
+    project_unit_modulus,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -141,32 +143,47 @@ def test_partially_connected_batch_matches_single_designs(case):
 
 @PROPERTY
 @given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 12),
-            st.integers(1, 5),
-            st.tuples(st.integers(1, 4), st.integers(1, 6)),
-            st.sampled_from([None, 3]),
-        ),
-        min_size=1,
-        max_size=8,
-    )
+    structure=st.sampled_from(["full", "partial"]),
+    seed=st.integers(0, 10_000),
+    count=st.integers(1, 4),
+    n_rf=st.integers(1, 3),
+    block=st.integers(1, 4),
+    extra=st.integers(0, 40),
+    phase_bits=st.sampled_from([None, 3]),
 )
-def test_shared_start_streams_match_fresh_generators(calls):
-    # starts share one generator per seed across calls; in any order of
-    # shapes and seed ranges each must be what a new generator per
-    # instance draws, and only the last call's seeds stay in the memo
-    for seed, count, shape, phase_bits in calls:
-        cfg = AdmmConfig(seed=seed, phase_bits=phase_bits)
-        got = admm._init_analog(cfg, count, shape)
-        draws = [
-            np.random.default_rng(seed + i).uniform(size=shape) for i in range(count)
-        ]
-        want = np.exp(2j * np.pi * np.stack(draws))
+def test_designs_from_longer_draws_equal_seeded_designs(
+    structure, seed, count, n_rf, block, extra, phase_bits
+):
+    # each instance's start is a prefix of its row, so rows drawn from the
+    # instances' seeds past the start's length give the seeded designs, and
+    # each starts from exp(2j pi u) of its seed's first uniform(0, 1) draws
+    n_tx = n_rf * block
+    cfg = AdmmConfig(rho=0.3, max_iters=8, tau=0.0, phase_bits=phase_bits, seed=seed)
+    targets = column_orthonormal(np.random.default_rng(seed), count, n_tx=n_tx, n_s=1)
+    size = n_tx if structure == "partial" else n_tx * n_rf
+    draws = np.stack(
+        [np.random.default_rng(seed + i).random(size + extra) for i in range(count)]
+    )
+    designer = DESIGNERS[structure]
+    try:
+        want = designer(targets, n_rf, cfg, True)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            designer(targets, n_rf, cfg, True, draws=draws)
+        return
+    got = designer(targets, n_rf, cfg, True, keep_iterates=True, draws=draws)
+    shape = (n_rf, block) if structure == "partial" else (n_tx, n_rf)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.f_rf.tobytes() == w.f_rf.tobytes()
+        assert g.f_bb.tobytes() == w.f_bb.tobytes()
+        assert g.trace == w.trace
+        assert g.final_objective == w.final_objective
+        start = np.exp(2j * np.pi * np.random.default_rng(seed + i).uniform(size=shape))
         if phase_bits is not None:
-            want = admm.project_unit_modulus(want, phase_bits)
-        assert got.tobytes() == want.tobytes()
-        assert sorted(admm._STARTS) == list(range(seed, seed + count))
+            start = project_unit_modulus(start, phase_bits)
+        first = g.iterates[0]
+        got_start = first.f_vecs if structure == "partial" else first.f_rf
+        assert got_start.tobytes() == start.tobytes()
 
 
 def traced_peak(fn, *args):

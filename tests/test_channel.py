@@ -361,6 +361,21 @@ class TestDump:
             (lambda doc: doc.update(seed=-5.5), "seed must be an integer"),
             (lambda doc: doc.update(seed=True), "seed must be a finite number"),
             (lambda doc: doc.update(seed=-1), "seed must be nonnegative"),
+            (lambda doc: [doc], "a channel dump is a JSON object, not a list"),
+            (lambda doc: doc.__delitem__("n_rx"), r"lacks \['n_rx'\]"),
+            (lambda doc: doc.update(entries=5), "entries must be a list of number"),
+            (
+                lambda doc: doc["entries"].__setitem__(1, 5),
+                "entries must be a list of number",
+            ),
+            (
+                lambda doc: doc.update(tx_geometry=[2, 0.5]),
+                r"tx_geometry must be an object with the keys",
+            ),
+            (
+                lambda doc: doc["tx_geometry"].update(rows=2),
+                r"tx_geometry must be an object with the keys",
+            ),
         ],
         ids=[
             "geometry",
@@ -375,6 +390,12 @@ class TestDump:
             "seed_fraction",
             "seed_bool",
             "seed_negative",
+            "document_list",
+            "missing_key",
+            "entries_number",
+            "entry_number",
+            "geometry_list",
+            "geometry_key",
         ],
     )
     def test_rejects_inconsistent_dump(self, tmp_path, edit, match):
@@ -382,7 +403,9 @@ class TestDump:
         path = tmp_path / "chan.json"
         save_channel(real, path)
         doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        # an edit changes the document in place, or returns a list to write
+        # in its place
+        edited = edit(doc)
+        path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
         with pytest.raises(ValueError, match=match):
             load_channel(path)

@@ -274,8 +274,8 @@ class TestTrace:
         calls = []
         real = getattr(harness, designer)
 
-        def recorded(targets, n_rf, cfg, normalize_power):
-            designs = real(targets, n_rf, cfg, normalize_power)
+        def recorded(targets, n_rf, cfg, normalize_power, draws):
+            designs = real(targets, n_rf, cfg, normalize_power, draws=draws)
             calls.append((n_rf, normalize_power, designs))
             return designs
 

@@ -337,10 +337,10 @@ class TestRunSweep:
         # back to one run at a time and only run 1 is lost
         real = harness._design_block
 
-        def flaky(spec, factors, n_rf, first_run):
+        def flaky(spec, factors, n_rf, first_run, draws):
             if block_offset(first_run, factors, 1) is not None:
                 raise np.linalg.LinAlgError("synthetic failure")
-            return real(spec, factors, n_rf, first_run)
+            return real(spec, factors, n_rf, first_run, draws)
 
         monkeypatch.setattr(harness, "_design_block", flaky)
         out = tmp_path / "sweep.csv"
@@ -361,7 +361,7 @@ class TestRunSweep:
     def test_sweep_with_every_hybrid_design_failing(self, tmp_path, monkeypatch):
         # every sweep point's hybrid runs are all NaN, so only the digital
         # aggregates are written
-        def failing(spec, factors, n_rf, first_run):
+        def failing(spec, factors, n_rf, first_run, draws):
             raise np.linalg.LinAlgError("synthetic failure")
 
         monkeypatch.setattr(harness, "_design_block", failing)
@@ -385,8 +385,8 @@ class TestRunSweep:
             pytest.skip("worker processes only see the patch when forked")
         real = harness._design_block
 
-        def rank_deficient_combiner(spec, factors, n_rf, first_run):
-            pairs = real(spec, factors, n_rf, first_run)
+        def rank_deficient_combiner(spec, factors, n_rf, first_run, draws):
+            pairs = real(spec, factors, n_rf, first_run, draws)
             offset = block_offset(first_run, factors, 1)
             if offset is not None:
                 comb = pairs[offset][1]
@@ -409,8 +409,8 @@ class TestRunSweep:
         # run, only runs 0 and 2 lose their hybrid rows
         real = harness._design_block
 
-        def two_rank_deficient(spec, factors, n_rf, first_run):
-            pairs = real(spec, factors, n_rf, first_run)
+        def two_rank_deficient(spec, factors, n_rf, first_run, draws):
+            pairs = real(spec, factors, n_rf, first_run, draws)
             for run_index in (0, 2):
                 offset = block_offset(first_run, factors, run_index)
                 if offset is not None:
@@ -448,10 +448,10 @@ class TestRunSweep:
             pytest.skip("worker processes only see the patch when forked")
         real = harness._design_block
 
-        def two_failure_kinds(spec, factors, n_rf, first_run):
+        def two_failure_kinds(spec, factors, n_rf, first_run, draws):
             if block_offset(first_run, factors, 1) is not None:
                 raise np.linalg.LinAlgError("synthetic failure")
-            pairs = real(spec, factors, n_rf, first_run)
+            pairs = real(spec, factors, n_rf, first_run, draws)
             offset = block_offset(first_run, factors, 2)
             if offset is not None:
                 comb = pairs[offset][1]
@@ -476,8 +476,8 @@ class TestRunSweep:
     def test_nonfinite_factors_yield_nan_rows(self, tmp_path, monkeypatch):
         real = harness._design_block
 
-        def corrupted(spec, factors, n_rf, first_run):
-            pairs = real(spec, factors, n_rf, first_run)
+        def corrupted(spec, factors, n_rf, first_run, draws):
+            pairs = real(spec, factors, n_rf, first_run, draws)
             offset = block_offset(first_run, factors, 2)
             if offset is not None:
                 pairs[offset][0].f_bb[..., 0, 0] = np.nan
@@ -505,14 +505,14 @@ class TestRunSweep:
         real = harness.design_wideband
         batch_sizes = []
 
-        def poisoned(targets, n_rf, cfg, normalize_power):
+        def poisoned(targets, n_rf, cfg, normalize_power, draws):
             targets = np.array(targets)
             for i in range(len(targets)):
                 # instance seed = admm.seed + run * multistart + start
                 if (cfg.seed + i) // spec.multistart == 1:
                     targets[i, 0, 0] = np.nan
             batch_sizes.append(len(targets))
-            return real(targets, n_rf, cfg, normalize_power)
+            return real(targets, n_rf, cfg, normalize_power, draws=draws)
 
         monkeypatch.setattr(harness, "design_wideband", poisoned)
         hit = tmp_path / "hit.csv"
@@ -664,6 +664,39 @@ class TestBlockLayout:
         # would hold over three times _BLOCK_ENTRIES complex entries
         calls = self.layout(wideband_ofdm_spec(64), 1, monkeypatch, tmp_path)
         assert len(calls) >= 3
+
+    @pytest.mark.parametrize(
+        "scenario, n_subcarriers",
+        [("narrowband_full", 1), ("narrowband_partial", 1), ("wideband", 2)],
+    )
+    def test_one_block_seeds_one_generator_per_run_and_per_start(
+        self, tmp_path, monkeypatch, scenario, n_subcarriers
+    ):
+        # one channel generator per run and one start generator per
+        # instance: the designer calls at both n_rf and on both sides share
+        # the instances' draws
+        spec = small_spec(
+            scenario=scenario,
+            n_subcarriers=n_subcarriers,
+            n_rf=[2, 4],
+            n_tx_side=4,
+            n_rx_side=4,
+            runs=3,
+            multistart=2,
+            admm=AdmmConfig(rho=0.1, max_iters=5, tau=0.0, seed=20),
+        )
+        assert harness._blocks(spec, 1) == ([0], [3])
+        real = np.random.default_rng
+        seeds = []
+
+        def counted(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        run_sweep(spec, tmp_path / "sweep.csv")
+        assert len(seeds) == spec.runs + spec.runs * spec.multistart
+        assert sorted(seeds) == [*range(20, 26), *range(100, 103)]
 
 
 class TestResultRecord:

@@ -89,10 +89,10 @@ def test_lines_order_and_aggregates_match_records(case):
     spec, block_runs, failing = case
     real = harness._design_block
 
-    def flaky(spec, factors, n_rf, first_run):
+    def flaky(spec, factors, n_rf, first_run, draws):
         if failing is not None and 0 <= failing - first_run < len(factors.f_opt):
             raise np.linalg.LinAlgError("synthetic failure")
-        return real(spec, factors, n_rf, first_run)
+        return real(spec, factors, n_rf, first_run, draws)
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_BLOCK_RUNS", block_runs)
