@@ -38,22 +38,20 @@ part = SweepSpec(
     **common,
 )
 
-def means(records, method):
-    acc = {}
-    for r in records:
-        if r.method == method:
-            acc.setdefault(r.snr_db, []).append(r.spectral_efficiency)
-    return {k: sum(v) / len(v) for k, v in acc.items()}
-
-full_recs = run_sweep(full, out / "full.csv")
-part_recs = run_sweep(part, out / "partial.csv")
-
-dig = means(full_recs, "digital_opt")
-fc = means(full_recs, "hybrid_full")
-pc = means(part_recs, "hybrid_partial")
+# mean rate per (method, SNR), from each sweep's meta.json aggregates; the
+# two sweeps draw the same channels, so their digital_opt means agree
+metas = [run_sweep(full, out / "full.csv"), run_sweep(part, out / "partial.csv")]
+means = {
+    (agg["method"], agg["snr_db"]): agg["mean_spectral_efficiency"]
+    for meta in metas
+    for agg in meta["aggregates"]
+}
 
 print(f"100 tx antennas, {N_RF} chains, {RUNS} runs; rates in bits/s/Hz")
 print("  SNR     digital    fully-conn   partially-conn")
 for snr in SNRS:
-    print(f"{snr:+5.0f} dB   {dig[snr]:7.3f}    {fc[snr]:7.3f}      {pc[snr]:7.3f}")
+    dig, fc, pc = (
+        means[name, snr] for name in ("digital_opt", "hybrid_full", "hybrid_partial")
+    )
+    print(f"{snr:+5.0f} dB   {dig:7.3f}    {fc:7.3f}      {pc:7.3f}")
 print(f"csv output under {out}")

@@ -35,7 +35,7 @@ from .channel import (
     sample_cluster_angles,
     save_channel,
 )
-from .harness import ResultRecord, SweepSpec, load_config, run_sweep
+from .harness import SweepSpec, load_config, run_sweep
 from .numerics import logdet_eval
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "HybridFactors",
     "OptimalFactors",
     "PARTIALLY_CONNECTED",
-    "ResultRecord",
     "SweepSpec",
     "array_response",
     "assemble_block_diag",

@@ -353,6 +353,11 @@ def load_channel(path):
                 f"an entry list holds {len(inter)} numbers, not the "
                 f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
             )
+        # a JSON number loads as int or float; null, true and "0.25" would
+        # convert to NaN, 1.0 and 0.25
+        bad = [v for v in inter if type(v) not in (int, float)]
+        if bad:
+            raise ValueError(f"entries must be JSON numbers, got {bad[0]!r}")
     # reinterpret the (real, imag) pairs in place: exact, signed zeros
     # included, where ``re + 1j * im`` would turn -0.0 into 0.0
     matrices = (

@@ -3,7 +3,6 @@
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -58,12 +57,12 @@ def main(argv=None):
 
 def _run(spec, args):
     try:
-        records = run_sweep(spec, args.out, workers=args.workers)
+        meta = run_sweep(spec, args.out, workers=args.workers)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
-    ok = sum(1 for r in records if not math.isnan(r.spectral_efficiency))
-    print(f"wrote {len(records)} rows to {args.out} ({ok} with finite rate)")
+    rows, ok = meta["rows"], meta["rows"] - meta["error_rows"]
+    print(f"wrote {rows} rows to {args.out} ({ok} with finite rate)")
     return 0
 
 

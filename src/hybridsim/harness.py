@@ -22,10 +22,11 @@ a tie).
 A block returns its results as columns (``_Columns``), one array per
 quantity with runs first, not as rows.  The sweep joins the blocks' columns
 and walks them once in row order, sorted n_rf -> sorted snr_db -> run ->
-method, so the rows need no sort; the walk yields each row's CSV line with
-its record, and each field's text is formatted once and shared by every
-line that holds it.  The ``meta.json`` aggregates read each sweep point's
-run vector straight from the columns.
+method, so the rows need no sort; the walk yields each row's CSV line, and
+each field's text is formatted once and shared by every line that holds it.
+The lines and ``meta.json`` are the sweep's one output, and no row is kept
+once written; the ``meta.json`` aggregates read each sweep point's run
+vector straight from the columns.
 
 Determinism: a batched design returns, for every instance, bitwise the
 design that instance gets alone.  Rows are therefore the same for any block
@@ -57,7 +58,6 @@ from .channel import ArrayGeometry, ClusterParams, gen_wideband
 __all__ = [
     "SCENARIOS",
     "SweepSpec",
-    "ResultRecord",
     "draw_channels",
     "load_config",
     "run_sweep",
@@ -124,12 +124,7 @@ class SweepSpec:
             self, "n_rf", tuple(check_int(v, "n_rf") for v in _as_tuple(self.n_rf))
         )
         object.__setattr__(
-            self,
-            "snr_db_list",
-            tuple(
-                float(check_finite(s, "snr_db"))
-                for s in _as_tuple(self.snr_db_list)
-            ),
+            self, "snr_db_list", tuple(_snr_db(s) for s in _as_tuple(self.snr_db_list))
         )
         for axis in ("snr_db_list", "n_rf"):
             values = getattr(self, axis)
@@ -211,44 +206,49 @@ class SweepSpec:
         return doc
 
 
+def _snr_db(value):
+    """``value`` as a float SNR in dB, checked as ``_run_block`` takes it:
+    finite, with a linear SNR ``10.0 ** (snr_db / 10.0)`` in float range."""
+    db = float(check_finite(value, "snr_db"))
+    try:
+        10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"snr_db {db} overflows as a linear SNR 10 ** (snr_db / 10)"
+        ) from None
+    return db
+
+
 def _as_tuple(value):
     if isinstance(value, (list, tuple)):
         return tuple(value)
     return (value,)
 
 
-class ResultRecord(NamedTuple):
-    """One CSV row: the rate of one method at one sweep point in one run.
+# The CSV header: one row is the rate of one method at one sweep point in
+# one run.  final_objective and iterations_used describe the precoder-side
+# design, 0 on digital_opt rows; a failed design is a row with NaN rate, so
+# the sweep continues.  wall_time_ms is the time of the run's block in one
+# call, divided by the runs of the block: on digital rows the block's SVD
+# factors, on hybrid rows its designs at that n_rf (precoders and combiners,
+# all starts); where a block fell back to one run at a time, a hybrid row
+# has the run's own redesign time.
+_CSV_FIELDS = [
+    "scenario",
+    "snr_db",
+    "n_rf",
+    "run_index",
+    "seed",
+    "method",
+    "spectral_efficiency",
+    "final_objective",
+    "iterations_used",
+    "wall_time_ms",
+]
 
-    ``final_objective`` and ``iterations_used`` describe the precoder-side
-    design (zero for the digital baseline); failed designs are recorded
-    with NaN rate so the sweep continues.  ``wall_time_ms`` is the time of
-    the run's block in one call, divided by the runs of the block: on
-    digital rows the block's SVD factors, on hybrid rows its designs at
-    that n_rf (precoders and combiners, all starts).  Where a block fell
-    back to one run at a time, a hybrid row has the run's own redesign time.
-
-    A sweep returns one record per row, so a record is a plain NamedTuple,
-    cheap to build, and its field names are the CSV header.  One walk over
-    the columns, ``_rows``, yields each row's CSV line with its record, and
-    ``_format_row`` of a record is the tests' reference for that line.
-    """
-
-    scenario: str
-    snr_db: float
-    n_rf: int
-    run_index: int
-    seed: int
-    method: str
-    spectral_efficiency: float
-    final_objective: float
-    iterations_used: int
-    wall_time_ms: float
-
-
-_CSV_FIELDS = list(ResultRecord._fields)
-
-# One CSV line, field by field as in _CSV_FIELDS
+# One CSV line, field by field as in _CSV_FIELDS.  No field ever needs
+# quoting (identifiers and numbers only), so this is the line csv.writer
+# writes for the same fields; _rows joins its lines from the same pieces.
 _ROW_FORMAT = "%s,%.12e,%d,%d,%d,%s,%.12e,%.12e,%d,%.3f\n"
 
 
@@ -268,7 +268,7 @@ class _Columns(NamedTuple):
     len(n_rf)).  The SNR axis is in the order of ``spec.snr_db_list``.  A
     block returns the columns of its own runs, and a sweep joins its blocks'
     run-wise into the columns of runs 0 onward, which ``_rows`` walks into
-    lines and records; the columns carry no run index, so row and seed
+    lines; the columns carry no run index, so row and seed
     numbers count from run 0.
     """
 
@@ -473,8 +473,10 @@ def run_sweep(spec, out_csv, workers=1):
     raises after that leaves the rows written so far and a ``# PARTIAL``
     marker.
     Metadata lands next to the CSV (``<out_csv>.meta.json``) and carries the
-    resolved spec plus per-point aggregate means and standard errors.
-    Returns the rows as ResultRecords, in row order.
+    resolved spec, the row count, the count of NaN-rate rows
+    (``error_rows``) and per-point aggregate means and standard errors.
+    Returns that metadata, the dict the JSON file holds; no row is kept
+    once written.
     """
     # imported here: the package imports this module before it sets the version
     from . import __version__
@@ -501,10 +503,7 @@ def run_sweep(spec, out_csv, workers=1):
                 blocks = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
             # the blocks' columns joined run-wise; the sweep starts at run 0
             columns = _Columns(*map(np.concatenate, zip(*blocks)))
-            records = []
-            for line, record in _rows(spec, columns):
-                fh.write(line)
-                records.append(record)
+            fh.writelines(_rows(spec, columns))
     except BaseException:
         _mark_partial(out_csv)
         raise
@@ -522,7 +521,7 @@ def run_sweep(spec, out_csv, workers=1):
     }
     with open(str(out_csv) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    return records
+    return meta
 
 
 def _sorted_positions(values):
@@ -531,21 +530,21 @@ def _sorted_positions(values):
 
 
 def _rows(spec, columns):
-    """Each row of ``columns`` in row order, as its CSV line and its record.
+    """The CSV line of each row of ``columns``, in row order.
 
-    Yields ``(line, record)`` pairs.  Each line equals ``_format_row`` of
-    its record, but is joined from field texts formatted once each: the
-    (scenario, snr_db, n_rf) head once per sweep point, (run_index, seed)
-    once per run, the hybrid (final_objective, iterations_used,
-    wall_time_ms) tail once per (run, n_rf), and a digital row's text after
-    its run fields, which is the same at every n_rf, once per (run, snr).
+    Each line is ``_ROW_FORMAT`` of its row's fields, but is joined from
+    field texts formatted once each: the (scenario, snr_db, n_rf) head once
+    per sweep point, (run_index, seed) once per run, the hybrid
+    (final_objective, iterations_used, wall_time_ms) tail once per (run,
+    n_rf), and a digital row's text after its run fields, which is the same
+    at every n_rf, once per (run, snr).
     """
     scenario, method = spec.scenario, _HYBRID_METHOD[spec.scenario]
     runs = range(len(columns.digital_se))
-    seeds = [spec.base_seed + i for i in runs]
-    run_text = ["%d,%d," % run for run in zip(runs, seeds)]
-    digital_ms = columns.digital_ms.tolist()
-    digital_tail = [",%.12e,%d,%.3f\n" % (0.0, 0, ms) for ms in digital_ms]
+    run_text = ["%d,%d," % (i, spec.base_seed + i) for i in runs]
+    digital_tail = [
+        ",%.12e,%d,%.3f\n" % (0.0, 0, ms) for ms in columns.digital_ms.tolist()
+    ]
     # indexed [snr][run], [n_rf][run] and [n_rf][snr][run]: the runs of a
     # sweep point are one list
     digital_se = columns.digital_se.T.tolist()
@@ -553,40 +552,22 @@ def _rows(spec, columns):
         ["digital_opt,%.12e%s" % fields for fields in zip(rates, digital_tail)]
         for rates in digital_se
     ]
-    objective = columns.final_objective.T.tolist()
-    iterations = columns.iterations.T.tolist()
-    design_ms = columns.design_ms.T.tolist()
     hybrid_tail = [
         [",%.12e,%d,%.3f\n" % fields for fields in zip(*point_fields)]
-        for point_fields in zip(objective, iterations, design_ms)
+        for point_fields in zip(
+            columns.final_objective.T.tolist(),
+            columns.iterations.T.tolist(),
+            columns.design_ms.T.tolist(),
+        )
     ]
     hybrid_se = columns.hybrid_se.transpose(1, 2, 0).tolist()
     for k in _sorted_positions(spec.n_rf):
-        n_rf = spec.n_rf[k]
-        hybrid = list(zip(objective[k], iterations[k], design_ms[k], hybrid_tail[k]))
         for j in _sorted_positions(spec.snr_db_list):
-            snr_db = spec.snr_db_list[j]
-            head = "%s,%.12e,%d," % (scenario, snr_db, n_rf)
-            for i, (obj, iters, hyb_ms, tail) in enumerate(hybrid):
+            head = "%s,%.12e,%d," % (scenario, spec.snr_db_list[j], spec.n_rf[k])
+            for i, tail in enumerate(hybrid_tail[k]):
                 lead = head + run_text[i]
-                dig_se, hyb_se = digital_se[j][i], hybrid_se[k][j][i]
-                yield lead + digital_text[j][i], ResultRecord(
-                    scenario, snr_db, n_rf, i, seeds[i],
-                    "digital_opt", dig_se, 0.0, 0, digital_ms[i],
-                )
-                yield "%s%s,%.12e%s" % (lead, method, hyb_se, tail), ResultRecord(
-                    scenario, snr_db, n_rf, i, seeds[i],
-                    method, hyb_se, obj, iters, hyb_ms,
-                )
-
-
-def _format_row(rec):
-    """One CSV line of a record: the reference the lines of ``_rows`` match.
-
-    No field ever needs quoting (identifiers and numbers only), so this is
-    the line ``csv.writer`` would write for the same fields.
-    """
-    return _ROW_FORMAT % rec
+                yield lead + digital_text[j][i]
+                yield "%s%s,%.12e%s" % (lead, method, hybrid_se[k][j][i], tail)
 
 
 def _mark_partial(out_csv):

@@ -32,6 +32,7 @@ from hybridsim.channel import (
     sample_cluster_angles,
 )
 from hybridsim.harness import SweepSpec, run_sweep
+from sweep_rows import read_sweep
 
 
 def report(num, ok, detail):
@@ -153,8 +154,9 @@ def sweep_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def c2_records(sweep_dir):
     t0 = time.perf_counter()
-    records = run_sweep(C2_SPEC, sweep_dir / "c2.csv")
-    return records, time.perf_counter() - t0
+    run_sweep(C2_SPEC, sweep_dir / "c2.csv")
+    dt = time.perf_counter() - t0
+    return read_sweep(sweep_dir / "c2.csv"), dt
 
 
 @pytest.fixture(scope="module")
@@ -162,21 +164,24 @@ def c2_records_tau0(sweep_dir):
     spec = SweepSpec.from_dict(
         {**C2_SPEC.to_dict(), "admm": {**C2_SPEC.to_dict()["admm"], "tau": 0.0}}
     )
-    return run_sweep(spec, sweep_dir / "c2_tau0.csv")
+    run_sweep(spec, sweep_dir / "c2_tau0.csv")
+    return read_sweep(sweep_dir / "c2_tau0.csv")
 
 
 @pytest.fixture(scope="module")
 def c3_records(sweep_dir):
-    full = run_sweep(C3_FULL_SPEC, sweep_dir / "c3_full.csv")
-    part = run_sweep(C3_PARTIAL_SPEC, sweep_dir / "c3_partial.csv")
-    return full, part
+    run_sweep(C3_FULL_SPEC, sweep_dir / "c3_full.csv")
+    run_sweep(C3_PARTIAL_SPEC, sweep_dir / "c3_partial.csv")
+    full = read_sweep(sweep_dir / "c3_full.csv")
+    return full, read_sweep(sweep_dir / "c3_partial.csv")
 
 
 @pytest.fixture(scope="module")
 def c5_records(sweep_dir):
-    wide = run_sweep(C5_WIDE_SPEC, sweep_dir / "c5_wide.csv")
-    narrow = run_sweep(C5_NARROW_SPEC, sweep_dir / "c5_narrow.csv")
-    return wide, narrow
+    run_sweep(C5_WIDE_SPEC, sweep_dir / "c5_wide.csv")
+    run_sweep(C5_NARROW_SPEC, sweep_dir / "c5_narrow.csv")
+    wide = read_sweep(sweep_dir / "c5_wide.csv")
+    return wide, read_sweep(sweep_dir / "c5_narrow.csv")
 
 
 def test_criterion_01_square_case_matches_digital():

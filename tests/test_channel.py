@@ -368,6 +368,20 @@ class TestDump:
                 lambda doc: doc["entries"].__setitem__(1, 5),
                 "entries must be a list of number",
             ),
+            # entries that np.asarray(..., dtype=float) would take as NaN,
+            # 1.0 and 0.25
+            (
+                lambda doc: doc["entries"][0].__setitem__(0, None),
+                "entries must be JSON numbers, got None",
+            ),
+            (
+                lambda doc: doc["entries"][1].__setitem__(3, True),
+                "entries must be JSON numbers, got True",
+            ),
+            (
+                lambda doc: doc["entries"][0].__setitem__(5, "0.25"),
+                "entries must be JSON numbers, got '0.25'",
+            ),
             (
                 lambda doc: doc.update(tx_geometry=[2, 0.5]),
                 r"tx_geometry must be an object with the keys",
@@ -394,6 +408,9 @@ class TestDump:
             "missing_key",
             "entries_number",
             "entry_number",
+            "entry_null",
+            "entry_bool",
+            "entry_text",
             "geometry_list",
             "geometry_key",
         ],

@@ -228,6 +228,18 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_snr_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        # 4000 dB is a finite number whose linear SNR overflows
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["snr_db_list"] = [4000.0]
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "res.csv"
+        for argv in (["validate"], ["run", "--out", str(out)]):
+            assert main([*argv, "--config", str(cfg)]) == 2
+            assert "snr_db 4000.0 overflows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrace:
     def test_trace_csv_shape(self, tmp_path, capsys):
@@ -281,7 +293,7 @@ class TestTrace:
 
         with monkeypatch.context() as mp:
             mp.setattr(harness, designer, recorded)
-            records = harness.run_sweep(spec, tmp_path / "sweep.csv")
+            harness.run_sweep(spec, tmp_path / "sweep.csv")
         n_rf, normalize_power, designs = calls[0]
         assert (n_rf, normalize_power) == (spec.n_rf[0], True)
         want = designs[0]
@@ -296,13 +308,15 @@ class TestTrace:
         printed = capsys.readouterr().out
         assert f"(final objective {want.final_objective:.3e})" in printed
         if multistart == 1:
-            (row,) = [
-                r
-                for r in records
-                if r.method != "digital_opt" and r.n_rf == spec.n_rf[0]
-            ]
-            assert row.final_objective == want.final_objective
-            assert f"(final objective {row.final_objective:.3e})" in printed
+            # the sweep row's objective is the trace design's, to the last
+            # digit the CSV holds
+            with open(tmp_path / "sweep.csv", newline="") as fh:
+                (row,) = [
+                    r
+                    for r in csv.DictReader(fh)
+                    if r["method"] != "digital_opt" and int(r["n_rf"]) == spec.n_rf[0]
+                ]
+            assert row["final_objective"] == f"{want.final_objective:.12e}"
 
     def test_unwritable_out_fails_before_any_design(
         self, tmp_path, capsys, monkeypatch

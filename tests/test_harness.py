@@ -9,6 +9,13 @@ import pytest
 from hybridsim import harness
 from hybridsim.admm import AdmmConfig
 from hybridsim.harness import SweepSpec, load_config, run_sweep
+from sweep_rows import (
+    group_by,
+    read_sweep,
+    reference_lines,
+    reference_rows,
+    spy_columns,
+)
 
 
 def small_spec(**overrides):
@@ -39,8 +46,8 @@ def strip_wall_time(rows):
 
 def run_rows(spec, run_index, tmp_path):
     """The rows of one run, read from a sweep of the spec."""
-    records = run_sweep(spec, tmp_path / "sweep.csv")
-    return [r for r in records if r.run_index == run_index]
+    run_sweep(spec, tmp_path / "sweep.csv")
+    return [r for r in read_sweep(tmp_path / "sweep.csv") if r.run_index == run_index]
 
 
 def block_offset(first_run, factors, run_index):
@@ -131,6 +138,8 @@ class TestSweepSpec:
             {"base_seed": float("inf")},
             {"n_rf": [2, 2.5]},
             {"n_rf": float("nan")},
+            # finite in dB, but 10 ** 400 is beyond float range
+            {"snr_db_list": [0.0, 4000.0]},
         ],
     )
     def test_nonfinite_and_nonint_values_rejected(self, overrides):
@@ -290,11 +299,17 @@ class TestRunSweep:
                 run_sweep(small_spec(), tmp_path / "sweep.csv", workers=workers)
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_metadata_contents(self, tmp_path):
+    def test_metadata_contents(self, tmp_path, monkeypatch):
         out = tmp_path / "sweep.csv"
-        records = run_sweep(spec := small_spec(), out)
+        seen = spy_columns(monkeypatch)
+        returned = run_sweep(spec := small_spec(), out)
         with open(str(out) + ".meta.json") as fh:
             meta = json.load(fh)
+        assert returned == meta
+        # the rows of the columns the sweep wrote, with their exact rates
+        (columns,) = seen
+        records = reference_rows(spec, columns)
+        assert out.read_text().splitlines(keepends=True) == reference_lines(records)
         assert meta["rows"] == 12
         assert meta["error_rows"] == 0
         assert SweepSpec.from_dict(meta["spec"]) == spec
@@ -315,10 +330,10 @@ class TestRunSweep:
     def test_multistart_never_worse_on_shared_start(self, tmp_path):
         # run 0 of a multistart=2 sweep picks the best of seeds {0, 1},
         # a superset of the single-start run's seed {0}
-        single = run_sweep(small_spec(runs=1), tmp_path / "m1.csv")
-        double = run_sweep(
-            small_spec(runs=1, multistart=2), tmp_path / "m2.csv"
-        )
+        run_sweep(small_spec(runs=1), tmp_path / "m1.csv")
+        run_sweep(small_spec(runs=1, multistart=2), tmp_path / "m2.csv")
+        single = read_sweep(tmp_path / "m1.csv")
+        double = read_sweep(tmp_path / "m2.csv")
         obj1 = {
             (r.snr_db,): r.final_objective
             for r in single
@@ -344,8 +359,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "_design_block", flaky)
         out = tmp_path / "sweep.csv"
-        records = run_sweep(small_spec(), out)
-        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        run_sweep(small_spec(), out)
+        bad = [r for r in read_sweep(out) if np.isnan(r.spectral_efficiency)]
         assert len(bad) == 2  # hybrid rows of run 1, both snrs
         assert all(r.method == "hybrid_full" and r.run_index == 1 for r in bad)
         with open(str(out) + ".meta.json") as fh:
@@ -366,8 +381,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "_design_block", failing)
         out = tmp_path / "sweep.csv"
-        records = run_sweep(small_spec(n_rf=[2, 3]), out)
-        hybrid = [r for r in records if r.method == "hybrid_full"]
+        run_sweep(small_spec(n_rf=[2, 3]), out)
+        hybrid = [r for r in read_sweep(out) if r.method == "hybrid_full"]
         assert len(hybrid) == 12
         assert all(np.isnan(r.spectral_efficiency) for r in hybrid)
         with open(str(out) + ".meta.json") as fh:
@@ -395,8 +410,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "_design_block", rank_deficient_combiner)
         out = tmp_path / "sweep.csv"
-        records = run_sweep(small_spec(), out, workers=workers)
-        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        run_sweep(small_spec(), out, workers=workers)
+        bad = [r for r in read_sweep(out) if np.isnan(r.spectral_efficiency)]
         assert len(bad) == 2
         assert all(r.method == "hybrid_full" and r.run_index == 1 for r in bad)
         assert all(np.isnan(r.final_objective) for r in bad)
@@ -419,9 +434,11 @@ class TestRunSweep:
             return pairs
 
         spec = small_spec(runs=4)
-        clean = run_sweep(spec, tmp_path / "clean.csv")
+        run_sweep(spec, tmp_path / "clean.csv")
         monkeypatch.setattr(harness, "_design_block", two_rank_deficient)
-        records = run_sweep(spec, tmp_path / "sweep.csv")
+        run_sweep(spec, tmp_path / "sweep.csv")
+        clean = read_sweep(tmp_path / "clean.csv")
+        records = read_sweep(tmp_path / "sweep.csv")
         bad = [r for r in records if np.isnan(r.spectral_efficiency)]
         assert {(r.method, r.run_index) for r in bad} == {
             ("hybrid_full", 0),
@@ -459,9 +476,11 @@ class TestRunSweep:
             return pairs
 
         spec = small_spec(runs=4)
-        clean = run_sweep(spec, tmp_path / "clean.csv")
+        run_sweep(spec, tmp_path / "clean.csv")
         monkeypatch.setattr(harness, "_design_block", two_failure_kinds)
-        records = run_sweep(spec, tmp_path / "sweep.csv", workers=workers)
+        run_sweep(spec, tmp_path / "sweep.csv", workers=workers)
+        clean = read_sweep(tmp_path / "clean.csv")
+        records = read_sweep(tmp_path / "sweep.csv")
         lost = {("hybrid_full", 1), ("hybrid_full", 2)}
         bad = [r for r in records if np.isnan(r.spectral_efficiency)]
         assert {(r.method, r.run_index) for r in bad} == lost
@@ -484,7 +503,8 @@ class TestRunSweep:
             return pairs
 
         monkeypatch.setattr(harness, "_design_block", corrupted)
-        records = run_sweep(small_spec(), tmp_path / "sweep.csv")
+        run_sweep(small_spec(), tmp_path / "sweep.csv")
+        records = read_sweep(tmp_path / "sweep.csv")
         bad = [r for r in records if np.isnan(r.spectral_efficiency)]
         assert {(r.method, r.run_index) for r in bad} == {("hybrid_full", 2)}
         assert len(bad) == 2
@@ -516,9 +536,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "design_wideband", poisoned)
         hit = tmp_path / "hit.csv"
-        records = run_sweep(spec, hit)
+        run_sweep(spec, hit)
         assert batch_sizes[0] == spec.runs * spec.multistart
-        bad = [r for r in records if np.isnan(r.spectral_efficiency)]
+        bad = [r for r in read_sweep(hit) if np.isnan(r.spectral_efficiency)]
         assert {(r.method, r.run_index) for r in bad} == {("hybrid_full", 1)}
         clean_rows = strip_wall_time(read_rows(clean))
         hit_rows = strip_wall_time(read_rows(hit))
@@ -528,6 +548,32 @@ class TestRunSweep:
                 assert got[6] == "nan"
             else:
                 assert got == want
+
+    def test_lines_match_the_rows_of_the_walked_columns(self, tmp_path, monkeypatch):
+        # the row walk on unsorted n_rf and SNR axes, one run a block, and a
+        # failing run 1, against the reference rows of the columns it walked
+        real = harness._design_block
+
+        def flaky(spec, factors, n_rf, first_run, draws):
+            if block_offset(first_run, factors, 1) is not None:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(spec, factors, n_rf, first_run, draws)
+
+        monkeypatch.setattr(harness, "_BLOCK_RUNS", 1)
+        monkeypatch.setattr(harness, "_design_block", flaky)
+        seen = spy_columns(monkeypatch)
+        spec = small_spec(n_rf=[3, 2], snr_db_list=[7.0, -2.5, 0.0, 20.0])
+        out = tmp_path / "sweep.csv"
+        meta = run_sweep(spec, out)
+        (columns,) = seen
+        assert len(columns.digital_se) == spec.runs
+        rows = reference_rows(spec, columns)
+        assert out.read_text().splitlines(keepends=True) == reference_lines(rows)
+        assert meta["rows"] == len(rows) == 48
+        assert meta["aggregates"] == group_by(rows)
+        lost = [r for r in rows if np.isnan(r.spectral_efficiency)]
+        assert {(r.method, r.run_index) for r in lost} == {("hybrid_full", 1)}
+        assert meta["error_rows"] == len(lost) == 8
 
     def test_io_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
         real = harness._rows
@@ -699,54 +745,29 @@ class TestBlockLayout:
         assert sorted(seeds) == [*range(20, 26), *range(100, 103)]
 
 
-class TestResultRecord:
-    def test_keyword_built_immutable_and_replaceable(self):
-        values = dict(
-            scenario="wideband",
-            snr_db=0.0,
-            n_rf=4,
-            run_index=3,
-            seed=103,
-            method="hybrid_wideband",
-            spectral_efficiency=1.5,
-            final_objective=0.25,
-            iterations_used=30,
-            wall_time_ms=2.0,
-        )
-        rec = harness.ResultRecord(**values)
-        assert rec == harness.ResultRecord(*values.values())
-        assert list(rec._fields) == harness._CSV_FIELDS == list(values)
-        assert rec._asdict() == values
-        with pytest.raises(AttributeError):
-            rec.n_rf = 2
-        assert rec._replace(n_rf=2) == harness.ResultRecord(**{**values, "n_rf": 2})
-        assert rec.n_rf == 4
-
-
 class TestFormatRow:
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e300]
     )
     def test_line_equals_csv_writer_line(self, value):
-        rec = harness.ResultRecord(
-            "wideband", value, 4, 17, 1017, "hybrid_wideband",
-            value, value, 250, value,
+        row = (
+            "wideband", value, 4, 17, 1017, "hybrid_wideband", value, value, 250, value
         )
         fields = [
-            rec.scenario,
-            f"{rec.snr_db:.12e}",
-            rec.n_rf,
-            rec.run_index,
-            rec.seed,
-            rec.method,
-            f"{rec.spectral_efficiency:.12e}",
-            f"{rec.final_objective:.12e}",
-            rec.iterations_used,
-            f"{rec.wall_time_ms:.3f}",
+            "wideband",
+            f"{value:.12e}",
+            4,
+            17,
+            1017,
+            "hybrid_wideband",
+            f"{value:.12e}",
+            f"{value:.12e}",
+            250,
+            f"{value:.3f}",
         ]
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(fields)
-        assert harness._format_row(rec) == buf.getvalue()
+        assert harness._ROW_FORMAT % row == buf.getvalue()
 
     def test_header_equals_csv_writer_header(self, tmp_path):
         out = tmp_path / "sweep.csv"

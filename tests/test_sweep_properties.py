@@ -2,13 +2,13 @@
 
 A sweep joins its blocks' result columns and walks them in row order,
 joining each CSV line from field texts formatted once.  These properties
-pin that walk to the one-row reference ``_format_row``, to the sorted row
-order, and to a direct group-by over the returned records, for any axis
-order, block size and failing run.
+pin the lines it writes to ``_ROW_FORMAT`` of the reference rows built from
+the columns the walk received, in sorted row order, and its ``meta.json``
+to a direct group-by over those rows, for any axis order, block size and
+failing run.
 """
 
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -21,6 +21,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hybridsim import harness  # noqa: E402
 from hybridsim.admm import AdmmConfig  # noqa: E402
 from hybridsim.harness import SweepSpec, run_sweep  # noqa: E402
+from sweep_rows import (  # noqa: E402
+    group_by,
+    reference_lines,
+    reference_rows,
+    spy_columns,
+)
 
 PROPERTY = settings(max_examples=12, deadline=None)
 
@@ -57,32 +63,6 @@ def sweeps(draw):
     return spec, draw(st.integers(1, 3)), failing
 
 
-def group_by(records):
-    """Per-point aggregates over the records, as ``meta.json`` holds them."""
-    groups = {}
-    for rec in records:
-        if not math.isnan(rec.spectral_efficiency):
-            groups.setdefault(
-                (rec.scenario, rec.snr_db, rec.n_rf, rec.method), []
-            ).append(rec.spectral_efficiency)
-    out = []
-    for (scenario, snr_db, n_rf, method), vals in sorted(groups.items()):
-        arr = np.asarray(vals)
-        stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        out.append(
-            {
-                "scenario": scenario,
-                "snr_db": snr_db,
-                "n_rf": n_rf,
-                "method": method,
-                "mean_spectral_efficiency": float(arr.mean()),
-                "stderr": stderr,
-                "n": int(arr.size),
-            }
-        )
-    return out
-
-
 @PROPERTY
 @given(sweeps())
 def test_lines_order_and_aggregates_match_records(case):
@@ -97,19 +77,20 @@ def test_lines_order_and_aggregates_match_records(case):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_BLOCK_RUNS", block_runs)
         mp.setattr(harness, "_design_block", flaky)
+        seen = spy_columns(mp)
         out = Path(tmp) / "sweep.csv"
-        records = run_sweep(spec, out)
+        meta = run_sweep(spec, out)
         lines = out.read_text().splitlines(keepends=True)
         with open(str(out) + ".meta.json") as fh:
-            meta = json.load(fh)
+            assert json.load(fh) == meta
 
-    assert len(records) == 2 * spec.runs * len(spec.n_rf) * len(spec.snr_db_list)
-    assert lines[1:] == [harness._format_row(rec) for rec in records]
-    keys = [(r.n_rf, r.snr_db, r.run_index, r.method) for r in records]
-    assert keys == sorted(keys)
-    assert meta["rows"] == len(records)
-    assert meta["aggregates"] == group_by(records)
-    nan_rows = sum(math.isnan(r.spectral_efficiency) for r in records)
+    (columns,) = seen
+    rows = reference_rows(spec, columns)
+    assert len(rows) == 2 * spec.runs * len(spec.n_rf) * len(spec.snr_db_list)
+    assert lines == reference_lines(rows)
+    assert meta["rows"] == len(rows)
+    assert meta["aggregates"] == group_by(rows)
+    nan_rows = sum(np.isnan(r.spectral_efficiency) for r in rows)
     assert meta["error_rows"] == nan_rows
     lost = 0 if failing is None else len(spec.n_rf) * len(spec.snr_db_list)
     assert nan_rows == lost
