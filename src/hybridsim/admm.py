@@ -45,7 +45,8 @@ and ``|f_i|^2`` of its new digital rows (per-chain ``matmul`` products).
 The next analog update reads them, and the trace objective is
 ``||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2``, the chains'
 blocks of ``R F`` being disjoint; the primal residual is the norm of the
-step's own ``f - r``.  Kept iterates are converted to ``PartialState``.
+step's own ``f - r``.  The loop runs on ``PartialState``, which carries
+these products, and its kept iterates are copies of it.
 
 Both structures run one loop (``_run_loop``) over a leading batch axis of
 independent instances: instance i leaves the batch when its own stagnation
@@ -220,13 +221,20 @@ class AdmmState:
 @dataclass
 class PartialState:
     """One iterate of the block-diagonal loop; row i of each vector array is
-    the length n_tx/n_rf vector for RF chain i.  Inside a batched design
-    every field carries a leading instance axis."""
+    the length n_tx/n_rf vector for RF chain i, and row i of ``f_bb`` is the
+    chain's digital row f_i.  ``tf`` and ``fb_sq`` hold the products
+    ``T_i conj(f_i)`` and ``|f_i|^2`` of each chain's target row block T_i,
+    carried into the measure and the next analog update, and ``primal`` is
+    the norm of the step's own ``f_vecs - r_vecs`` (0 at the start).  Inside
+    a batched design every field carries a leading instance axis."""
 
     f_vecs: np.ndarray
     f_bb: np.ndarray
     r_vecs: np.ndarray
     w_vecs: np.ndarray
+    tf: np.ndarray
+    fb_sq: np.ndarray
+    primal: np.ndarray
 
 
 @dataclass
@@ -703,32 +711,12 @@ def _partial_fbb(f_vecs, target3):
     return rows * (1.0 / _chain_sqnorm(f_vecs))[..., None]
 
 
-@dataclass
-class _PartialIterate:
-    """The partially connected loop's own iterate: the ``PartialState`` fields,
-    ``tf`` and ``fb_sq``, the products ``T_i conj(f_i)`` and ``|f_i|^2`` of
-    each chain's target row block T_i and digital row f_i carried into the
-    measure and the next analog update, and ``primal``, the norm of the
-    step's own ``f_vecs - r_vecs``.  Every field carries a leading instance
-    axis."""
-
-    f_vecs: np.ndarray
-    f_bb: np.ndarray
-    r_vecs: np.ndarray
-    w_vecs: np.ndarray
-    tf: np.ndarray
-    fb_sq: np.ndarray
-    primal: np.ndarray
-
-
 def _partial_iterate(f_vecs, r_vecs, w_vecs, primal, target3):
     """The iterate with analog part ``(f_vecs, r_vecs, w_vecs)``: its digital
     rows and the two products carried from them."""
     f_bb = _partial_fbb(f_vecs, target3)
     tf = (target3 @ f_bb.conj()[..., None])[..., 0]
-    return _PartialIterate(
-        f_vecs, f_bb, r_vecs, w_vecs, tf, _chain_sqnorm(f_bb), primal
-    )
+    return PartialState(f_vecs, f_bb, r_vecs, w_vecs, tf, _chain_sqnorm(f_bb), primal)
 
 
 def _partial_start(f_vecs, target3):
@@ -815,11 +803,6 @@ def design_partially_connected(
         keep_iterates,
         "r_vecs",
     )
-    if iterates is not None:
-        iterates = [
-            [PartialState(st.f_vecs, st.f_bb, st.r_vecs, st.w_vecs) for st in kept]
-            for kept in iterates
-        ]
 
     f_rf_hat = assemble_block_diag(r_vecs)
     f_bb_hat = _partial_fbb(r_vecs, target3)

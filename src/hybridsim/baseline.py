@@ -126,7 +126,9 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     Returns
     -------
     ndarray of shape (...) for a scalar ``snr`` and (..., n_snr) for an
-    array; a single matrix with a scalar ``snr`` gives a float.
+    array; a single matrix with a scalar ``snr`` gives a float.  A stream
+    gain ``snr/n_s * sigma_i^2`` beyond float range makes its rate ``inf``,
+    without a warning.
 
     Raises
     ------
@@ -176,5 +178,8 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     if snr.ndim:
         # (..., n_snr, n_s): one row of stream gains per SNR point
         sigma2 = sigma2[..., None, :]
-    rates = np.log1p((snr[..., None] / n_s) * sigma2).sum(axis=-1) / np.log(2.0)
+    # a product beyond float range is inf, and so is its rate
+    with np.errstate(over="ignore"):
+        gains = (snr[..., None] / n_s) * sigma2
+    rates = np.log1p(gains).sum(axis=-1) / np.log(2.0)
     return float(rates) if rates.ndim == 0 else rates

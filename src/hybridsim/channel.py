@@ -358,13 +358,13 @@ def load_channel(path):
         bad = [v for v in inter if type(v) not in (int, float)]
         if bad:
             raise ValueError(f"entries must be JSON numbers, got {bad[0]!r}")
+    try:
+        floats = np.asarray(entries, dtype=float)
+    except OverflowError:
+        raise ValueError("an entry is an integer beyond float range") from None
     # reinterpret the (real, imag) pairs in place: exact, signed zeros
     # included, where ``re + 1j * im`` would turn -0.0 into 0.0
-    matrices = (
-        np.asarray(entries, dtype=float)
-        .view(complex)
-        .reshape(n_subcarriers, n_rx, n_tx)
-    )
+    matrices = floats.view(complex).reshape(n_subcarriers, n_rx, n_tx)
     return ChannelRealization(
         matrices=matrices,
         seed=doc["seed"],

@@ -473,8 +473,9 @@ def run_sweep(spec, out_csv, workers=1):
     raises after that leaves the rows written so far and a ``# PARTIAL``
     marker.
     Metadata lands next to the CSV (``<out_csv>.meta.json``) and carries the
-    resolved spec, the row count, the count of NaN-rate rows
-    (``error_rows``) and per-point aggregate means and standard errors.
+    resolved spec, the row count, the count of rows with a non-finite rate
+    (``error_rows``) and per-point aggregate means and standard errors of
+    the finite rates; it is strict JSON, with no NaN or Infinity.
     Returns that metadata, the dict the JSON file holds; no row is kept
     once written.
     """
@@ -509,8 +510,9 @@ def run_sweep(spec, out_csv, workers=1):
         raise
 
     # a digital rate is the row of its (run, snr) at every n_rf
-    nan_digital = int(np.isnan(columns.digital_se).sum())
-    error_rows = len(spec.n_rf) * nan_digital + int(np.isnan(columns.hybrid_se).sum())
+    bad_digital = int((~np.isfinite(columns.digital_se)).sum())
+    bad_hybrid = int((~np.isfinite(columns.hybrid_se)).sum())
+    error_rows = len(spec.n_rf) * bad_digital + bad_hybrid
     meta = {
         "spec": spec.to_dict(),
         "version": __version__,
@@ -520,7 +522,7 @@ def run_sweep(spec, out_csv, workers=1):
         "aggregates": _aggregate(spec, columns),
     }
     with open(str(out_csv) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
     return meta
 
 
@@ -607,7 +609,7 @@ def _aggregate(spec, columns):
 
 def _point_stats(rates):
     """Mean and standard error of the finite entries of ``rates``, or None."""
-    arr = rates[~np.isnan(rates)]
+    arr = rates[np.isfinite(rates)]
     if arr.size == 0:
         return None
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0

@@ -1,7 +1,8 @@
 """Sweep rows as tests read them: parsed from the CSV a sweep writes, or built
 from the result columns the sweep walked into that CSV.
 
-``read_sweep`` gives the typed rows of a sweep CSV, the sweep's one output.
+``read_sweep`` gives the typed rows of a sweep CSV, the sweep's one output,
+and ``read_meta`` its ``meta.json``, parsed as strict JSON.
 ``spy_columns`` records the ``_Columns`` each ``run_sweep`` hands
 ``harness._rows``, and ``reference_rows`` builds the rows of those columns
 with their exact values, in row order, by plain loops: the reference that
@@ -10,6 +11,7 @@ aggregates (``group_by``) are checked against.
 """
 
 import csv
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -38,6 +40,17 @@ def read_sweep(path):
     assert header == harness._CSV_FIELDS
     types = [_TYPES.get(name, str) for name in header]
     return [Row(*(t(text) for t, text in zip(types, line))) for line in body]
+
+
+def _reject_constant(name):
+    raise ValueError(f"meta.json is not strict JSON: it holds {name}")
+
+
+def read_meta(path):
+    """The document of a ``meta.json``; a ``NaN``, ``Infinity`` or
+    ``-Infinity`` in it is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def spy_columns(monkeypatch):
@@ -96,7 +109,7 @@ def group_by(rows):
     them."""
     groups = {}
     for row in rows:
-        if not np.isnan(row.spectral_efficiency):
+        if np.isfinite(row.spectral_efficiency):
             groups.setdefault(
                 (row.scenario, row.snr_db, row.n_rf, row.method), []
             ).append(row.spectral_efficiency)

@@ -4,6 +4,7 @@ import pytest
 from hybridsim.admm import (
     PARTIALLY_CONNECTED,
     AdmmConfig,
+    PartialState,
     assemble_block_diag,
     design_partially_connected,
     project_unit_modulus,
@@ -245,7 +246,9 @@ class TestDesignPartiallyConnected:
 def test_trace_objective_is_the_residual_of_its_iterate(phase_bits, batched):
     # the loop takes its objective from carried per-chain products; it must
     # equal the explicit residual of the kept iterate's feasible point, and
-    # the primal residual the norm of the iterate's f - r
+    # the primal residual the norm of the iterate's f - r.  Each kept iterate
+    # is the loop's own PartialState, and carries the products of its digital
+    # rows
     rng = np.random.default_rng(10)
     targets = np.stack([scaled_target(rng, 24, 2) for _ in range(3)])
     cfg = AdmmConfig(
@@ -268,3 +271,12 @@ def test_trace_objective_is_the_residual_of_its_iterate(phase_bits, batched):
             assert abs(objective - expected) <= 1e-10 * expected
             gap = np.linalg.norm(st.f_vecs - st.r_vecs)
             assert abs(residual - gap) <= 1e-12 * gap
+            assert isinstance(st, PartialState)
+            # T_i conj(f_i) of chain i's (6, 2) target row block T_i
+            tf = np.einsum("ils,is->il", target.reshape(4, 6, 2), st.f_bb.conj())
+            assert np.linalg.norm(st.tf - tf) <= 1e-12 * np.linalg.norm(tf)
+            fb_sq = np.sum(np.abs(st.f_bb) ** 2, axis=1)
+            assert np.all(np.abs(st.fb_sq - fb_sq) <= 1e-12 * fb_sq)
+            assert abs(st.primal - gap) <= 1e-12 * gap
+        # the start's R is its analog iterate
+        assert design.iterates[0].primal == 0.0

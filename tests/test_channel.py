@@ -382,6 +382,11 @@ class TestDump:
                 lambda doc: doc["entries"][0].__setitem__(5, "0.25"),
                 "entries must be JSON numbers, got '0.25'",
             ),
+            # an integer that json.load keeps exact and no float holds
+            (
+                lambda doc: doc["entries"][1].__setitem__(2, 10**400),
+                "an entry is an integer beyond float range",
+            ),
             (
                 lambda doc: doc.update(tx_geometry=[2, 0.5]),
                 r"tx_geometry must be an object with the keys",
@@ -411,6 +416,7 @@ class TestDump:
             "entry_null",
             "entry_bool",
             "entry_text",
+            "entry_huge_int",
             "geometry_list",
             "geometry_key",
         ],

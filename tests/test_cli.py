@@ -13,6 +13,7 @@ from hybridsim import cli, harness
 from hybridsim.admm import AdmmConfig
 from hybridsim.cli import main
 from hybridsim.harness import SweepSpec
+from sweep_rows import read_meta
 
 
 def write_config(tmp_path, **overrides):
@@ -173,6 +174,17 @@ class TestRun:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 5  # header + 1 snr x 2 runs x 2 methods
+
+    def test_reports_no_finite_rate(self, tmp_path, capsys):
+        # at 3080 dB every rate overflows to inf, which is not a finite rate
+        cfg = write_config(
+            tmp_path, n_s=1, n_tx_side=2, n_rx_side=2, snr_db_list=[3080.0]
+        )
+        out = tmp_path / "res.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        msg = capsys.readouterr().out
+        assert f"wrote 4 rows to {out} (0 with finite rate)" in msg
+        assert read_meta(str(out) + ".meta.json")["error_rows"] == 4
 
     def test_runs_and_seed_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -372,9 +384,10 @@ def test_cli_sweep_rows_equal_for_one_and_two_workers(tmp_path):
     outputs = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
-        argv = ["run", "--config", str(cfg), "--out", str(out)]
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--workers"]
         res = subprocess.run(
-            [sys.executable, "-m", "hybridsim.cli", *argv, "--workers", str(workers)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridsim.cli"]
+            + [*argv, str(workers)],
             capture_output=True,
             text=True,
             env=env,
@@ -383,8 +396,7 @@ def test_cli_sweep_rows_equal_for_one_and_two_workers(tmp_path):
         assert res.returncode == 0, res.stderr
         with open(out, newline="") as fh:
             rows = [row[:-1] for row in csv.reader(fh)]  # all but wall_time_ms
-        with open(str(out) + ".meta.json") as fh:
-            outputs[workers] = rows, json.load(fh)
+        outputs[workers] = rows, read_meta(str(out) + ".meta.json")
     rows, meta = outputs[1]
     assert len(rows) == 1 + 2 * 7 * 2
     assert len({row[8] for row in rows[1:]}) > 2  # varied iterations

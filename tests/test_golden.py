@@ -25,7 +25,6 @@ the two kernels; 1e-9 leaves a margin of about 40.
 """
 
 import csv
-import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +33,7 @@ import pytest
 
 from hybridsim.cli import main
 from hybridsim.harness import load_config, run_sweep
+from sweep_rows import read_meta
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 EXPECTED = GOLDEN / "expected"
@@ -59,8 +59,7 @@ def sweep(cut, tau, out_dir, workers=1):
         rows = list(csv.reader(fh))
     drop = rows[0].index("wall_time_ms")
     rows = [row[:drop] + row[drop + 1 :] for row in rows]
-    with open(str(out) + ".meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_meta(str(out) + ".meta.json")
     return rows, {key: meta[key] for key in ("rows", "error_rows", "aggregates")}
 
 
@@ -129,8 +128,7 @@ def _check_sweep(label, cut, tau_label, rows, meta):
     csv_path, meta_path = expected_paths(cut, tau_label)
     with open(csv_path, newline="", encoding="utf-8") as fh:
         want_rows = list(csv.reader(fh))
-    with open(meta_path, encoding="utf-8") as fh:
-        want_meta = json.load(fh)
+    want_meta = read_meta(meta_path)
     bad = _row_mismatches(label, rows, want_rows)
     bad += _meta_mismatches(label, meta, want_meta)
     assert not bad, "\n".join(bad[:20])

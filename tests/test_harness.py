@@ -11,6 +11,7 @@ from hybridsim.admm import AdmmConfig
 from hybridsim.harness import SweepSpec, load_config, run_sweep
 from sweep_rows import (
     group_by,
+    read_meta,
     read_sweep,
     reference_lines,
     reference_rows,
@@ -303,8 +304,7 @@ class TestRunSweep:
         out = tmp_path / "sweep.csv"
         seen = spy_columns(monkeypatch)
         returned = run_sweep(spec := small_spec(), out)
-        with open(str(out) + ".meta.json") as fh:
-            meta = json.load(fh)
+        meta = read_meta(str(out) + ".meta.json")
         assert returned == meta
         # the rows of the columns the sweep wrote, with their exact rates
         (columns,) = seen
@@ -363,8 +363,7 @@ class TestRunSweep:
         bad = [r for r in read_sweep(out) if np.isnan(r.spectral_efficiency)]
         assert len(bad) == 2  # hybrid rows of run 1, both snrs
         assert all(r.method == "hybrid_full" and r.run_index == 1 for r in bad)
-        with open(str(out) + ".meta.json") as fh:
-            meta = json.load(fh)
+        meta = read_meta(str(out) + ".meta.json")
         assert meta["error_rows"] == 2
         for agg in meta["aggregates"]:
             assert agg["n"] == (2 if agg["method"] == "hybrid_full" else 3)
@@ -385,12 +384,25 @@ class TestRunSweep:
         hybrid = [r for r in read_sweep(out) if r.method == "hybrid_full"]
         assert len(hybrid) == 12
         assert all(np.isnan(r.spectral_efficiency) for r in hybrid)
-        with open(str(out) + ".meta.json") as fh:
-            meta = json.load(fh)
+        meta = read_meta(str(out) + ".meta.json")
         assert meta["rows"] == 24
         assert meta["error_rows"] == 12
         assert [agg["method"] for agg in meta["aggregates"]] == ["digital_opt"] * 4
         assert all(agg["n"] == 3 for agg in meta["aggregates"])
+
+    def test_overflowing_rates_are_error_rows(self, tmp_path):
+        # 3080 dB is a linear SNR of about 1e308: every stream gain, and so
+        # every rate, overflows to inf; no rate is finite, so no aggregate
+        # is written and meta.json stays strict JSON
+        spec = small_spec(n_s=1, n_tx_side=2, n_rx_side=2, snr_db_list=[3080.0], runs=2)
+        out = tmp_path / "sweep.csv"
+        meta = run_sweep(spec, out)
+        rows = read_sweep(out)
+        assert len(rows) == meta["rows"] == 4
+        assert all(r.spectral_efficiency == np.inf for r in rows)
+        assert meta["error_rows"] == 4
+        assert meta["aggregates"] == []
+        assert read_meta(str(out) + ".meta.json") == meta
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unrateable_design_yields_nan_rows(self, tmp_path, monkeypatch, workers):
@@ -415,8 +427,7 @@ class TestRunSweep:
         assert len(bad) == 2
         assert all(r.method == "hybrid_full" and r.run_index == 1 for r in bad)
         assert all(np.isnan(r.final_objective) for r in bad)
-        with open(str(out) + ".meta.json") as fh:
-            assert json.load(fh)["error_rows"] == 2
+        assert read_meta(str(out) + ".meta.json")["error_rows"] == 2
         assert read_rows(out)[0] == harness._CSV_FIELDS
 
     def test_two_unrateable_runs_of_one_block(self, tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ to a direct group-by over those rows, for any axis order, block size and
 failing run.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from hybridsim.admm import AdmmConfig  # noqa: E402
 from hybridsim.harness import SweepSpec, run_sweep  # noqa: E402
 from sweep_rows import (  # noqa: E402
     group_by,
+    read_meta,
     reference_lines,
     reference_rows,
     spy_columns,
@@ -81,8 +81,7 @@ def test_lines_order_and_aggregates_match_records(case):
         out = Path(tmp) / "sweep.csv"
         meta = run_sweep(spec, out)
         lines = out.read_text().splitlines(keepends=True)
-        with open(str(out) + ".meta.json") as fh:
-            assert json.load(fh) == meta
+        assert read_meta(str(out) + ".meta.json") == meta
 
     (columns,) = seen
     rows = reference_rows(spec, columns)
