@@ -175,11 +175,21 @@ def spectral_efficiency(h, f, wc, snr, n_s):
             f"combiner is rank deficient (singular-value ratio {ratio:.3e})"
         )
     sigma2 = np.linalg.svd(u.conj().swapaxes(-1, -2) @ h @ f, compute_uv=False) ** 2
+    rates = _stream_rates(sigma2, snr, n_s)
+    return float(rates) if rates.ndim == 0 else rates
+
+
+def _stream_rates(sigma2, snr, n_s):
+    """``sum_i log2(1 + snr/n_s * sigma2_i)`` over the last axis of ``sigma2``.
+
+    ``sigma2`` holds the squared singular values of the effective channels,
+    (..., n_s); ``snr`` is a float or a 1-D array (already checked), which
+    gives rates of shape (...) or (..., n_snr).  A stream gain beyond float
+    range is ``inf``, and so is its rate, without a warning.
+    """
     if snr.ndim:
         # (..., n_snr, n_s): one row of stream gains per SNR point
         sigma2 = sigma2[..., None, :]
-    # a product beyond float range is inf, and so is its rate
     with np.errstate(over="ignore"):
         gains = (snr[..., None] / n_s) * sigma2
-    rates = np.log1p(gains).sum(axis=-1) / np.log(2.0)
-    return float(rates) if rates.ndim == 0 else rates
+    return np.log1p(gains).sum(axis=-1) / np.log(2.0)

@@ -5,6 +5,9 @@ receive and transmit steering vectors, scaled so the expected squared
 Frobenius norm equals ``n_tx * n_rx`` per subcarrier.  The wideband variant
 shares one set of gains and angles across subcarriers and applies a per-
 cluster delay phase ``exp(-2j*pi*(i-1)*k/K)`` for cluster i at subcarrier k.
+Since the subcarriers differ only by these phases, a draw sums its rays
+once per cluster and mixes the cluster matrices per subcarrier
+(``gen_wideband``).
 
 Reproducibility: every generator draws from ``numpy.random.default_rng(seed)``
 (PCG64) in a fixed, documented order:
@@ -131,8 +134,9 @@ class ChannelRealization:
 
     The constructor stores ``matrices`` as one complex array and raises
     ValueError unless K >= 1, (n_rx, n_tx) are the element counts of
-    ``rx_geometry`` and ``tx_geometry``, and ``seed`` is a nonnegative
-    integer; so every realization can be saved and read back as it is.
+    ``rx_geometry`` and ``tx_geometry``, every entry is finite, and
+    ``seed`` is a nonnegative integer; so every realization can be saved
+    and read back as it is.
     Realizations compare by identity.
     """
 
@@ -155,6 +159,8 @@ class ChannelRealization:
                 f"receive and a {n_tx}-element transmit array: need (K >= 1, "
                 f"{n_rx}, {n_tx})"
             )
+        if not np.isfinite(matrices).all():
+            raise ValueError("matrices contain non-finite entries")
 
     @property
     def n_subcarriers(self):
@@ -239,8 +245,13 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
 
     One set of gains and angles is shared by all subcarriers; cluster i
     contributes with delay phase ``exp(-2j*pi*(i-1)*k/K)`` at subcarrier k.
-    With ``n_subcarriers=1`` the output matches ``gen_narrowband`` exactly
-    for the same seed.
+    A draw is assembled in two products: one batched product forms each
+    cluster's matrix ``gamma * A_rx,i diag(g_i) A_tx,i^H`` over its rays,
+    then each subcarrier is the phase-weighted sum of the cluster matrices,
+    one vector-matrix product per subcarrier.  That last product is the
+    same computation at every K, so subcarrier 0 (all phases 1) is bitwise
+    the narrowband draw of the same seed, and ``n_subcarriers=1`` matches
+    ``gen_narrowband`` exactly.
 
     Parameters
     ----------
@@ -272,16 +283,24 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     )
     n_tx = tx_geom.n_elements
     n_rx = rx_geom.n_elements
-    gamma = np.sqrt(n_tx * n_rx / (params.n_clusters * params.n_rays))
+    n_clusters, n_rays = params.n_clusters, params.n_rays
+    gamma = np.sqrt(n_tx * n_rx / (n_clusters * n_rays))
 
-    cluster_idx = np.repeat(np.arange(params.n_clusters), params.n_rays)
-    # (K, rays): row k is each ray's delay phase at subcarrier k
-    delay = np.exp(
-        np.outer(np.arange(n_subcarriers), -2j * np.pi * cluster_idx) / n_subcarriers
+    # rays are cluster-major: (n_clusters, n_rx, n_rays) @ (n_clusters,
+    # n_rays, n_tx), slice i is gamma a_rx,i diag(gains_i) a_tx,i^H
+    weighted = (a_rx * (gamma * gains.ravel())).reshape(n_rx, n_clusters, n_rays)
+    clusters = weighted.transpose(1, 0, 2) @ a_tx.conj().T.reshape(
+        n_clusters, n_rays, n_tx
     )
-    weights = gains.ravel() * delay
-    # one stacked product: slice k is a_rx diag(weights[k]) a_tx^H
-    matrices = gamma * ((a_rx * weights[:, None, :]) @ a_tx.conj().T)
+    # (K, 1, n_clusters): row k is each cluster's delay phase at subcarrier k
+    delay = np.exp(
+        np.outer(np.arange(n_subcarriers), -2j * np.pi * np.arange(n_clusters))
+        / n_subcarriers
+    )[:, None, :]
+    # one (1, n_clusters) @ (n_clusters, n_rx * n_tx) product per subcarrier
+    matrices = (delay @ clusters.reshape(n_clusters, -1)).reshape(
+        n_subcarriers, n_rx, n_tx
+    )
     return ChannelRealization(
         matrices=matrices,
         seed=seed,
@@ -324,9 +343,9 @@ def save_channel(realization, path):
 def load_channel(path):
     """Read a ChannelRealization written by ``save_channel``.
 
-    A dump that is not such a JSON object, lacks a key, or whose matrix
-    shape, subcarrier count, entry lists, geometry or cluster parameters do
-    not agree is a ValueError.
+    A dump that is not such a JSON object, lacks a key, holds a non-finite
+    entry, or whose matrix shape, subcarrier count, entry lists, geometry or
+    cluster parameters do not agree is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

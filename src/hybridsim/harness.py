@@ -9,15 +9,16 @@ runs split evenly among them.  A block draws its runs' channels into one
 trace``), takes the SVD factors of the stack in one call, then designs all
 runs on those stacked factors in one batched designer call per (n_rf,
 side), with runs x multistarts as the batch axis.  Rates are taken on the
-block's stacks: one ``spectral_efficiency`` call for the digital rates of
-the block, and one per n_rf for its hybrid rates; each run's rate is the
-mean over its subcarriers.  Start s of run r is seeded ``admm.seed + r *
-multistart + s``: the block draws that seed's stream once, as many uniform
-doubles as the largest start of the sweep takes, and every designer call of
-the block starts that instance from a prefix of the same row, so the start
-is the one a design seeded alone would draw.  Of each run's starts, the one
-with the lowest final factorization objective is kept (the first start wins
-a tie).
+block's stacks: the digital rates from the SVD factors' own leading
+singular values, since ``U_ns^H H V_ns = diag(s_ns)``, with no second SVD,
+and the hybrid rates from one ``spectral_efficiency`` call per n_rf; each
+run's rate is the mean over its subcarriers.  Start s of run r is seeded
+``admm.seed + r * multistart + s``: the block draws that seed's stream
+once, as many uniform doubles as the largest start of the sweep takes, and
+every designer call of the block starts that instance from a prefix of the
+same row, so the start is the one a design seeded alone would draw.  Of
+each run's starts, the one with the lowest final factorization objective
+is kept (the first start wins a tie).
 
 A block returns its results as columns (``_Columns``), one array per
 quantity with runs first, not as rows.  The sweep joins the blocks' columns
@@ -52,7 +53,12 @@ from .admm import (
     design_partially_connected,
     design_wideband,
 )
-from .baseline import OptimalFactors, optimal_factors, spectral_efficiency
+from .baseline import (
+    OptimalFactors,
+    _stream_rates,
+    optimal_factors,
+    spectral_efficiency,
+)
 from .channel import ArrayGeometry, ClusterParams, gen_wideband
 
 __all__ = [
@@ -318,6 +324,10 @@ def _blocks(spec, workers):
 def _run_block(spec, first_run, stop_run):
     """Execute runs ``first_run .. stop_run - 1``; return their ``_Columns``.
 
+    The digital rates are the stream rates of ``optimal_factors``' leading
+    ``n_s`` singular values: since ``U_ns^H H V_ns = diag(s_ns)``, these are
+    the gains ``spectral_efficiency`` would find for the factors' own
+    precoder and combiner, without its two SVDs.
     The block's ADMM starts are drawn here, once: row ``(r - first_run) *
     multistart + s`` holds ``max(n_tx, n_rx) * max(n_rf)`` uniform doubles,
     the longest start of the sweep, from ``default_rng(admm.seed + r *
@@ -337,7 +347,8 @@ def _run_block(spec, first_run, stop_run):
     t0 = time.perf_counter()
     factors = optimal_factors(channels, spec.n_s)
     digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)
-    digital_se = _mean_rates(spec, channels, factors.f_opt, factors.w_opt, snrs)
+    sigma2 = factors.singular_values[..., : spec.n_s] ** 2
+    digital_se = _stream_rates(sigma2, snrs, spec.n_s).mean(axis=1)
     hybrid = [
         _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws)
         for n_rf in spec.n_rf
@@ -347,16 +358,6 @@ def _run_block(spec, first_run, stop_run):
         np.full(len(channels), digital_ms),
         *(np.stack(column, axis=1) for column in zip(*hybrid)),
     )
-
-
-def _mean_rates(spec, channels, precoders, combiners, snrs):
-    """Per-SNR rates of each run averaged over subcarriers, (runs, n_snr).
-
-    ``channels`` is the (runs, K, n_rx, n_tx) stack of a block and the
-    composites the matching (runs, K, n, n_s) stacks: one stacked rate call.
-    """
-    rates = spectral_efficiency(channels, precoders, combiners, snrs, spec.n_s)
-    return rates.mean(axis=1)
 
 
 def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws):
@@ -381,7 +382,9 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws):
         shape = (n_runs, spec.n_subcarriers, -1, spec.n_s)
         precoders = np.reshape([pre.f_rf @ pre.f_bb for pre, _ in pairs], shape)
         combiners = np.reshape([comb.f_rf @ comb.f_bb for _, comb in pairs], shape)
-        rates = _mean_rates(spec, channels, precoders, combiners, snrs)
+        rates = spectral_efficiency(
+            channels, precoders, combiners, snrs, spec.n_s
+        ).mean(axis=1)
     except (np.linalg.LinAlgError, ValueError):
         if n_runs == 1:
             failed_ms = 1e3 * (time.perf_counter() - t0)

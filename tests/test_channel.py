@@ -60,6 +60,12 @@ def replay_channel(seed, tx_geom, rx_geom, params, n_sub):
     return out
 
 
+def with_entry_text(doc, text):
+    """The dump's JSON text with its first entry written as ``text``."""
+    doc["entries"][0][0] = "@"
+    return json.dumps(doc).replace('"@"', text, 1)
+
+
 class TestArrayResponse:
     def test_hand_case_both_angles_quarter_turn(self):
         # az = el = pi/2: p-term alternates sign, q-term is flat
@@ -182,13 +188,21 @@ class TestClusterAngles:
 
 class TestGenerator:
     def test_matches_replay_reference(self):
-        params = ClusterParams(n_clusters=3, n_rays=2)
-        tx, rx = ArrayGeometry(3), ArrayGeometry(2)
-        for seed in (0, 1, 42):
-            real = gen_wideband(seed, tx, rx, params, n_subcarriers=4)
-            ref = replay_channel(seed, tx, rx, params, 4)
-            for h, h_ref in zip(real.matrices, ref):
-                assert np.allclose(h, h_ref, atol=1e-13)
+        # (params, tx side, rx side, subcarriers, seeds): a small draw, and the
+        # default clusters at the wideband and narrowband benchmark shapes
+        cases = [
+            (ClusterParams(n_clusters=3, n_rays=2), 3, 2, 4, (0, 1, 42)),
+            (ClusterParams(), 6, 4, 16, (0,)),
+            (ClusterParams(), 8, 4, 1, (0,)),
+        ]
+        for params, tx_side, rx_side, n_sub, seeds in cases:
+            tx, rx = ArrayGeometry(tx_side), ArrayGeometry(rx_side)
+            for seed in seeds:
+                real = gen_wideband(seed, tx, rx, params, n_subcarriers=n_sub)
+                ref = replay_channel(seed, tx, rx, params, n_sub)
+                assert len(real.matrices) == len(ref) == n_sub
+                for h, h_ref in zip(real.matrices, ref):
+                    assert np.allclose(h, h_ref, atol=1e-13)
 
     def test_narrowband_equals_wideband_k1(self):
         params = ClusterParams(n_clusters=2, n_rays=3)
@@ -197,11 +211,18 @@ class TestGenerator:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_subcarrier_zero_has_no_delay_phase(self):
-        params = ClusterParams(n_clusters=4, n_rays=2)
-        nb = gen_narrowband(9, ArrayGeometry(3), ArrayGeometry(3), params)
-        wb = gen_wideband(9, ArrayGeometry(3), ArrayGeometry(3), params, 8)
-        assert np.array_equal(nb.matrix, wb.matrices[0])
-        assert not np.allclose(wb.matrices[0], wb.matrices[3])
+        # (params, tx side, rx side, subcarriers); the second case is the
+        # default clusters at the narrowband benchmark shape
+        cases = [
+            (ClusterParams(n_clusters=4, n_rays=2), 3, 3, 8),
+            (ClusterParams(), 8, 4, 16),
+        ]
+        for params, tx_side, rx_side, n_sub in cases:
+            tx, rx = ArrayGeometry(tx_side), ArrayGeometry(rx_side)
+            nb = gen_narrowband(9, tx, rx, params)
+            wb = gen_wideband(9, tx, rx, params, n_sub)
+            assert np.array_equal(nb.matrix, wb.matrices[0])
+            assert not np.allclose(wb.matrices[0], wb.matrices[3])
 
     def test_determinism(self):
         params = ClusterParams()
@@ -286,8 +307,14 @@ class TestDump:
                 2,
                 r"\(1, 4, 1\) do not match a 1-element receive and a 4-element",
             ),
+            # a NaN entry would save as NaN, which no JSON reader need accept
+            (
+                [np.array([[1.0, np.nan + 1j, 0.0, 2.0]])],
+                2,
+                "matrices contain non-finite entries",
+            ),
         ],
-        ids=["geometry", "subcarriers", "shape"],
+        ids=["geometry", "subcarriers", "shape", "nan"],
     )
     def test_save_rejects_unloadable_realization(self, matrices, tx_side, match):
         # a realization that would not load back as it is cannot be built,
@@ -387,6 +414,19 @@ class TestDump:
                 lambda doc: doc["entries"][1].__setitem__(2, 10**400),
                 "an entry is an integer beyond float range",
             ),
+            # JSON numbers that json.load reads as inf, NaN and -inf
+            (
+                lambda doc: with_entry_text(doc, "1e400"),
+                "matrices contain non-finite entries",
+            ),
+            (
+                lambda doc: doc["entries"][0].__setitem__(3, math.nan),
+                "matrices contain non-finite entries",
+            ),
+            (
+                lambda doc: doc["entries"][1].__setitem__(6, -math.inf),
+                "matrices contain non-finite entries",
+            ),
             (
                 lambda doc: doc.update(tx_geometry=[2, 0.5]),
                 r"tx_geometry must be an object with the keys",
@@ -417,6 +457,9 @@ class TestDump:
             "entry_bool",
             "entry_text",
             "entry_huge_int",
+            "entry_overflow",
+            "entry_nan",
+            "entry_minus_infinity",
             "geometry_list",
             "geometry_key",
         ],
@@ -426,9 +469,12 @@ class TestDump:
         path = tmp_path / "chan.json"
         save_channel(real, path)
         doc = json.loads(path.read_text())
-        # an edit changes the document in place, or returns a list to write
-        # in its place
+        # an edit changes the document in place, or returns a list or the
+        # text to write in its place
         edited = edit(doc)
-        path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
+        if isinstance(edited, str):
+            path.write_text(edited)
+        else:
+            path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
         with pytest.raises(ValueError, match=match):
             load_channel(path)

@@ -8,6 +8,7 @@ import pytest
 
 from hybridsim import harness
 from hybridsim.admm import AdmmConfig
+from hybridsim.baseline import optimal_factors, spectral_efficiency
 from hybridsim.harness import SweepSpec, load_config, run_sweep
 from sweep_rows import (
     group_by,
@@ -403,6 +404,45 @@ class TestRunSweep:
         assert meta["error_rows"] == 4
         assert meta["aggregates"] == []
         assert read_meta(str(out) + ".meta.json") == meta
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_digital_rates_equal_the_rates_of_the_digital_factors(self, monkeypatch):
+        # a block's digital rates come from the SVD factors' singular values;
+        # they are the rates spectral_efficiency gives the factors themselves,
+        # on a K = 3 stack with one slice on the SVD fallback, and at an SNR
+        # whose stream gains overflow
+        spec = small_spec(
+            scenario="wideband",
+            n_tx_side=2,
+            n_rx_side=2,
+            n_subcarriers=3,
+            snr_db_list=[0.0, 10.0, 3080.0],
+        )
+        real = harness.draw_channels
+
+        def with_fallback_slice(spec, first_run, stop_run):
+            channels = real(spec, first_run, stop_run)
+            u, s, vh = np.linalg.svd(channels[1, 2])
+            s[1:] = s[0] * np.array([1e-3, 1e-4, 1e-5])
+            channels[1, 2] = (u * s) @ vh
+            return channels
+
+        monkeypatch.setattr(harness, "draw_channels", with_fallback_slice)
+        columns = harness._run_block(spec, 0, spec.runs)
+        channels = harness.draw_channels(spec, 0, spec.runs)
+        factors = optimal_factors(channels, spec.n_s)
+        s = factors.singular_values
+        assert (s[..., 1] < 1e-2 * s[..., 0]).tolist() == [
+            [False] * 3,
+            [False, False, True],
+            [False] * 3,
+        ]
+        snrs = 10.0 ** (np.array(spec.snr_db_list) / 10.0)
+        want = spectral_efficiency(
+            channels, factors.f_opt, factors.w_opt, snrs, spec.n_s
+        ).mean(axis=1)
+        assert np.isinf(want[:, 2]).all()
+        np.testing.assert_allclose(columns.digital_se, want, rtol=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unrateable_design_yields_nan_rows(self, tmp_path, monkeypatch, workers):
