@@ -5,71 +5,24 @@ phase-shifter matrix and a small digital matrix by operator splitting,
 covering fully-connected, partially-connected (subarray) and OFDM wideband
 architectures, plus the clustered channel model and rate evaluation needed
 to reproduce standard Monte Carlo comparisons.
+
+The package exports what each module lists in its ``__all__``.
 """
 
-from .admm import (
-    FULLY_CONNECTED,
-    PARTIALLY_CONNECTED,
-    AdmmConfig,
-    DesignBatch,
-    HybridFactors,
-    assemble_block_diag,
-    design_fully_connected,
-    design_partially_connected,
-    design_wideband,
-    least_squares_fbb,
-    project_unit_modulus,
-    scale_matched_rho,
-    step_frf,
-)
-from .baseline import OptimalFactors, optimal_factors, spectral_efficiency
-from .channel import (
-    ArrayGeometry,
-    ChannelRealization,
-    ClusterAngles,
-    ClusterParams,
-    array_response,
-    gen_narrowband,
-    gen_wideband,
-    load_channel,
-    sample_cluster_angles,
-    save_channel,
-)
-from .harness import SweepSpec, load_config, run_sweep
-from .numerics import logdet_eval
+from . import admm, baseline, channel, harness, numerics
+from .admm import *  # noqa: F403
+from .baseline import *  # noqa: F403
+from .channel import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .numerics import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmConfig",
-    "ArrayGeometry",
-    "ChannelRealization",
-    "ClusterAngles",
-    "ClusterParams",
-    "DesignBatch",
-    "FULLY_CONNECTED",
-    "HybridFactors",
-    "OptimalFactors",
-    "PARTIALLY_CONNECTED",
-    "SweepSpec",
-    "array_response",
-    "assemble_block_diag",
-    "design_fully_connected",
-    "design_partially_connected",
-    "design_wideband",
-    "gen_narrowband",
-    "gen_wideband",
-    "least_squares_fbb",
-    "load_channel",
-    "load_config",
-    "logdet_eval",
-    "optimal_factors",
-    "project_unit_modulus",
-    "run_sweep",
-    "sample_cluster_angles",
-    "save_channel",
-    "scale_matched_rho",
-    "spectral_efficiency",
-    "step_frf",
+    *admm.__all__,
+    *baseline.__all__,
+    *channel.__all__,
+    *harness.__all__,
+    *numerics.__all__,
     "__version__",
 ]

@@ -70,9 +70,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import _solve_rows
+from .numerics import _require_finite, _solve_rows
 
 __all__ = [
+    "FULLY_CONNECTED",
+    "PARTIALLY_CONNECTED",
     "AdmmConfig",
     "AdmmState",
     "PartialState",
@@ -384,6 +386,14 @@ def _analog_update(tf_h, ff_h, r, w, rho):
     return _solve_rows(ff_h + rho * np.eye(ff_h.shape[-1]), tf_h + rho * (r - w))
 
 
+def _start_draws(seed, count, size):
+    """``count`` rows of ``size`` uniform doubles, row i the first ``size``
+    doubles of ``default_rng(seed + i)``."""
+    return np.stack(
+        [np.random.default_rng(seed + i).random(size) for i in range(count)]
+    )
+
+
 def _init_analog(cfg, count, shape, draws):
     """The (count, *shape) analog starts: ``exp(2j pi u)`` of the first
     ``prod(shape)`` uniform doubles u of each row of ``draws``, projected onto
@@ -392,13 +402,12 @@ def _init_analog(cfg, count, shape, draws):
     ``draws`` None draws row i from ``default_rng(cfg.seed + i)``.  A row
     longer than the start gives the start of its prefix, so one stream drawn
     to the longest start serves every shorter one; a ``draws`` without
-    ``count`` rows of at least that many doubles is a ValueError.
+    ``count`` rows of at least that many doubles, or with a non-finite
+    entry, is a ValueError.
     """
     size = math.prod(shape)
     if draws is None:
-        draws = np.stack(
-            [np.random.default_rng(cfg.seed + i).random(size) for i in range(count)]
-        )
+        draws = _start_draws(cfg.seed, count, size)
     else:
         draws = np.asarray(draws, dtype=float)
         if draws.ndim != 2 or len(draws) != count or draws.shape[1] < size:
@@ -406,6 +415,7 @@ def _init_analog(cfg, count, shape, draws):
                 f"draws must hold {count} rows of at least {size} doubles, "
                 f"got shape {draws.shape}"
             )
+        _require_finite(draws, "draws")
     f_rf = np.exp(2j * np.pi * draws[:, :size].reshape(count, *shape))
     if cfg.phase_bits is not None:
         # start inside the quantized feasible set
@@ -569,10 +579,11 @@ def design_wideband(
     ----------
     targets : array-like, shape (K, n_tx, n_s) or (B, K, n_tx, n_s)
         Per-subcarrier target matrices (stacked, or a list of matrices):
-        unconstrained optimal precoders, or combiners.  A leading batch axis
-        designs B independent instances in one pass; instance i's result is
-        bitwise the result of the single design ``design_wideband(targets[i],
-        ...)`` from the same start.
+        unconstrained optimal precoders, or combiners, every entry finite
+        (ValueError otherwise).  A leading batch axis designs B independent
+        instances in one pass; instance i's result is bitwise the result of
+        the single design ``design_wideband(targets[i], ...)`` from the same
+        start.
     n_rf : int
         Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
     cfg : AdmmConfig
@@ -599,6 +610,7 @@ def design_wideband(
         raise ValueError(
             f"targets must stack K matrices of equal shape, got {targets.shape}"
         )
+    _require_finite(targets, "targets")
     batched = targets.ndim == 4
     if not batched:
         targets = targets[None]
@@ -765,9 +777,9 @@ def design_partially_connected(
     to vector i and to row i of the digital matrix, so the analog update is
     an independent scalar expression per phase-shifter and the digital
     update is an independent row per chain.  Requires n_tx divisible by
-    n_rf.  With ``normalize_power`` the digital matrix is scaled so the
-    composite satisfies ``||f_rf @ f_bb||_F^2 = n_s``, which for the block
-    structure pins ``||f_bb||_F^2 = n_s * n_rf / n_tx``.
+    n_rf and finite targets.  With ``normalize_power`` the digital matrix is
+    scaled so the composite satisfies ``||f_rf @ f_bb||_F^2 = n_s``, which
+    for the block structure pins ``||f_bb||_F^2 = n_s * n_rf / n_tx``.
 
     A (B, n_tx, n_s) stack of targets designs B instances in one pass and
     returns a DesignBatch.  ``draws``, a (B, m) array with m >= n_tx (B = 1
@@ -779,6 +791,7 @@ def design_partially_connected(
     f_target = np.asarray(f_target, dtype=complex)
     if f_target.ndim not in (2, 3):
         raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
+    _require_finite(f_target, "f_target")
     batched = f_target.ndim == 3
     if not batched:
         f_target = f_target[None]

@@ -20,6 +20,10 @@ Reproducibility: every generator draws from ``numpy.random.default_rng(seed)``
 4. ``standard_normal((n_clusters, n_rays, 4)) * angular_spread_rad`` -- ray
    offsets about the cluster means, same component order, cluster by cluster.
 
+``sample_cluster_angles`` returns the draws of steps 3 and 4 as they are, the
+arrays ``(means, offsets)`` of shapes (n_clusters, 4) and (n_clusters,
+n_rays, 4), and each ray's angles are ``means[:, None] + offsets``.
+
 The planar-array element for antenna indices (p, q) is enumerated p-major:
 linear index = p * side + q.
 """
@@ -34,7 +38,6 @@ from .admm import check_finite, check_int
 __all__ = [
     "ArrayGeometry",
     "ClusterParams",
-    "ClusterAngles",
     "ChannelRealization",
     "array_response",
     "sample_cluster_angles",
@@ -94,37 +97,6 @@ class ClusterParams:
             raise ValueError("n_clusters and n_rays must be positive")
         if self.angular_spread_rad < 0:
             raise ValueError("angular_spread_rad must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ClusterAngles:
-    """Cluster mean angles, shape (n_clusters,), and per-ray Gaussian offsets,
-    shape (n_clusters, n_rays).  Absolute ray angles = mean + offset."""
-
-    tx_az_mean: np.ndarray
-    tx_el_mean: np.ndarray
-    rx_az_mean: np.ndarray
-    rx_el_mean: np.ndarray
-    tx_az_offset: np.ndarray
-    tx_el_offset: np.ndarray
-    rx_az_offset: np.ndarray
-    rx_el_offset: np.ndarray
-
-    @property
-    def tx_azimuth(self):
-        return self.tx_az_mean[:, None] + self.tx_az_offset
-
-    @property
-    def tx_elevation(self):
-        return self.tx_el_mean[:, None] + self.tx_el_offset
-
-    @property
-    def rx_azimuth(self):
-        return self.rx_az_mean[:, None] + self.rx_az_offset
-
-    @property
-    def rx_elevation(self):
-        return self.rx_el_mean[:, None] + self.rx_el_offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,28 +188,20 @@ def _response_matrix(geom, azimuth, elevation):
 
 
 def sample_cluster_angles(rng, params):
-    """Draw cluster mean angles and per-ray offsets.
+    """Draw cluster mean angles and per-ray offsets; return ``(means, offsets)``.
 
-    Cluster means are uniform on [0, 2*pi], independently for transmit and
-    receive azimuth and elevation; ray offsets are zero-mean Gaussian with
-    standard deviation ``params.angular_spread_rad``.  Follows steps 3-4 of
-    the module-level stream order.
+    ``means``, shape (n_clusters, 4), is uniform on [0, 2*pi]; ``offsets``,
+    shape (n_clusters, n_rays, 4), is zero-mean Gaussian with standard
+    deviation ``params.angular_spread_rad``.  The columns of both are (tx
+    azimuth, tx elevation, rx azimuth, rx elevation), and ray j of cluster i
+    points at ``means[i] + offsets[i, j]``.  Follows steps 3-4 of the
+    module-level stream order.
     """
-    two_pi = 2.0 * np.pi
-    means = rng.uniform(0.0, two_pi, size=(params.n_clusters, 4))
+    means = rng.uniform(0.0, 2.0 * np.pi, size=(params.n_clusters, 4))
     offsets = params.angular_spread_rad * rng.standard_normal(
         size=(params.n_clusters, params.n_rays, 4)
     )
-    return ClusterAngles(
-        tx_az_mean=means[:, 0],
-        tx_el_mean=means[:, 1],
-        rx_az_mean=means[:, 2],
-        rx_el_mean=means[:, 3],
-        tx_az_offset=offsets[:, :, 0],
-        tx_el_offset=offsets[:, :, 1],
-        rx_az_offset=offsets[:, :, 2],
-        rx_el_offset=offsets[:, :, 3],
-    )
+    return means, offsets
 
 
 def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
@@ -273,14 +237,12 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     re = rng.standard_normal((params.n_clusters, params.n_rays))
     im = rng.standard_normal((params.n_clusters, params.n_rays))
     gains = (re + 1j * im) / np.sqrt(2.0)
-    angles = sample_cluster_angles(rng, params)
+    means, offsets = sample_cluster_angles(rng, params)
+    # (n_clusters, n_rays, 4): each ray's angles, in the columns of step 3
+    rays = means[:, None] + offsets
 
-    a_tx = _response_matrix(
-        tx_geom, angles.tx_azimuth.ravel(), angles.tx_elevation.ravel()
-    )
-    a_rx = _response_matrix(
-        rx_geom, angles.rx_azimuth.ravel(), angles.rx_elevation.ravel()
-    )
+    a_tx = _response_matrix(tx_geom, rays[..., 0], rays[..., 1])
+    a_rx = _response_matrix(rx_geom, rays[..., 2], rays[..., 3])
     n_tx = tx_geom.n_elements
     n_rx = rx_geom.n_elements
     n_clusters, n_rays = params.n_clusters, params.n_rays

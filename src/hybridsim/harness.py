@@ -48,6 +48,7 @@ import numpy as np
 
 from .admm import (
     AdmmConfig,
+    _start_draws,
     check_finite,
     check_int,
     design_partially_connected,
@@ -336,13 +337,10 @@ def _run_block(spec, first_run, stop_run):
     """
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
     channels = draw_channels(spec, first_run, stop_run)
-    seed = spec.admm.seed + first_run * spec.multistart
-    size = max(spec.n_tx, spec.n_rx) * max(spec.n_rf)
-    draws = np.stack(
-        [
-            np.random.default_rng(seed + j).random(size)
-            for j in range(len(channels) * spec.multistart)
-        ]
+    draws = _start_draws(
+        spec.admm.seed + first_run * spec.multistart,
+        len(channels) * spec.multistart,
+        max(spec.n_tx, spec.n_rx) * max(spec.n_rf),
     )
     t0 = time.perf_counter()
     factors = optimal_factors(channels, spec.n_s)

@@ -493,17 +493,7 @@ def test_criterion_08_channel_statistics():
     params = ClusterParams()
     pool = []
     while len(pool) * 320 < 100_000:
-        ang = sample_cluster_angles(rng, params)
-        pool.append(
-            np.concatenate(
-                [
-                    ang.tx_az_offset.ravel(),
-                    ang.tx_el_offset.ravel(),
-                    ang.rx_az_offset.ravel(),
-                    ang.rx_el_offset.ravel(),
-                ]
-            )
-        )
+        pool.append(sample_cluster_angles(rng, params)[1].ravel())
     offsets = np.concatenate(pool)
     spread_dev = abs(offsets.std() / params.angular_spread_rad - 1.0)
 

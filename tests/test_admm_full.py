@@ -495,6 +495,13 @@ class TestDesignFullyConnected:
             design_fully_connected(f_target, 9, cfg, normalize_power=False)
         with pytest.raises(ValueError):
             design_fully_connected(f_target[:, 0], 3, cfg, normalize_power=False)
+        for bad in (np.nan, np.inf):
+            broken = f_target.copy()
+            broken[4, 1] = bad
+            with pytest.raises(ValueError, match="targets contains non-finite"):
+                design_fully_connected(broken, 3, cfg, normalize_power=False)
+            with pytest.raises(ValueError, match="targets contains non-finite"):
+                design_wideband(broken[None], 3, cfg, normalize_power=False)
 
 
 class TestRfChainCount:
@@ -635,6 +642,15 @@ class TestStartDraws:
         designer, targets, size = self.batch(name, 3)
         draws = np.random.default_rng(0).random((rows, size + extra))
         with pytest.raises(ValueError, match="draws must hold 3 rows of at least"):
+            designer(targets, 2, AdmmConfig(), True, draws=draws)
+
+    @pytest.mark.parametrize("name", ["full", "wideband", "partial"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_draws_are_rejected(self, name, bad):
+        designer, targets, size = self.batch(name, 3)
+        draws = np.random.default_rng(0).random((3, size))
+        draws[1, 2] = bad
+        with pytest.raises(ValueError, match="draws contains non-finite"):
             designer(targets, 2, AdmmConfig(), True, draws=draws)
 
     @pytest.mark.parametrize("name", ["full", "wideband", "partial"])

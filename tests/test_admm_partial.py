@@ -213,6 +213,11 @@ class TestDesignPartiallyConnected:
             )
         with pytest.raises(ValueError, match="target must be a matrix"):
             design_partially_connected(np.ones(8), 4, cfg, normalize_power=False)
+        for bad in (np.nan, np.inf):
+            f_target = scaled_target(rng, 16, 2)
+            f_target[5, 0] = bad
+            with pytest.raises(ValueError, match="f_target contains non-finite"):
+                design_partially_connected(f_target, 2, cfg, normalize_power=False)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)

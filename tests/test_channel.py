@@ -142,29 +142,18 @@ class TestClusterAngles:
     def test_shapes_and_ranges(self):
         rng = np.random.default_rng(13)
         params = ClusterParams(n_clusters=5, n_rays=7)
-        ang = sample_cluster_angles(rng, params)
-        for mean in (ang.tx_az_mean, ang.tx_el_mean, ang.rx_az_mean, ang.rx_el_mean):
-            assert mean.shape == (5,)
-            assert np.all((mean >= 0) & (mean < 2 * np.pi))
-        assert ang.tx_az_offset.shape == (5, 7)
-        assert ang.tx_azimuth.shape == (5, 7)
-        assert np.allclose(ang.tx_azimuth, ang.tx_az_mean[:, None] + ang.tx_az_offset)
+        means, offsets = sample_cluster_angles(rng, params)
+        assert means.shape == (5, 4)
+        assert np.all((means >= 0) & (means < 2 * np.pi))
+        assert offsets.shape == (5, 7, 4)
 
     def test_offset_spread_statistics(self):
         # pooled std over all offset components should sit at the configured
         # spread; ~1.3e5 samples keeps the sampling error well under 2%
         params = ClusterParams(n_clusters=64, n_rays=128)
-        ang = sample_cluster_angles(np.random.default_rng(14), params)
-        pooled = np.concatenate(
-            [
-                ang.tx_az_offset.ravel(),
-                ang.tx_el_offset.ravel(),
-                ang.rx_az_offset.ravel(),
-                ang.rx_el_offset.ravel(),
-            ]
-        )
+        _, offsets = sample_cluster_angles(np.random.default_rng(14), params)
         spread = np.radians(10.0)
-        assert abs(pooled.std(ddof=1) - spread) < 0.02 * spread
+        assert abs(offsets.std(ddof=1) - spread) < 0.02 * spread
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
