@@ -25,7 +25,7 @@ per design as both ``T = [T_1 ... T_K]``, (n_tx, K*n_s), and ``T^H``.  The
 sums over subcarriers of the wideband updates are then single products:
 ``sum_k T_k F_k^H = T F^H`` and ``sum_k F_k F_k^H = F F^H``, and the K
 digital right-hand sides are the rows of ``T^H F_RF``.  Both updates are
-checked row-form solves ``X = C A^-1`` (``numerics._solve_rows``):
+checked row-form solves ``X = C A^-1`` (``_solve_rows``):
 
 - analog, ``F_RF = (T F^H + rho (R - W)) (F F^H + rho I)^-1``;
 - digital, ``F^H = (T^H F_RF) (F_RF^H F_RF)^-1``.
@@ -70,7 +70,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import _require_finite, _solve_rows
+# the gufuncs behind np.linalg.cholesky and np.linalg.inv; they return NaN for
+# a failed slice instead of raising, which _solve_rows checks for
+from numpy.linalg._umath_linalg import cholesky_lo, inv
 
 __all__ = [
     "FULLY_CONNECTED",
@@ -103,6 +105,12 @@ _MAX_PHASE_BITS = 48
 # subnormal magnitude into the normal range without reaching overflow.
 _TINY = np.finfo(np.float64).tiny
 _UNSUBNORMAL = 2.0**600
+
+# Relative pivot-ratio threshold below which a Cholesky factor is treated as
+# numerically rank deficient.
+_RANK_TOL = 1e-14
+
+_NOT_PD = "matrix is not positive definite: Matrix is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -161,6 +169,11 @@ def check_int(value, name):
     if int(check_finite(value, name)) != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _require_finite(a, name):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries (corrupted data)")
 
 
 def _check_phase_bits(value):
@@ -371,11 +384,50 @@ def _split(f_bb_h, k):
     )
 
 
+def _solve_rows(a, c):
+    """``X = C A^-1`` for a (B, n, n) stack of HPD matrices and rows (B, m, n).
+
+    Checks finite A and C (ValueError), then a Cholesky factor of every
+    slice of A and its squared pivot ratio against ``_RANK_TOL``
+    (LinAlgError: a rank-deficient Gram matrix lands here).  Slice i of the
+    result is ``c[i] @ inv(a[i])``, one product per slice, so it does not
+    depend on the other slices.  Rows rather than columns, because on these
+    tiny systems the right-hand sides, not flops, set the cost of a stacked
+    LAPACK solve: ``np.linalg.solve`` on a (32, 4, 4) batch took 240 us
+    with 64 columns per slice against 45 us with 2 (timeit, one BLAS
+    thread).  The gufuncs run without the ``numpy.linalg`` wrappers, whose
+    Python-level checks cost more than the factorizations here.  On
+    OpenBLAS's SkylakeX kernels, its default on AVX-512 CPUs, a GEMM gives
+    equal rows of its left operand bitwise equal rows of the result, so
+    identical right-hand sides get identical solutions; on its Haswell,
+    Zen, SandyBridge and Nehalem kernels it does not (ROADMAP item 1).  A
+    lone row is a matrix-vector product and may differ from the same row
+    among others in the last bits.
+    """
+    _require_finite(a, "matrix")
+    _require_finite(c, "right-hand side")
+    # a failed slice is NaN and raises the invalid flag
+    with np.errstate(invalid="ignore"):
+        factor = cholesky_lo(a)
+    # a Cholesky factor has a real positive diagonal; NaN marks a failed one
+    diag = factor.diagonal(axis1=-2, axis2=-1).real
+    worst = ((diag.min(axis=-1) / diag.max(axis=-1)) ** 2).min()
+    if not worst >= _RANK_TOL:
+        if np.isnan(worst):
+            raise np.linalg.LinAlgError(_NOT_PD)
+        raise np.linalg.LinAlgError(
+            "matrix is numerically rank deficient (Cholesky pivot ratio "
+            f"{worst:.3e})"
+        )
+    return c @ inv(a)
+
+
 def _digital_h(f_rf, t_h):
     """Digital least squares as ``F^H = (T^H F_RF) (F_RF^H F_RF)^-1``, ``T^H`` given.
 
     ``T^H F_RF`` keeps one subcarrier per row block, so identical targets get
-    bitwise identical digital matrices.
+    bitwise identical digital matrices on OpenBLAS's SkylakeX kernels, not
+    on the others that ``_solve_rows`` names (ROADMAP item 1).
     """
     return _solve_rows(_hermitian(f_rf) @ f_rf, t_h @ f_rf)
 
@@ -579,8 +631,9 @@ def design_wideband(
     ----------
     targets : array-like, shape (K, n_tx, n_s) or (B, K, n_tx, n_s)
         Per-subcarrier target matrices (stacked, or a list of matrices):
-        unconstrained optimal precoders, or combiners, every entry finite
-        (ValueError otherwise).  A leading batch axis designs B independent
+        unconstrained optimal precoders, or combiners, every entry finite,
+        with at least one subcarrier and stream (ValueError otherwise).  A
+        leading batch axis designs B >= 1 independent
         instances in one pass; instance i's result is bitwise the result of
         the single design ``design_wideband(targets[i], ...)`` from the same
         start.
@@ -590,7 +643,7 @@ def design_wideband(
     normalize_power : bool
         When True, rescale each subcarrier's digital matrix so its composite
         satisfies ``||f_rf @ f_bb[k]||_F^2 = n_s`` (precoder side); combiners
-        skip this.
+        skip this.  A composite with zero power is a ValueError.
     keep_iterates : bool
         Attach per-iteration :class:`AdmmState` copies to the result.
     draws : array-like, shape (B, m), optional
@@ -615,6 +668,11 @@ def design_wideband(
     if not batched:
         targets = targets[None]
     count, k, n_tx, n_s = targets.shape
+    if min(count, k, n_s) < 1:
+        raise ValueError(
+            "targets must hold at least one instance, subcarrier and stream, "
+            f"got {count}, {k} and {n_s}"
+        )
     n_rf = check_int(n_rf, "n_rf")
     if not n_s <= n_rf <= n_tx:
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
@@ -647,6 +705,12 @@ def design_wideband(
     f_bb_hat = _split(f_bb_h, k)
     if normalize_power:
         power = np.sqrt(_sqnorm(recon_h.reshape(count * k, -1))).reshape(count, k)
+        if not power.all():
+            i, sub = np.argwhere(power == 0)[0]
+            raise ValueError(
+                f"instance {i}, subcarrier {sub}: the composite has zero power "
+                "and cannot be normalized"
+            )
         f_bb_hat *= (np.sqrt(n_s) / power)[..., None, None]
     return _results(
         FULLY_CONNECTED, f_rf_hat, f_bb_hat, traces, final_objective, iterates, batched
@@ -672,6 +736,7 @@ def design_fully_connected(
     normalize_power : bool
         When True, rescale the digital matrix so the composite satisfies
         ``||f_rf @ f_bb||_F^2 = n_s`` (precoder side); combiners skip this.
+        A composite with zero power is a ValueError.
     keep_iterates : bool
         Attach per-iteration :class:`AdmmState` copies to the result.
     draws : array-like, shape (B, m), optional
@@ -777,9 +842,11 @@ def design_partially_connected(
     to vector i and to row i of the digital matrix, so the analog update is
     an independent scalar expression per phase-shifter and the digital
     update is an independent row per chain.  Requires n_tx divisible by
-    n_rf and finite targets.  With ``normalize_power`` the digital matrix is
-    scaled so the composite satisfies ``||f_rf @ f_bb||_F^2 = n_s``, which
-    for the block structure pins ``||f_bb||_F^2 = n_s * n_rf / n_tx``.
+    n_rf, 1 <= n_s <= n_rf and finite targets.  With ``normalize_power`` the
+    digital matrix is scaled so the composite satisfies
+    ``||f_rf @ f_bb||_F^2 = n_s``, which for the block structure pins
+    ``||f_bb||_F^2 = n_s * n_rf / n_tx``; a composite with zero power is a
+    ValueError.
 
     A (B, n_tx, n_s) stack of targets designs B instances in one pass and
     returns a DesignBatch.  ``draws``, a (B, m) array with m >= n_tx (B = 1
@@ -796,6 +863,11 @@ def design_partially_connected(
     if not batched:
         f_target = f_target[None]
     count, n_tx, n_s = f_target.shape
+    if min(count, n_tx, n_s) < 1:
+        raise ValueError(
+            "f_target must hold at least one instance, antenna and stream, "
+            f"got {count}, {n_tx} and {n_s}"
+        )
     n_rf = check_int(n_rf, "n_rf")
     if not n_s <= n_rf:
         raise ValueError(f"need n_s <= n_rf, got n_s={n_s}, n_rf={n_rf}")
@@ -821,9 +893,13 @@ def design_partially_connected(
     f_bb_hat = _partial_fbb(r_vecs, target3)
     final_objective = _sqnorm(f_target - f_rf_hat @ f_bb_hat).tolist()
     if normalize_power:
-        f_bb_hat *= (np.sqrt(n_s * n_rf / n_tx) / np.sqrt(_sqnorm(f_bb_hat)))[
-            :, None, None
-        ]
+        norm = np.sqrt(_sqnorm(f_bb_hat))
+        if not norm.all():
+            raise ValueError(
+                f"instance {np.argmin(norm)}: the composite has zero power "
+                "and cannot be normalized"
+            )
+        f_bb_hat *= (np.sqrt(n_s * n_rf / n_tx) / norm)[:, None, None]
     return _results(
         PARTIALLY_CONNECTED,
         f_rf_hat,

@@ -502,10 +502,21 @@ class TestDesignFullyConnected:
                 design_fully_connected(broken, 3, cfg, normalize_power=False)
             with pytest.raises(ValueError, match="targets contains non-finite"):
                 design_wideband(broken[None], 3, cfg, normalize_power=False)
+        # no subcarrier, no stream, or an empty batch
+        for designer, shape in [
+            (design_wideband, (0, 8, 2)),
+            (design_wideband, (2, 8, 0)),
+            (design_wideband, (0, 2, 8, 2)),
+            (design_fully_connected, (8, 0)),
+            (design_fully_connected, (0, 8, 2)),
+        ]:
+            with pytest.raises(ValueError, match="at least one instance"):
+                designer(np.zeros(shape), 2, cfg, normalize_power=True)
 
 
 class TestRfChainCount:
-    """Every designer checks ``n_rf`` before it designs."""
+    """Every designer checks ``n_rf`` before it designs, and the power of
+    the composite before it normalizes it."""
 
     # each designer with one 8 x 2 target (a stack of two for wideband)
     DESIGNERS = {
@@ -535,6 +546,22 @@ class TestRfChainCount:
         assert np.array_equal(got.f_rf, want.f_rf)
         assert np.array_equal(got.f_bb, want.f_bb)
         assert got.trace == want.trace
+
+    @pytest.mark.parametrize("structure", DESIGNERS)
+    def test_zero_power_composite_is_not_normalized(self, structure):
+        # an all-zero target, or for wideband one zero subcarrier among
+        # nonzero ones, has a zero composite that no scale brings to n_s
+        designer, shape = self.DESIGNERS[structure]
+        target, cfg = self.target(shape), AdmmConfig(max_iters=5)
+        target[-1] = 0.0
+        if structure != "wideband":
+            target[:] = 0.0
+        where = "subcarrier 1" if structure == "wideband" else "instance 0"
+        with pytest.raises(ValueError, match=f"{where}.*zero power"):
+            designer(target, 2, cfg, normalize_power=True)
+        # the combiner side keeps the zero digital matrix
+        design = designer(target, 2, cfg, normalize_power=False)
+        assert not design.f_bb[-1].any()
 
 
 class TestAdmmConfig:

@@ -218,6 +218,13 @@ class TestDesignPartiallyConnected:
             f_target[5, 0] = bad
             with pytest.raises(ValueError, match="f_target contains non-finite"):
                 design_partially_connected(f_target, 2, cfg, normalize_power=False)
+        # no stream (n_rf 0 would divide n_tx by zero), no antenna, or an
+        # empty batch
+        for shape, n_rf in [((8, 0), 0), ((8, 0), 2), ((0, 2), 2), ((0, 8, 2), 2)]:
+            with pytest.raises(ValueError, match="f_target must hold at least"):
+                design_partially_connected(
+                    np.zeros(shape), n_rf, cfg, normalize_power=True
+                )
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)

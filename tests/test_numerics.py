@@ -1,4 +1,4 @@
-"""The checked HPD solve ``numerics._solve_rows``, ``logdet_eval``, and the SVD
+"""The checked HPD solve ``admm._solve_rows``, ``logdet_eval``, and the SVD
 that ``optimal_factors`` falls back to.
 
 ``_solve_rows`` solves ``X = C A^-1`` with the right-hand sides as rows.  The
@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from hybridsim import baseline
+from hybridsim.admm import _solve_rows
 from hybridsim.baseline import optimal_factors
-from hybridsim.numerics import _solve_rows, logdet_eval
+from hybridsim.numerics import logdet_eval
 
 
 def crandn(rng, *shape):

@@ -1,7 +1,7 @@
 """Property tests of the stacked rate, SVD factors and HPD solve.
 
 Leading axes of ``spectral_efficiency``, ``optimal_factors`` and the checked
-HPD solve ``numerics._solve_rows`` are batch axes: every slice of a stacked
+HPD solve ``admm._solve_rows`` are batch axes: every slice of a stacked
 call must be bitwise what the call on that slice alone returns, and one bad
 slice makes the whole call raise.  The factors of ``optimal_factors`` come
 from the smaller Gram matrix, so they are also checked against the SVD's
@@ -21,8 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hybridsim import baseline  # noqa: E402
+from hybridsim.admm import _RANK_TOL, _solve_rows  # noqa: E402
 from hybridsim.baseline import optimal_factors, spectral_efficiency  # noqa: E402
-from hybridsim.numerics import _RANK_TOL, _solve_rows  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
