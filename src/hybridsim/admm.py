@@ -19,7 +19,7 @@ and a block-diagonal analog matrix with one phase vector per RF chain
 (``design_fully_connected``) is the dense structure with K = 1.
 
 The dense loop works on the subcarrier-concatenated layout, with every
-operand held as rows: the digital iterate is ``F^H``, the (K*n_s, n_rf)
+operand held as rows: the digital update gives ``F^H``, the (K*n_s, n_rf)
 conjugate transpose of ``F = [F_1 ... F_K]``, and the targets are held once
 per design as both ``T = [T_1 ... T_K]``, (n_tx, K*n_s), and ``T^H``.  The
 sums over subcarriers of the wideband updates are then single products:
@@ -31,12 +31,13 @@ checked row-form solves ``X = C A^-1`` (``_solve_rows``):
 - digital, ``F^H = (T^H F_RF) (F_RF^H F_RF)^-1``.
 
 Each step ends by forming ``T F^H`` and ``F F^H`` of its new digital
-iterate.  They are carried into the measure and into the next analog
-update, and the trace objective is
+iterate.  The loop runs on ``AdmmState``, which carries them into the
+measure and into the next analog update beside the digital matrices
+stacked per subcarrier, (K, n_rf, n_s), a view of the conjugate of
+``F^H``; a kept iterate is a copy of it.  The trace objective is
 ``||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H)``, from n_rf-sized
 products and ``||T||^2`` computed once, so no target-sized residual or
-product is formed for it.  Kept iterates and results carry the digital
-matrices stacked per subcarrier, (K, n_rf, n_s).
+product is formed for it.
 
 The partially connected loop carries the same kind of products per RF
 chain: with T_i the chain's (L, n_s) target row block, r_i its unit-modulus
@@ -223,14 +224,20 @@ def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTE
 class AdmmState:
     """One iterate of the dense-analog loop: analog matrix, digital matrix
     (stacked per subcarrier for the multicarrier variant), auxiliary
-    unit-modulus copy and scaled dual.  It is the type of a kept iterate of
-    one design and the state ``step_frf`` takes; the batched loop runs on
-    its own iterate type."""
+    unit-modulus copy and scaled dual.  ``tf_h`` and ``ff_h`` hold the
+    products ``T F^H`` and ``F F^H`` of the targets ``T = [T_1 ... T_K]``
+    and the digital matrices ``F = [F_1 ... F_K]``, carried into the
+    measure and the next analog update; ``step_frf`` does not read them, so
+    a state built for it may leave them None.  The loop runs on this state,
+    and a kept iterate is a copy of it; inside a batched design every field
+    carries a leading instance axis."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
     r: np.ndarray
     w: np.ndarray
+    tf_h: np.ndarray | None = None
+    ff_h: np.ndarray | None = None
 
 
 @dataclass
@@ -446,6 +453,29 @@ def _start_draws(seed, count, size):
     )
 
 
+def _instances(targets, name, rank):
+    """``targets``, one ``rank``-axis array or a stack of them, as a complex
+    stack with a leading instance axis, and whether it had that axis.
+
+    ValueError naming ``name`` for any other number of axes, a non-finite
+    entry, or an empty axis.
+    """
+    targets = np.asarray(targets, dtype=complex)
+    shape = targets.shape
+    if len(shape) not in (rank, rank + 1):
+        kind = "a matrix" if rank == 2 else "a stack of matrices"
+        raise ValueError(f"{name} must be {kind} or a batch of them, got {shape}")
+    _require_finite(targets, name)
+    batched = len(shape) == rank + 1
+    if not batched:
+        targets = targets[None]
+    if 0 in targets.shape:
+        raise ValueError(
+            f"{name} must hold at least one instance and no empty axis, got {shape}"
+        )
+    return targets, batched
+
+
 def _init_analog(cfg, count, shape, draws):
     """The (count, *shape) analog starts: ``exp(2j pi u)`` of the first
     ``prod(shape)`` uniform doubles u of each row of ``draws``, projected onto
@@ -576,27 +606,16 @@ def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
     return designs if batched else designs[0]
 
 
-@dataclass
-class _DenseIterate:
-    """The dense loop's own iterate.  The digital matrices are held as
-    ``f_bb_h = F^H``, (K*n_s, n_rf), and ``tf_h = T F^H`` and ``ff_h = F F^H``
-    carry the products of that digital iterate into the measure and the next
-    analog update.  Every field carries a leading instance axis."""
-
-    f_rf: np.ndarray
-    f_bb_h: np.ndarray
-    r: np.ndarray
-    w: np.ndarray
-    tf_h: np.ndarray
-    ff_h: np.ndarray
-
-
 def _dense_iterate(f_rf, r, w, data):
     """The iterate with analog part ``(f_rf, r, w)``: its digital least
     squares and the two products carried from it."""
     t, t_h, _ = data
-    f_bb_h = _digital_h(f_rf, t_h)
-    return _DenseIterate(f_rf, f_bb_h, r, w, t @ f_bb_h, _hermitian(f_bb_h) @ f_bb_h)
+    count, k, n_s, n_tx = t_h.shape
+    f_bb_h = _digital_h(f_rf, t_h.reshape(count, k * n_s, n_tx))
+    # the conjugate of F^H is F^T, whose row blocks are the F_k^T
+    c = f_bb_h.conj()
+    f_bb = c.reshape(count, k, n_s, -1).swapaxes(-1, -2)
+    return AdmmState(f_rf, f_bb, r, w, t @ f_bb_h, c.swapaxes(-1, -2) @ f_bb_h)
 
 
 def _dense_start(f_rf, data):
@@ -645,7 +664,8 @@ def design_wideband(
         satisfies ``||f_rf @ f_bb[k]||_F^2 = n_s`` (precoder side); combiners
         skip this.  A composite with zero power is a ValueError.
     keep_iterates : bool
-        Attach per-iteration :class:`AdmmState` copies to the result.
+        Attach to the result a copy of the loop's :class:`AdmmState` at each
+        iteration, with the products ``tf_h`` and ``ff_h`` it carries.
     draws : array-like, shape (B, m), optional
         Row i holds instance i's uniform doubles in [0, 1), m >= n_tx * n_rf
         (B = 1 for unbatched targets); its analog start is ``exp(2j pi u)``
@@ -658,21 +678,8 @@ def design_wideband(
         ``f_bb`` has shape (K, n_rf, n_s); the trace objective is the sum
         of per-subcarrier residuals.
     """
-    targets = np.asarray(targets, dtype=complex)
-    if targets.ndim not in (3, 4):
-        raise ValueError(
-            f"targets must stack K matrices of equal shape, got {targets.shape}"
-        )
-    _require_finite(targets, "targets")
-    batched = targets.ndim == 4
-    if not batched:
-        targets = targets[None]
+    targets, batched = _instances(targets, "targets", 3)
     count, k, n_tx, n_s = targets.shape
-    if min(count, k, n_s) < 1:
-        raise ValueError(
-            "targets must hold at least one instance, subcarrier and stream, "
-            f"got {count}, {k} and {n_s}"
-        )
     n_rf = check_int(n_rf, "n_rf")
     if not n_s <= n_rf <= n_tx:
         raise ValueError(f"need n_s <= n_rf <= n_tx, got {n_s}, {n_rf}, {n_tx}")
@@ -680,7 +687,7 @@ def design_wideband(
     # [T_1 ... T_K] and its conjugate transpose
     t = targets.swapaxes(-3, -2).reshape(count, n_tx, k * n_s)
     t_h = _concat_h(targets)
-    data = (t, t_h, _sqnorm(t_h))
+    data = (t, t_h.reshape(count, k, n_s, n_tx), _sqnorm(t_h))
     # the first iterate is built in the call, so no name here keeps it alive
     # through the loop
     f_rf_hat, traces, iterates = _run_loop(
@@ -692,11 +699,6 @@ def design_wideband(
         keep_iterates,
         "r",
     )
-    if iterates is not None:
-        iterates = [
-            [AdmmState(st.f_rf, _split(st.f_bb_h, k), st.r, st.w) for st in kept]
-            for kept in iterates
-        ]
 
     f_bb_h = _digital_h(f_rf_hat, t_h)
     # (R F)^H, one row block per subcarrier
@@ -728,8 +730,9 @@ def design_fully_connected(
     Parameters
     ----------
     f_target : ndarray, shape (n_tx, n_s) or (B, n_tx, n_s)
-        Matrix to factor (unconstrained optimal precoder, or combiner).  A
-        leading batch axis designs B instances in one pass.
+        Matrix to factor (unconstrained optimal precoder, or combiner), every
+        entry finite and no axis empty (ValueError otherwise).  A leading
+        batch axis designs B instances in one pass.
     n_rf : int
         Number of RF chains; must satisfy n_s <= n_rf <= n_tx.
     cfg : AdmmConfig
@@ -747,17 +750,15 @@ def design_fully_connected(
     -------
     HybridFactors, or a DesignBatch of B of them for a batch of targets
     """
-    f_target = np.asarray(f_target, dtype=complex)
-    if f_target.ndim not in (2, 3):
-        raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
-    result = design_wideband(
-        f_target[..., None, :, :], n_rf, cfg, normalize_power, keep_iterates, draws
+    f_target, batched = _instances(f_target, "f_target", 2)
+    designs = design_wideband(
+        f_target[:, None], n_rf, cfg, normalize_power, keep_iterates, draws
     )
-    for design in result if f_target.ndim == 3 else (result,):
+    for design in designs:
         design.f_bb = design.f_bb[0]
         for st in design.iterates or ():
             st.f_bb = st.f_bb[0]
-    return result
+    return designs if batched else designs[0]
 
 
 def assemble_block_diag(f_vecs):
@@ -855,19 +856,8 @@ def design_partially_connected(
     projected onto the phase grid in quantized mode.  Without it, row i is
     drawn from ``default_rng(cfg.seed + i)``.
     """
-    f_target = np.asarray(f_target, dtype=complex)
-    if f_target.ndim not in (2, 3):
-        raise ValueError(f"target must be a matrix, got shape {f_target.shape}")
-    _require_finite(f_target, "f_target")
-    batched = f_target.ndim == 3
-    if not batched:
-        f_target = f_target[None]
+    f_target, batched = _instances(f_target, "f_target", 2)
     count, n_tx, n_s = f_target.shape
-    if min(count, n_tx, n_s) < 1:
-        raise ValueError(
-            "f_target must hold at least one instance, antenna and stream, "
-            f"got {count}, {n_tx} and {n_s}"
-        )
     n_rf = check_int(n_rf, "n_rf")
     if not n_s <= n_rf:
         raise ValueError(f"need n_s <= n_rf, got n_s={n_s}, n_rf={n_rf}")

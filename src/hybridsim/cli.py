@@ -59,7 +59,8 @@ def _run(spec, args):
     try:
         meta = run_sweep(spec, args.out, workers=args.workers)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        # the CSV or the meta.json beside it
+        print(f"error: cannot write {exc.filename or args.out}: {exc}", file=sys.stderr)
         return 1
     rows, ok = meta["rows"], meta["rows"] - meta["error_rows"]
     print(f"wrote {rows} rows to {args.out} ({ok} with finite rate)")

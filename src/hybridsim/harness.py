@@ -469,14 +469,15 @@ def run_sweep(spec, out_csv, workers=1):
     ``workers`` where there are enough runs, with sizes that differ by at
     most one run; serially, or across ``workers`` processes.  Rows come in
     (n_rf, snr_db, run_index, method) order, so output is deterministic for
-    any worker count.  The CSV is opened and its header written before the
-    first block, so an unwritable path fails before any run; a sweep that
-    raises after that leaves the rows written so far and a ``# PARTIAL``
-    marker.
-    Metadata lands next to the CSV (``<out_csv>.meta.json``) and carries the
-    resolved spec, the row count, the count of rows with a non-finite rate
-    (``error_rows``) and per-point aggregate means and standard errors of
-    the finite rates; it is strict JSON, with no NaN or Infinity.
+    any worker count.  The CSV, with its header, and the metadata file
+    beside it (``<out_csv>.meta.json``) are opened before the first block,
+    so an unwritable path for either fails before any run; a sweep that
+    raises after that leaves the rows written so far, a ``# PARTIAL``
+    marker and an empty metadata file, never an earlier sweep's.  The
+    metadata is written last and carries the resolved spec, the row count,
+    the count of rows with a non-finite rate (``error_rows``) and per-point
+    aggregate means and standard errors of the finite rates; it is strict
+    JSON, with no NaN or Infinity.
     Returns that metadata, the dict the JSON file holds; no row is kept
     once written.
     """
@@ -488,7 +489,7 @@ def run_sweep(spec, out_csv, workers=1):
         raise ValueError(f"workers must be >= 1, got {workers}")
     fh = open(out_csv, "w", encoding="utf-8", newline="\n")
     try:
-        with fh:
+        with fh, open(f"{out_csv}.meta.json", "w", encoding="utf-8") as meta_fh:
             fh.write(",".join(_CSV_FIELDS) + "\n")
             # before any run: a failing write shows now, and forked workers
             # inherit no buffered text
@@ -499,31 +500,32 @@ def run_sweep(spec, out_csv, workers=1):
                 # about 20 ms of start-up
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                # a forking pool starts all its workers at its first task, so
+                # it gets none beyond the blocks
+                processes = min(workers, len(firsts))
+                with ProcessPoolExecutor(max_workers=processes) as pool:
                     blocks = list(pool.map(partial(_run_block, spec), firsts, stops))
             else:
                 blocks = [_run_block(spec, a, b) for a, b in zip(firsts, stops)]
             # the blocks' columns joined run-wise; the sweep starts at run 0
             columns = _Columns(*map(np.concatenate, zip(*blocks)))
             fh.writelines(_rows(spec, columns))
+            # a digital rate is the row of its (run, snr) at every n_rf
+            bad_digital = int((~np.isfinite(columns.digital_se)).sum())
+            bad_hybrid = int((~np.isfinite(columns.hybrid_se)).sum())
+            meta = {
+                "spec": spec.to_dict(),
+                "version": __version__,
+                "rows": 2 * columns.hybrid_se.size,
+                "error_rows": len(spec.n_rf) * bad_digital + bad_hybrid,
+                "wideband_se_convention": "mean over subcarriers",
+                "aggregates": _aggregate(spec, columns),
+            }
+            # formed whole before it is written, so a failure leaves it empty
+            meta_fh.write(json.dumps(meta, indent=2, allow_nan=False))
     except BaseException:
         _mark_partial(out_csv)
         raise
-
-    # a digital rate is the row of its (run, snr) at every n_rf
-    bad_digital = int((~np.isfinite(columns.digital_se)).sum())
-    bad_hybrid = int((~np.isfinite(columns.hybrid_se)).sum())
-    error_rows = len(spec.n_rf) * bad_digital + bad_hybrid
-    meta = {
-        "spec": spec.to_dict(),
-        "version": __version__,
-        "rows": 2 * columns.hybrid_se.size,
-        "error_rows": error_rows,
-        "wideband_se_convention": "mean over subcarriers",
-        "aggregates": _aggregate(spec, columns),
-    }
-    with open(str(out_csv) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, allow_nan=False)
     return meta
 
 

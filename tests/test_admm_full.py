@@ -415,6 +415,8 @@ class TestDesignFullyConnected:
         assert design.iterations == 7
         # row 0 is the starting point: analog equals its own copy, residual 0
         assert design.trace[0][2] == 0.0
+        # kept iterates drop the unit subcarrier axis, as the result does
+        assert all(st.f_bb.shape == (3, 2) for st in design.iterates)
         st0 = design.iterates[0]
         obj0 = np.linalg.norm(f_target - st0.r @ st0.f_bb) ** 2
         assert abs(design.trace[0][1] - obj0) < 1e-12
@@ -498,7 +500,7 @@ class TestDesignFullyConnected:
         for bad in (np.nan, np.inf):
             broken = f_target.copy()
             broken[4, 1] = bad
-            with pytest.raises(ValueError, match="targets contains non-finite"):
+            with pytest.raises(ValueError, match="f_target contains non-finite"):
                 design_fully_connected(broken, 3, cfg, normalize_power=False)
             with pytest.raises(ValueError, match="targets contains non-finite"):
                 design_wideband(broken[None], 3, cfg, normalize_power=False)
@@ -510,8 +512,11 @@ class TestDesignFullyConnected:
             (design_fully_connected, (8, 0)),
             (design_fully_connected, (0, 8, 2)),
         ]:
-            with pytest.raises(ValueError, match="at least one instance"):
+            # each designer names its own argument
+            name = "f_target" if designer is design_fully_connected else "targets"
+            with pytest.raises(ValueError, match="at least one instance") as err:
                 designer(np.zeros(shape), 2, cfg, normalize_power=True)
+            assert str(err.value).startswith(f"{name} must hold")
 
 
 class TestRfChainCount:

@@ -3,6 +3,7 @@ import pytest
 
 from hybridsim.admm import (
     AdmmConfig,
+    AdmmState,
     design_fully_connected,
     design_wideband,
     least_squares_fbb,
@@ -196,7 +197,9 @@ class TestTraceObjective:
     @pytest.mark.parametrize("k", [1, 4])
     def test_batched_trace_is_the_direct_residual_of_kept_iterates(self, k):
         # the loop takes the objective from n_rf-sized products; it must
-        # equal ||T - R F||_F^2 formed directly from each kept iterate
+        # equal ||T - R F||_F^2 formed directly from each kept iterate.  Each
+        # kept iterate is the loop's own AdmmState, and carries T F^H and
+        # F F^H of its digital matrices F = [F_1 ... F_K]
         rng = np.random.default_rng(30 + k)
         n_tx, n_rf, n_s, batch = 16, 4, 2, 3
         targets = np.stack([random_targets(rng, k, n_tx, n_s) for _ in range(batch)])
@@ -215,3 +218,14 @@ class TestTraceObjective:
             for (_, objective, _), state in zip(design.trace, design.iterates):
                 direct = np.linalg.norm(target - state.r @ state.f_bb) ** 2
                 assert abs(objective - direct) <= bound
+                assert isinstance(state, AdmmState)
+                assert state.f_bb.shape == (k, n_rf, n_s)
+                t = np.concatenate(target, axis=1)
+                f = np.concatenate(state.f_bb, axis=1)
+                for got, want in (
+                    (state.tf_h, t @ f.conj().T),
+                    (state.ff_h, f @ f.conj().T),
+                ):
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            # the start's dual is zero
+            assert not design.iterates[0].w.any()

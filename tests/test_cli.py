@@ -228,6 +228,29 @@ class TestRun:
         assert "Traceback" not in err
         assert calls == []
 
+    def test_unwritable_meta_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real = harness._run_block
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run_block", counted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        meta = tmp_path / "x.csv.meta.json"
+        meta.mkdir()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {meta}: ")
+        assert "Traceback" not in err
+        assert calls == []
+        last = out.read_text().splitlines()[-1]
+        assert last == "# PARTIAL: sweep aborted before completion"
+
     @pytest.mark.parametrize(
         "flags",
         [["--runs", "0"], ["--seed", "-1"], ["--workers", "0"], ["--workers", "-3"]],

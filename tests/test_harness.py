@@ -658,6 +658,23 @@ class TestRunSweep:
             "# PARTIAL: sweep aborted before completion",
         ]
 
+    def test_failed_rerun_leaves_no_earlier_metadata(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        run_sweep(small_spec(runs=2), out)
+
+        def failing(spec, first_run, stop_run):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(harness, "_run_block", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_sweep(small_spec(runs=5), out)
+        assert out.read_text().splitlines() == [
+            ",".join(harness._CSV_FIELDS),
+            "# PARTIAL: sweep aborted before completion",
+        ]
+        # the 2-run sweep's metadata does not pass for the failed sweep's
+        assert (tmp_path / "sweep.csv.meta.json").read_text() == ""
+
 
 def wideband_ofdm_spec(runs):
     """36x16 wideband, 16 subcarriers, 2 starts: the shapes of the benchmark's
@@ -740,6 +757,25 @@ class TestBlockLayout:
             assert max(sizes) <= block_runs
             if workers == 2 and runs >= 2:
                 assert len(calls) % 2 == 0, (runs, sizes)
+
+    def test_pool_starts_no_more_workers_than_blocks(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        real = concurrent.futures.ProcessPoolExecutor
+        asked = []
+
+        class Recorded(real):
+            """Records the pool size asked for and starts at most 2."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        spec = small_spec(runs=2)
+        assert len(harness._blocks(spec, 64)[0]) == 2
+        run_sweep(spec, tmp_path / "sweep.csv", workers=64)
+        assert asked == [2]
 
     @pytest.mark.parametrize(
         "spec, sizes",
