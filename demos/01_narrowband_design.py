@@ -21,7 +21,7 @@ RX = ArrayGeometry(4)   # 16 elements
 SNR_DB = 0.0
 SEED = 7
 
-h = gen_narrowband(SEED, TX, RX, ClusterParams()).matrix
+h = gen_narrowband(SEED, TX, RX, ClusterParams())
 print(f"channel: {h.shape[0]}x{h.shape[1]}, ||H||_F^2 = {np.linalg.norm(h)**2:.1f}")
 
 fo = optimal_factors(h, N_S)

@@ -22,7 +22,7 @@ RUNS = 8
 rates = {}
 digital = []
 for run in range(RUNS):
-    h = gen_narrowband(run, TX, RX, ClusterParams()).matrix
+    h = gen_narrowband(run, TX, RX, ClusterParams())
     fo = optimal_factors(h, N_S)
     digital.append(spectral_efficiency(h, fo.f_opt, fo.w_opt, SNR, N_S))
     for n_rf in (2, 3, 4, 6, 8):

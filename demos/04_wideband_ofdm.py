@@ -20,8 +20,8 @@ K = 16
 TX, RX = ArrayGeometry(6), ArrayGeometry(4)
 SNR = 1.0
 
-real = gen_wideband(3, TX, RX, ClusterParams(), K)
-factors = [optimal_factors(h, N_S) for h in real.matrices]
+channel = gen_wideband(3, TX, RX, ClusterParams(), K)
+factors = [optimal_factors(h, N_S) for h in channel]
 
 # the summed objective has K data terms, so the penalty scales with K too
 rho = scale_matched_rho(TX.n_elements, N_RF, N_S, n_subcarriers=K)
@@ -37,11 +37,11 @@ print(f"{K} subcarriers, shared {pre.f_rf.shape[0]}x{pre.f_rf.shape[1]} analog "
 
 dig = [
     spectral_efficiency(h, fo.f_opt, fo.w_opt, SNR, N_S)
-    for h, fo in zip(real.matrices, factors)
+    for h, fo in zip(channel, factors)
 ]
 hyb = [
     spectral_efficiency(h, pre.f_rf @ pre.f_bb[k], comb.f_rf @ comb.f_bb[k], SNR, N_S)
-    for k, h in enumerate(real.matrices)
+    for k, h in enumerate(channel)
 ]
 print("subcarrier rates (digital / hybrid, bits/s/Hz):")
 for k in range(0, K, 4):

@@ -24,7 +24,7 @@ rho = scale_matched_rho(TX.n_elements, N_RF, N_S)
 rows = {bits: [] for bits in (1, 2, 3, 4, None)}
 digital = []
 for run in range(RUNS):
-    h = gen_narrowband(100 + run, TX, RX, ClusterParams()).matrix
+    h = gen_narrowband(100 + run, TX, RX, ClusterParams())
     fo = optimal_factors(h, N_S)
     digital.append(spectral_efficiency(h, fo.f_opt, fo.w_opt, SNR, N_S))
     for bits in rows:

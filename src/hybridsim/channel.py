@@ -7,7 +7,9 @@ shares one set of gains and angles across subcarriers and applies a per-
 cluster delay phase ``exp(-2j*pi*(i-1)*k/K)`` for cluster i at subcarrier k.
 Since the subcarriers differ only by these phases, a draw sums its rays
 once per cluster and mixes the cluster matrices per subcarrier
-(``gen_wideband``).
+(``gen_wideband``).  A draw is the bare complex array: ``gen_wideband``
+returns the (K, n_rx, n_tx) stack of its K subcarriers' matrices and
+``gen_narrowband`` the (n_rx, n_tx) matrix of K = 1.
 
 Reproducibility: every generator draws from ``numpy.random.default_rng(seed)``
 (PCG64) in a fixed, documented order:
@@ -28,8 +30,7 @@ The planar-array element for antenna indices (p, q) is enumerated p-major:
 linear index = p * side + q.
 """
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +39,11 @@ from .admm import check_finite, check_int
 __all__ = [
     "ArrayGeometry",
     "ClusterParams",
-    "ChannelRealization",
     "array_response",
     "sample_cluster_angles",
     "gen_narrowband",
     "gen_wideband",
-    "save_channel",
-    "load_channel",
 ]
-
-_DUMP_FORMAT = "hybridsim-channel-v1"
-# the keys save_channel writes besides "format", each of which load_channel reads
-_DUMP_KEYS = (
-    "n_rx",
-    "n_tx",
-    "n_subcarriers",
-    "seed",
-    "tx_geometry",
-    "rx_geometry",
-    "cluster_params",
-    "entries",
-)
 
 
 @dataclass(frozen=True)
@@ -97,52 +82,6 @@ class ClusterParams:
             raise ValueError("n_clusters and n_rays must be positive")
         if self.angular_spread_rad < 0:
             raise ValueError("angular_spread_rad must be nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One channel draw: ``matrices`` is the complex (K, n_rx, n_tx) array of
-    its K subcarriers' matrices (K = 1 when narrowband).
-
-    The constructor stores ``matrices`` as one complex array and raises
-    ValueError unless K >= 1, (n_rx, n_tx) are the element counts of
-    ``rx_geometry`` and ``tx_geometry``, every entry is finite, and
-    ``seed`` is a nonnegative integer; so every realization can be saved
-    and read back as it is.
-    Realizations compare by identity.
-    """
-
-    matrices: np.ndarray = field(repr=False)
-    seed: int = 0
-    tx_geometry: ArrayGeometry = ArrayGeometry(1)
-    rx_geometry: ArrayGeometry = ArrayGeometry(1)
-    params: ClusterParams = ClusterParams()
-
-    def __post_init__(self):
-        matrices = np.asarray(self.matrices, dtype=complex)
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        n_rx, n_tx = self.rx_geometry.n_elements, self.tx_geometry.n_elements
-        if matrices.shape[1:] != (n_rx, n_tx) or matrices.size == 0:
-            raise ValueError(
-                f"matrices of shape {matrices.shape} do not match a {n_rx}-element "
-                f"receive and a {n_tx}-element transmit array: need (K >= 1, "
-                f"{n_rx}, {n_tx})"
-            )
-        if not np.isfinite(matrices).all():
-            raise ValueError("matrices contain non-finite entries")
-
-    @property
-    def n_subcarriers(self):
-        """The subcarrier count K, ``len(matrices)``."""
-        return len(self.matrices)
-
-    @property
-    def matrix(self):
-        """The narrowband matrix (subcarrier 0)."""
-        return self.matrices[0]
 
 
 def array_response(geom, azimuth, elevation):
@@ -220,16 +159,26 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     Parameters
     ----------
     seed : int
-        Seed for the generator; recorded in the returned realization.
+        Nonnegative seed for ``numpy.random.default_rng``.
     tx_geom, rx_geom : ArrayGeometry
     params : ClusterParams
     n_subcarriers : int
 
     Returns
     -------
-    ChannelRealization
-        Its ``matrices`` are the (n_subcarriers, n_rx, n_tx) stack.
+    ndarray, shape (n_subcarriers, n_rx, n_tx), complex
+        The C-contiguous stack of the subcarriers' matrices.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` is not a nonnegative integer, checked before anything is
+        drawn, or if an entry is not finite, as an extreme but accepted
+        spacing or angular spread can make it.
     """
+    seed = check_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n_subcarriers = check_int(n_subcarriers, "n_subcarriers")
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
@@ -263,105 +212,17 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     matrices = (delay @ clusters.reshape(n_clusters, -1)).reshape(
         n_subcarriers, n_rx, n_tx
     )
-    return ChannelRealization(
-        matrices=matrices,
-        seed=seed,
-        tx_geometry=tx_geom,
-        rx_geometry=rx_geom,
-        params=params,
-    )
+    if not np.isfinite(matrices).all():
+        raise ValueError("the channel contains non-finite entries")
+    return matrices
 
 
 def gen_narrowband(seed, tx_geom, rx_geom, params):
-    """Generate a single-carrier channel draw (see ``gen_wideband``)."""
-    return gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers=1)
+    """Generate a single-carrier channel draw (see ``gen_wideband``).
 
-
-def save_channel(realization, path):
-    """Write a ChannelRealization as structured text (JSON).
-
-    Entries are stored per subcarrier as a flat row-major list of
-    interleaved real/imag parts, so the dump replays exactly across
-    implementations.  A realization checks its own shape and seed when it
-    is built, so every one saves into a dump that ``load_channel`` reads
-    back as it is.
+    Returns
+    -------
+    ndarray, shape (n_rx, n_tx), complex
+        ``gen_wideband(seed, tx_geom, rx_geom, params, 1)[0]``.
     """
-    doc = {
-        "format": _DUMP_FORMAT,
-        "n_rx": realization.rx_geometry.n_elements,
-        "n_tx": realization.tx_geometry.n_elements,
-        "n_subcarriers": realization.n_subcarriers,
-        "seed": realization.seed,
-        "tx_geometry": asdict(realization.tx_geometry),
-        "rx_geometry": asdict(realization.rx_geometry),
-        "cluster_params": asdict(realization.params),
-        # the (real, imag) pairs of each entry, as load_channel reads them
-        "entries": [h.ravel().view(np.float64).tolist() for h in realization.matrices],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_channel(path):
-    """Read a ChannelRealization written by ``save_channel``.
-
-    A dump that is not such a JSON object, lacks a key, holds a non-finite
-    entry, or whose matrix shape, subcarrier count, entry lists, geometry or
-    cluster parameters do not agree is a ValueError.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a channel dump is a JSON object, not a {type(doc).__name__}")
-    if doc.get("format") != _DUMP_FORMAT:
-        raise ValueError(f"unrecognized channel dump format: {doc.get('format')!r}")
-    missing = [key for key in _DUMP_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"the channel dump lacks {missing}")
-    n_rx, n_tx, n_subcarriers = (
-        check_int(doc[name], name) for name in ("n_rx", "n_tx", "n_subcarriers")
-    )
-    if n_rx < 0 or n_tx < 0:
-        raise ValueError(f"{n_rx} x {n_tx} matrices have a negative size")
-    entries = doc["entries"]
-    if not isinstance(entries, list) or not all(isinstance(e, list) for e in entries):
-        raise ValueError("entries must be a list of number lists, one per subcarrier")
-    if len(entries) != n_subcarriers:
-        raise ValueError(f"{len(entries)} entry lists for {n_subcarriers} subcarriers")
-    for inter in entries:
-        if len(inter) != 2 * n_rx * n_tx:
-            raise ValueError(
-                f"an entry list holds {len(inter)} numbers, not the "
-                f"{2 * n_rx * n_tx} of a {n_rx} x {n_tx} complex matrix"
-            )
-        # a JSON number loads as int or float; null, true and "0.25" would
-        # convert to NaN, 1.0 and 0.25
-        bad = [v for v in inter if type(v) not in (int, float)]
-        if bad:
-            raise ValueError(f"entries must be JSON numbers, got {bad[0]!r}")
-    try:
-        floats = np.asarray(entries, dtype=float)
-    except OverflowError:
-        raise ValueError("an entry is an integer beyond float range") from None
-    # reinterpret the (real, imag) pairs in place: exact, signed zeros
-    # included, where ``re + 1j * im`` would turn -0.0 into 0.0
-    matrices = floats.view(complex).reshape(n_subcarriers, n_rx, n_tx)
-    return ChannelRealization(
-        matrices=matrices,
-        seed=doc["seed"],
-        tx_geometry=_dump_object(doc, "tx_geometry", ArrayGeometry),
-        rx_geometry=_dump_object(doc, "rx_geometry", ArrayGeometry),
-        params=_dump_object(doc, "cluster_params", ClusterParams),
-    )
-
-
-def _dump_object(doc, key, cls):
-    """``cls`` built from the dump's ``key`` object, which holds every field of
-    ``cls`` and nothing else, as ``save_channel`` writes it; ValueError if not."""
-    value = doc[key]
-    names = sorted(f.name for f in fields(cls))
-    if not isinstance(value, dict) or sorted(value) != names:
-        raise ValueError(
-            f"{key} must be an object with the keys {names}, got {value!r}"
-        )
-    return cls(**value)
+    return gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers=1)[0]

@@ -290,15 +290,16 @@ class _Columns(NamedTuple):
 def draw_channels(spec, first_run, stop_run):
     """The (runs, K, n_rx, n_tx) channels of runs ``first_run .. stop_run - 1``.
 
-    Run i is ``gen_wideband`` with seed ``spec.base_seed + i`` on the spec's
-    square arrays, with the default cluster parameters.
+    Run i is the (K, n_rx, n_tx) array ``gen_wideband`` returns for seed
+    ``spec.base_seed + i`` on the spec's square arrays, with the default
+    cluster parameters.
     """
     tx, rx = ArrayGeometry(spec.n_tx_side), ArrayGeometry(spec.n_rx_side)
     draws = [
         gen_wideband(spec.base_seed + i, tx, rx, ClusterParams(), spec.n_subcarriers)
         for i in range(first_run, stop_run)
     ]
-    return np.stack([draw.matrices for draw in draws])
+    return np.stack(draws)
 
 
 def _blocks(spec, workers):

@@ -191,7 +191,7 @@ def test_criterion_01_square_case_matches_digital():
     for seed in range(50):
         h = gen_narrowband(
             seed, ArrayGeometry(4), ArrayGeometry(4), ClusterParams()
-        ).matrix
+        )
         fo = optimal_factors(h, 2)
         cfg = AdmmConfig(seed=seed)
         pre = design_fully_connected(fo.f_opt, 16, cfg, normalize_power=True)
@@ -247,7 +247,7 @@ def test_criterion_04_single_carrier_reduction():
     for seed in range(20):
         h = gen_narrowband(
             seed, ArrayGeometry(4), ArrayGeometry(4), ClusterParams()
-        ).matrix
+        )
         f_opt = optimal_factors(h, 2).f_opt
         cfg = AdmmConfig(
             rho=scale_matched_rho(16, 4, 2), max_iters=10, tau=0.0, seed=seed
@@ -315,7 +315,7 @@ def designs_for_constraint_suite():
                 ArrayGeometry(spec.n_tx_side),
                 ArrayGeometry(spec.n_rx_side),
                 ClusterParams(),
-            ).matrix
+            )
             fo = optimal_factors(h, spec.n_s)
             cfg = spec.admm
             n_rf = spec.n_rf[0]
@@ -477,7 +477,7 @@ def test_criterion_08_channel_statistics():
         for seed in range(2000):
             h = gen_narrowband(
                 seed, ArrayGeometry(tx_side), ArrayGeometry(rx_side), ClusterParams()
-            ).matrix
+            )
             total += np.linalg.norm(h) ** 2
         worst_energy = max(worst_energy, abs(total / 2000 / (n_tx * n_rx) - 1.0))
 

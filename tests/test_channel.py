@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,15 +5,12 @@ import pytest
 
 from hybridsim.channel import (
     ArrayGeometry,
-    ChannelRealization,
     ClusterParams,
     _response_matrix,
     array_response,
     gen_narrowband,
     gen_wideband,
-    load_channel,
     sample_cluster_angles,
-    save_channel,
 )
 
 
@@ -58,12 +54,6 @@ def replay_channel(seed, tx_geom, rx_geom, params, n_sub):
                 h += gains[i, l] * delay * np.outer(ar, at.conj())
         out.append(gamma * h)
     return out
-
-
-def with_entry_text(doc, text):
-    """The dump's JSON text with its first entry written as ``text``."""
-    doc["entries"][0][0] = "@"
-    return json.dumps(doc).replace('"@"', text, 1)
 
 
 class TestArrayResponse:
@@ -187,17 +177,18 @@ class TestGenerator:
         for params, tx_side, rx_side, n_sub, seeds in cases:
             tx, rx = ArrayGeometry(tx_side), ArrayGeometry(rx_side)
             for seed in seeds:
-                real = gen_wideband(seed, tx, rx, params, n_subcarriers=n_sub)
+                channel = gen_wideband(seed, tx, rx, params, n_subcarriers=n_sub)
                 ref = replay_channel(seed, tx, rx, params, n_sub)
-                assert len(real.matrices) == len(ref) == n_sub
-                for h, h_ref in zip(real.matrices, ref):
+                assert len(channel) == len(ref) == n_sub
+                for h, h_ref in zip(channel, ref):
                     assert np.allclose(h, h_ref, atol=1e-13)
 
     def test_narrowband_equals_wideband_k1(self):
         params = ClusterParams(n_clusters=2, n_rays=3)
         a = gen_narrowband(7, ArrayGeometry(4), ArrayGeometry(2), params)
         b = gen_wideband(7, ArrayGeometry(4), ArrayGeometry(2), params, 1)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert a.shape == (4, 16)
+        assert a.tobytes() == b[0].tobytes()
 
     def test_subcarrier_zero_has_no_delay_phase(self):
         # (params, tx side, rx side, subcarriers); the second case is the
@@ -210,21 +201,21 @@ class TestGenerator:
             tx, rx = ArrayGeometry(tx_side), ArrayGeometry(rx_side)
             nb = gen_narrowband(9, tx, rx, params)
             wb = gen_wideband(9, tx, rx, params, n_sub)
-            assert np.array_equal(nb.matrix, wb.matrices[0])
-            assert not np.allclose(wb.matrices[0], wb.matrices[3])
+            assert np.array_equal(nb, wb[0])
+            assert not np.allclose(wb[0], wb[3])
 
     def test_determinism(self):
         params = ClusterParams()
         a = gen_narrowband(5, ArrayGeometry(4), ArrayGeometry(2), params)
         b = gen_narrowband(5, ArrayGeometry(4), ArrayGeometry(2), params)
         c = gen_narrowband(6, ArrayGeometry(4), ArrayGeometry(2), params)
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix, c.matrix)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_rank_bounded_by_ray_count(self):
         params = ClusterParams(n_clusters=2, n_rays=1)
-        real = gen_narrowband(3, ArrayGeometry(4), ArrayGeometry(4), params)
-        s = np.linalg.svd(real.matrix, compute_uv=False)
+        h = gen_narrowband(3, ArrayGeometry(4), ArrayGeometry(4), params)
+        s = np.linalg.svd(h, compute_uv=False)
         assert s[2] < 1e-12 * s[0]  # at most 2 propagation paths
 
     def test_mean_frobenius_normalization(self):
@@ -233,18 +224,53 @@ class TestGenerator:
         acc = 0.0
         n_draws = 400
         for seed in range(n_draws):
-            acc += np.linalg.norm(gen_narrowband(seed, tx, rx, params).matrix) ** 2
+            acc += np.linalg.norm(gen_narrowband(seed, tx, rx, params)) ** 2
         ratio = acc / n_draws / (tx.n_elements * rx.n_elements)
         assert abs(ratio - 1.0) < 0.05
 
-    def test_realization_metadata(self):
+    def test_returns_one_complex_array(self):
         params = ClusterParams(n_clusters=2, n_rays=2)
-        real = gen_wideband(11, ArrayGeometry(3), ArrayGeometry(2), params, 5)
-        assert real.seed == 11
-        assert real.n_subcarriers == 5
-        assert len(real.matrices) == 5
-        assert real.matrices[2].shape == (4, 9)
-        assert real.tx_geometry.side == 3
+        channel = gen_wideband(11, ArrayGeometry(3), ArrayGeometry(2), params, 5)
+        assert type(channel) is np.ndarray
+        assert channel.dtype == np.complex128
+        assert channel.shape == (5, 4, 9)
+        assert channel.flags.c_contiguous
+
+    def test_integer_seeds_of_any_type_and_size(self):
+        def draw(seed):
+            geom = ArrayGeometry(2)
+            return gen_wideband(seed, geom, geom, ClusterParams(), 2)
+
+        assert draw(np.int64(3)).tobytes() == draw(3).tobytes()
+        # a seed beyond float range draws, and is not rounded to a float
+        huge = draw(2**70)
+        assert huge.shape == (2, 4, 4) and np.isfinite(huge).all()
+        assert huge.tobytes() != draw(2**70 + 1).tobytes()
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, True, -1, 2.5, "3"],
+        ids=["none", "seed_bool", "seed_negative", "seed_fraction", "seed_text"],
+    )
+    def test_rejects_bad_seed(self, seed):
+        # checked before the generator is seeded: None would draw from OS
+        # entropy, and NumPy's own error for 2.5 or "3" does not name the seed
+        with pytest.raises(ValueError, match="seed"):
+            gen_wideband(seed, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 1)
+
+    @pytest.mark.parametrize(
+        "tx_geom, params",
+        [
+            (ArrayGeometry(2, 1e308), ClusterParams()),
+            (ArrayGeometry(2), ClusterParams(angular_spread_rad=1e308)),
+        ],
+        ids=["spacing", "spread"],
+    )
+    def test_rejects_non_finite_draw(self, tx_geom, params):
+        # each input passes its own validation, and its steering phases
+        # overflow to inf or NaN
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            gen_wideband(1, tx_geom, ArrayGeometry(2), params, 1)
 
     def test_invalid_subcarriers(self):
         with pytest.raises(ValueError):
@@ -252,218 +278,3 @@ class TestGenerator:
         # the delay table would hold ceil(2.5) = 3 subcarriers
         with pytest.raises(ValueError, match="n_subcarriers must be an integer"):
             gen_wideband(0, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 2.5)
-
-
-class TestDump:
-    def test_round_trip_exact(self, tmp_path):
-        params = ClusterParams(n_clusters=3, n_rays=4)
-        real = gen_wideband(21, ArrayGeometry(3), ArrayGeometry(2), params, 3)
-        path = tmp_path / "chan.json"
-        save_channel(real, path)
-        back = load_channel(path)
-        # repr-based JSON floats round-trip binary64 exactly
-        for h, h2 in zip(real.matrices, back.matrices):
-            assert np.array_equal(h, h2)
-        assert back.seed == real.seed
-        assert back.n_subcarriers == 3
-        assert back.tx_geometry == real.tx_geometry
-        assert back.rx_geometry == real.rx_geometry
-        assert back.params == real.params
-
-    def test_round_trip_keeps_signed_zeros(self, tmp_path):
-        h = np.array(
-            [[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 2.0j]]
-        )
-        real = ChannelRealization(
-            matrices=[h],
-            tx_geometry=ArrayGeometry(2),
-            rx_geometry=ArrayGeometry(1),
-        )
-        path = tmp_path / "chan.json"
-        save_channel(real, path)
-        assert load_channel(path).matrices[0].tobytes() == h.tobytes()
-
-    @pytest.mark.parametrize(
-        "matrices, tx_side, match",
-        [
-            # 4x4 matrices beside the default one-element geometries
-            ([np.ones((4, 4), dtype=complex)], 1, r"\(1, 4, 4\) do not match"),
-            # a stack of no subcarriers
-            (np.ones((0, 1, 1), dtype=complex), 1, r"\(0, 1, 1\) do not match"),
-            # the 4 entries of a 1x4 matrix in a 4x1 shape would load as 1x4
-            (
-                [np.arange(4, dtype=complex).reshape(4, 1)],
-                2,
-                r"\(1, 4, 1\) do not match a 1-element receive and a 4-element",
-            ),
-            # a NaN entry would save as NaN, which no JSON reader need accept
-            (
-                [np.array([[1.0, np.nan + 1j, 0.0, 2.0]])],
-                2,
-                "matrices contain non-finite entries",
-            ),
-        ],
-        ids=["geometry", "subcarriers", "shape", "nan"],
-    )
-    def test_save_rejects_unloadable_realization(self, matrices, tx_side, match):
-        # a realization that would not load back as it is cannot be built,
-        # so save_channel never sees one
-        with pytest.raises(ValueError, match=match):
-            ChannelRealization(matrices=matrices, tx_geometry=ArrayGeometry(tx_side))
-
-    def test_realizations_compare_by_identity(self):
-        args = (5, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 2)
-        a, b = gen_wideband(*args), gen_wideband(*args)
-        assert (a == b) is False
-        assert (a == a) is True
-
-    def test_seed_beyond_float_range_round_trips(self, tmp_path):
-        geom = ArrayGeometry(2)
-        real = gen_wideband(2**70, geom, geom, ClusterParams(), 2)
-        path = tmp_path / "chan.json"
-        save_channel(real, path)
-        back = load_channel(path)
-        assert back.seed == real.seed == 2**70
-        assert back.matrices.tobytes() == real.matrices.tobytes()
-
-    def test_matrices_are_one_complex_array(self, tmp_path):
-        real = gen_wideband(
-            23, ArrayGeometry(3), ArrayGeometry(2), ClusterParams(3, 2), 5
-        )
-        path = tmp_path / "chan.json"
-        save_channel(real, path)
-        back = load_channel(path)
-        for matrices in (real.matrices, back.matrices):
-            assert isinstance(matrices, np.ndarray)
-            assert matrices.dtype == np.complex128
-            assert matrices.shape == (5, 4, 9)
-        assert back.matrices.tobytes() == real.matrices.tobytes()
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_channel(path)
-
-    @pytest.mark.parametrize(
-        "edit, match",
-        [
-            # a 3x3 (9-element) transmit array beside 4x4 matrices
-            (lambda doc: doc["tx_geometry"].update(side=3), "do not match"),
-            (
-                lambda doc: doc.update(n_subcarriers=5),
-                "2 entry lists for 5 subcarriers",
-            ),
-            (lambda doc: doc["entries"][1].pop(), "holds 31 numbers"),
-            (
-                lambda doc: doc["rx_geometry"].update(side=2.5),
-                "side must be an integer",
-            ),
-            (
-                lambda doc: doc["tx_geometry"].update(spacing_over_lambda=math.nan),
-                "spacing_over_lambda",
-            ),
-            (
-                lambda doc: doc["cluster_params"].update(n_rays=2.5),
-                "n_rays must be an integer",
-            ),
-            (
-                lambda doc: doc["cluster_params"].update(angular_spread_rad=math.inf),
-                "angular_spread_rad",
-            ),
-            # entry lists of the right length for (-4) x (-4) matrices
-            (lambda doc: doc.update(n_rx=-4, n_tx=-4), "-4 x -4 matrices have a neg"),
-            (lambda doc: doc.update(seed="abc"), "seed must be a finite number"),
-            (lambda doc: doc.update(seed=-5.5), "seed must be an integer"),
-            (lambda doc: doc.update(seed=True), "seed must be a finite number"),
-            (lambda doc: doc.update(seed=-1), "seed must be nonnegative"),
-            (lambda doc: [doc], "a channel dump is a JSON object, not a list"),
-            (lambda doc: doc.__delitem__("n_rx"), r"lacks \['n_rx'\]"),
-            (lambda doc: doc.update(entries=5), "entries must be a list of number"),
-            (
-                lambda doc: doc["entries"].__setitem__(1, 5),
-                "entries must be a list of number",
-            ),
-            # entries that np.asarray(..., dtype=float) would take as NaN,
-            # 1.0 and 0.25
-            (
-                lambda doc: doc["entries"][0].__setitem__(0, None),
-                "entries must be JSON numbers, got None",
-            ),
-            (
-                lambda doc: doc["entries"][1].__setitem__(3, True),
-                "entries must be JSON numbers, got True",
-            ),
-            (
-                lambda doc: doc["entries"][0].__setitem__(5, "0.25"),
-                "entries must be JSON numbers, got '0.25'",
-            ),
-            # an integer that json.load keeps exact and no float holds
-            (
-                lambda doc: doc["entries"][1].__setitem__(2, 10**400),
-                "an entry is an integer beyond float range",
-            ),
-            # JSON numbers that json.load reads as inf, NaN and -inf
-            (
-                lambda doc: with_entry_text(doc, "1e400"),
-                "matrices contain non-finite entries",
-            ),
-            (
-                lambda doc: doc["entries"][0].__setitem__(3, math.nan),
-                "matrices contain non-finite entries",
-            ),
-            (
-                lambda doc: doc["entries"][1].__setitem__(6, -math.inf),
-                "matrices contain non-finite entries",
-            ),
-            (
-                lambda doc: doc.update(tx_geometry=[2, 0.5]),
-                r"tx_geometry must be an object with the keys",
-            ),
-            (
-                lambda doc: doc["tx_geometry"].update(rows=2),
-                r"tx_geometry must be an object with the keys",
-            ),
-        ],
-        ids=[
-            "geometry",
-            "subcarriers",
-            "entry_length",
-            "side",
-            "spacing",
-            "cluster_count",
-            "spread",
-            "negative_sizes",
-            "seed_text",
-            "seed_fraction",
-            "seed_bool",
-            "seed_negative",
-            "document_list",
-            "missing_key",
-            "entries_number",
-            "entry_number",
-            "entry_null",
-            "entry_bool",
-            "entry_text",
-            "entry_huge_int",
-            "entry_overflow",
-            "entry_nan",
-            "entry_minus_infinity",
-            "geometry_list",
-            "geometry_key",
-        ],
-    )
-    def test_rejects_inconsistent_dump(self, tmp_path, edit, match):
-        real = gen_wideband(3, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), 2)
-        path = tmp_path / "chan.json"
-        save_channel(real, path)
-        doc = json.loads(path.read_text())
-        # an edit changes the document in place, or returns a list or the
-        # text to write in its place
-        edited = edit(doc)
-        if isinstance(edited, str):
-            path.write_text(edited)
-        else:
-            path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
-        with pytest.raises(ValueError, match=match):
-            load_channel(path)
