@@ -228,7 +228,7 @@ class TestGenerator:
         ratio = acc / n_draws / (tx.n_elements * rx.n_elements)
         assert abs(ratio - 1.0) < 0.05
 
-    def test_returns_one_complex_array(self):
+    def test_realization_metadata(self):
         params = ClusterParams(n_clusters=2, n_rays=2)
         channel = gen_wideband(11, ArrayGeometry(3), ArrayGeometry(2), params, 5)
         assert type(channel) is np.ndarray
