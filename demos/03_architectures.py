@@ -22,7 +22,6 @@ common = dict(
     base_seed=0,
 )
 
-out = Path(tempfile.mkdtemp())
 full = SweepSpec(
     scenario="narrowband_full",
     admm=AdmmConfig(rho=scale_matched_rho(100, N_RF, N_S), tau=1e-3, seed=0),
@@ -40,7 +39,9 @@ part = SweepSpec(
 
 # mean rate per (method, SNR), from each sweep's meta.json aggregates; the
 # two sweeps draw the same channels, so their digital_opt means agree
-metas = [run_sweep(full, out / "full.csv"), run_sweep(part, out / "partial.csv")]
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    metas = [run_sweep(full, out / "full.csv"), run_sweep(part, out / "partial.csv")]
 means = {
     (agg["method"], agg["snr_db"]): agg["mean_spectral_efficiency"]
     for meta in metas
@@ -54,4 +55,3 @@ for snr in SNRS:
         means[name, snr] for name in ("digital_opt", "hybrid_full", "hybrid_partial")
     )
     print(f"{snr:+5.0f} dB   {dig:7.3f}    {fc:7.3f}      {pc:7.3f}")
-print(f"csv output under {out}")

@@ -21,28 +21,18 @@ TX, RX = ArrayGeometry(6), ArrayGeometry(4)
 SNR = 1.0
 
 channel = gen_wideband(3, TX, RX, ClusterParams(), K)
-factors = [optimal_factors(h, N_S) for h in channel]
+factors = optimal_factors(channel, N_S)
 
 # the summed objective has K data terms, so the penalty scales with K too
 rho = scale_matched_rho(TX.n_elements, N_RF, N_S, n_subcarriers=K)
 cfg = AdmmConfig(rho=rho, seed=0)
-pre = design_wideband(
-    np.stack([fo.f_opt for fo in factors]), N_RF, cfg, normalize_power=True
-)
-comb = design_wideband(
-    np.stack([fo.w_opt for fo in factors]), N_RF, cfg, normalize_power=False
-)
+pre = design_wideband(factors.f_opt, N_RF, cfg, normalize_power=True)
+comb = design_wideband(factors.w_opt, N_RF, cfg, normalize_power=False)
 print(f"{K} subcarriers, shared {pre.f_rf.shape[0]}x{pre.f_rf.shape[1]} analog "
       f"matrix, objective {pre.final_objective:.3e} after {pre.iterations} iters")
 
-dig = [
-    spectral_efficiency(h, fo.f_opt, fo.w_opt, SNR, N_S)
-    for h, fo in zip(channel, factors)
-]
-hyb = [
-    spectral_efficiency(h, pre.f_rf @ pre.f_bb[k], comb.f_rf @ comb.f_bb[k], SNR, N_S)
-    for k, h in enumerate(channel)
-]
+dig = spectral_efficiency(channel, factors.f_opt, factors.w_opt, SNR, N_S)
+hyb = spectral_efficiency(channel, pre.f_rf @ pre.f_bb, comb.f_rf @ comb.f_bb, SNR, N_S)
 print("subcarrier rates (digital / hybrid, bits/s/Hz):")
 for k in range(0, K, 4):
     print(f"  k={k:2d}: {dig[k]:6.3f} / {hyb[k]:6.3f}")

@@ -133,18 +133,14 @@ class AdmmConfig:
     def __post_init__(self):
         check_finite(self.rho, "rho")
         check_finite(self.tau, "tau")
-        for name in ("max_iters", "seed"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        for name, low in (("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, low))
         if self.phase_bits is not None:
             object.__setattr__(self, "phase_bits", _check_phase_bits(self.phase_bits))
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 def check_finite(value, name):
@@ -162,14 +158,18 @@ def check_finite(value, name):
     return value
 
 
-def check_int(value, name):
+def check_int(value, name, low=None):
     """``value`` as an int: an integer as it is, however large, or a number that
-    ``check_finite`` accepts and that is integral; ValueError if neither."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if int(check_finite(value, name)) != value:
+    ``check_finite`` accepts and that is integral; ValueError if neither, or
+    if ``low`` is given and the int is below it
+    (``"<name> must be >= <low>, got <int>"``)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral and int(check_finite(value, name)) != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
 
 
 def _require_finite(a, name):
@@ -206,11 +206,12 @@ def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTE
     n_tx is large relative to n_s.  Each count is an integer (2.0 counts as
     2) and at least 1; ValueError otherwise.
     """
-    counts = {"n_tx": n_tx, "n_rf": n_rf, "n_s": n_s, "n_subcarriers": n_subcarriers}
-    for name, value in counts.items():
-        if check_int(value, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
-    n_tx, n_rf, n_s, n_subcarriers = map(int, counts.values())
+    n_tx, n_rf, n_s, n_subcarriers = (
+        check_int(value, name, 1)
+        for name, value in zip(
+            ("n_tx", "n_rf", "n_s", "n_subcarriers"), (n_tx, n_rf, n_s, n_subcarriers)
+        )
+    )
     if structure == PARTIALLY_CONNECTED:
         entries = n_tx
     elif structure == FULLY_CONNECTED:

@@ -142,9 +142,7 @@ def spectral_efficiency(h, f, wc, snr, n_s):
     f = np.asarray(f)
     wc = np.asarray(wc)
     snr = np.asarray(snr, dtype=float)
-    n_s = check_int(n_s, "n_s")
-    if n_s < 1:
-        raise ValueError(f"n_s must be >= 1, got {n_s}")
+    n_s = check_int(n_s, "n_s", 1)
     if snr.ndim > 1:
         raise ValueError(f"snr must be a scalar or a 1-D array, got shape {snr.shape}")
     if not (snr >= 0).all():

@@ -54,10 +54,8 @@ class ArrayGeometry:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "side", check_int(self.side, "side"))
+        object.__setattr__(self, "side", check_int(self.side, "side", 1))
         check_finite(self.spacing_over_lambda, "spacing_over_lambda")
-        if self.side < 1:
-            raise ValueError("side must be >= 1")
         if self.spacing_over_lambda <= 0:
             raise ValueError("spacing_over_lambda must be positive")
 
@@ -76,10 +74,8 @@ class ClusterParams:
 
     def __post_init__(self):
         for name in ("n_clusters", "n_rays"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         check_finite(self.angular_spread_rad, "angular_spread_rad")
-        if self.n_clusters < 1 or self.n_rays < 1:
-            raise ValueError("n_clusters and n_rays must be positive")
         if self.angular_spread_rad < 0:
             raise ValueError("angular_spread_rad must be nonnegative")
 
@@ -172,16 +168,13 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     Raises
     ------
     ValueError
-        If ``seed`` is not a nonnegative integer, checked before anything is
-        drawn, or if an entry is not finite, as an extreme but accepted
-        spacing or angular spread can make it.
+        If ``seed`` is not a nonnegative integer or ``n_subcarriers`` not a
+        positive one, both checked before anything is drawn, or if an entry
+        is not finite, as an extreme but accepted spacing or angular spread
+        can make it.
     """
-    seed = check_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    n_subcarriers = check_int(n_subcarriers, "n_subcarriers")
-    if n_subcarriers < 1:
-        raise ValueError("n_subcarriers must be >= 1")
+    seed = check_int(seed, "seed", 0)
+    n_subcarriers = check_int(n_subcarriers, "n_subcarriers", 1)
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((params.n_clusters, params.n_rays))
     im = rng.standard_normal((params.n_clusters, params.n_rays))

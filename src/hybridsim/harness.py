@@ -126,7 +126,8 @@ class SweepSpec:
             )
         # this module does not postpone annotations, so an int field's type is int
         for name in (f.name for f in fields(self) if f.type is int):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
+            low = 0 if name == "base_seed" else 1
+            object.__setattr__(self, name, check_int(getattr(self, name), name, low))
         object.__setattr__(
             self, "n_rf", tuple(check_int(v, "n_rf") for v in _as_tuple(self.n_rf))
         )
@@ -140,16 +141,6 @@ class SweepSpec:
             # a repeated value would pool each run twice into one sweep point
             if len(set(values)) < len(values):
                 raise ValueError(f"duplicate values in sweep axis {axis}: {values}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.multistart < 1:
-            raise ValueError("multistart must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
-        if self.n_s < 1:
-            raise ValueError("n_s must be >= 1")
-        if self.n_tx_side < 1 or self.n_rx_side < 1:
-            raise ValueError("array sides must be >= 1")
         n_tx, n_rx = self.n_tx, self.n_rx
         for n_rf in self.n_rf:
             if not self.n_s <= n_rf <= min(n_tx, n_rx):
@@ -164,10 +155,7 @@ class SweepSpec:
                     f"partially-connected subarrays must divide both arrays: "
                     f"n_rf={n_rf}, n_tx={n_tx}, n_rx={n_rx}"
                 )
-        if self.scenario == "wideband":
-            if self.n_subcarriers < 1:
-                raise ValueError("n_subcarriers must be >= 1")
-        elif self.n_subcarriers != 1:
+        if self.scenario != "wideband" and self.n_subcarriers != 1:
             raise ValueError("narrowband scenarios require n_subcarriers = 1")
 
     @property
@@ -485,9 +473,7 @@ def run_sweep(spec, out_csv, workers=1):
     # imported here: the package imports this module before it sets the version
     from . import __version__
 
-    workers = check_int(workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = check_int(workers, "workers", 1)
     fh = open(out_csv, "w", encoding="utf-8", newline="\n")
     try:
         with fh, open(f"{out_csv}.meta.json", "w", encoding="utf-8") as meta_fh:

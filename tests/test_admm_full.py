@@ -624,10 +624,10 @@ class TestAdmmConfig:
     @pytest.mark.parametrize(
         "args, match",
         [
-            ((64, 0, 2), "n_rf must be >= 1"),
-            ((0, 4, 2), "n_tx must be >= 1"),
-            ((64, 4, 0), "n_s must be >= 1"),
-            ((64, 4, 2, 0), "n_subcarriers must be >= 1"),
+            ((64, 0, 2), "n_rf must be >= 1, got 0"),
+            ((0, 4, 2), "n_tx must be >= 1, got 0"),
+            ((64, 4, 0), "n_s must be >= 1, got 0"),
+            ((64, 4, 2, 0), "n_subcarriers must be >= 1, got 0"),
             ((64, True, 2), "n_rf must be a finite number"),
             ((64, 4, 2.5), "n_s must be an integer"),
         ],

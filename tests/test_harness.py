@@ -9,6 +9,7 @@ import pytest
 from hybridsim import harness
 from hybridsim.admm import AdmmConfig
 from hybridsim.baseline import optimal_factors, spectral_efficiency
+from hybridsim.channel import ArrayGeometry, ClusterParams, gen_wideband
 from hybridsim.harness import SweepSpec, load_config, run_sweep
 from sweep_rows import (
     group_by,
@@ -153,11 +154,14 @@ class TestSweepSpec:
         [
             ({"multistart": 0}, "multistart must be >= 1"),
             ({"n_s": 0}, "n_s must be >= 1"),
-            ({"n_tx_side": 0}, "array sides must be >= 1"),
+            ({"n_tx_side": 0}, "n_tx_side must be >= 1, got 0"),
             (
                 {"scenario": "wideband", "n_subcarriers": 0},
                 "n_subcarriers must be >= 1",
             ),
+            ({"runs": 0}, "runs must be >= 1, got 0"),
+            ({"n_rx_side": 0}, "n_rx_side must be >= 1, got 0"),
+            ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
         ],
     )
     def test_counts_below_one_rejected(self, overrides, match):
@@ -177,6 +181,50 @@ class TestSweepSpec:
     def test_dict_roundtrip(self):
         spec = small_spec(multistart=2)
         assert SweepSpec.from_dict(spec.to_dict()) == spec
+
+
+def draw(seed, n_subcarriers):
+    return gen_wideband(
+        seed, ArrayGeometry(2), ArrayGeometry(2), ClusterParams(), n_subcarriers
+    )
+
+
+# each integer setting below its bound, and the one message that rejects it
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda _: AdmmConfig(max_iters=0), "max_iters must be >= 1, got 0"),
+        (lambda _: AdmmConfig(seed=-1), "seed must be >= 0, got -1"),
+        (lambda _: ArrayGeometry(0), "side must be >= 1, got 0"),
+        (lambda _: ClusterParams(n_clusters=0), "n_clusters must be >= 1, got 0"),
+        (lambda _: ClusterParams(n_rays=0), "n_rays must be >= 1, got 0"),
+        (lambda _: draw(-1, 1), "seed must be >= 0, got -1"),
+        (lambda _: draw(0, 0), "n_subcarriers must be >= 1, got 0"),
+        (
+            lambda _: spectral_efficiency(np.eye(2), np.eye(2), np.eye(2), 1.0, 0),
+            "n_s must be >= 1, got 0",
+        ),
+        (
+            lambda tmp: run_sweep(small_spec(), tmp / "sweep.csv", workers=0),
+            "workers must be >= 1, got 0",
+        ),
+    ],
+    ids=[
+        "max_iters",
+        "admm_seed",
+        "side",
+        "n_clusters",
+        "n_rays",
+        "channel_seed",
+        "n_subcarriers",
+        "n_s",
+        "workers",
+    ],
+)
+def test_integer_bound_message_names_the_value(build, message, tmp_path):
+    with pytest.raises(ValueError) as info:
+        build(tmp_path)
+    assert str(info.value) == message
 
 
 class TestRunSingle:
