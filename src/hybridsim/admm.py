@@ -45,24 +45,27 @@ copy and f_i its digital row, each step ends by forming ``T_i conj(f_i)``
 and ``|f_i|^2`` of its new digital rows (per-chain ``matmul`` products).
 The next analog update reads them, and the trace objective is
 ``||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2``, the chains'
-blocks of ``R F`` being disjoint; the primal residual is the norm of the
-step's own ``f - r``.  The loop runs on ``PartialState``, which carries
-these products, and its kept iterates are copies of it.
+blocks of ``R F`` being disjoint.  The loop runs on ``PartialState``,
+which carries these products, and its kept iterates are copies of it.
 
 Both structures run one loop (``_run_loop``) over a leading batch axis of
 independent instances: instance i leaves the batch when its own stagnation
 test fires, so it follows, bitwise, the iterations it would follow alone.
-A single design is a batch of one.  A design's start is an input: instance
-i's analog start is ``exp(2j pi u)`` of uniform doubles u, projected onto
-the phase grid in quantized mode, and u is row i of the designer's
-``draws`` argument or, without one, the stream of ``default_rng(cfg.seed +
-i)``.  A design's result depends on its arguments alone.
+A single design is a batch of one.  The loop builds the first iterate from
+the start and takes each step's structure-independent part: the projection,
+the dual step and the primal residual ``||analog - R||_F``, carried by both
+states as ``primal``; a structure supplies its analog update, digital least
+squares and objective.  A design's start is an input: instance i's analog
+start is ``exp(2j pi u)`` of uniform doubles u, projected onto the phase
+grid in quantized mode, and u is row i of the designer's ``draws`` argument
+or, without one, the stream of ``default_rng(cfg.seed + i)``.  A design's
+result depends on its arguments alone.
 
 Iteration traces record the feasible-point objective (evaluated at R, not
-at the unconstrained analog iterate) together with the primal residual
-``||analog - R||_F``; the stagnation test compares consecutive trace
-objectives against ``tau``.  The loop records both into one row per
-iteration of per-instance arrays and builds each trace once, at the end.
+at the unconstrained analog iterate) together with the state's ``primal``;
+the stagnation test compares consecutive trace objectives against ``tau``.
+The loop records both into one row per iteration of per-instance arrays
+and builds each trace once, at the end.
 """
 
 import math
@@ -228,10 +231,11 @@ class AdmmState:
     unit-modulus copy and scaled dual.  ``tf_h`` and ``ff_h`` hold the
     products ``T F^H`` and ``F F^H`` of the targets ``T = [T_1 ... T_K]``
     and the digital matrices ``F = [F_1 ... F_K]``, carried into the
-    measure and the next analog update; ``step_frf`` does not read them, so
-    a state built for it may leave them None.  The loop runs on this state,
-    and a kept iterate is a copy of it; inside a batched design every field
-    carries a leading instance axis."""
+    measure and the next analog update, and ``primal`` is the norm of the
+    step's own ``f_rf - r`` (0 at the start); ``step_frf`` reads none of
+    them, so a state built for it may leave them None.  The loop runs on
+    this state, and a kept iterate is a copy of it; inside a batched design
+    every field carries a leading instance axis."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -239,6 +243,7 @@ class AdmmState:
     w: np.ndarray
     tf_h: np.ndarray | None = None
     ff_h: np.ndarray | None = None
+    primal: np.ndarray | None = None
 
 
 @dataclass
@@ -527,41 +532,57 @@ def _take(state, i):
     return type(state)(*(getattr(state, f.name)[i].copy() for f in fields(state)))
 
 
-def _run_loop(state, data, cfg, step, measure, keep_iterates, final):
+def _run_loop(start, data, cfg, analog, iterate, measure, keep_iterates, r_w):
     """The ADMM loop shared by both structures, over a batch of instances.
 
-    ``data`` is a tuple of per-instance arrays (the targets and whatever is
-    precomputed from them); ``step(state, data, cfg)`` returns the next
-    iterate and ``measure(state, data)`` the per-instance (objective, primal
-    residual).  An instance stops once its objective changes by less than
-    ``cfg.tau``; the loop then carries on with the remaining instances only,
-    so every instance follows the iterations it would follow alone.
-    Returns the field ``final`` of every instance's last iterate, stacked
-    (the one field a designer reads after the loop), the per-instance
-    traces and the per-instance iterate lists (or None).
+    ``start`` holds the analog starts and ``data`` a tuple of per-instance
+    arrays (the targets and what is precomputed from them).  A structure
+    supplies ``analog(state, rho)``, its analog update f; ``iterate(f, r, w,
+    primal, data)``, the state with that analog part and residual, its
+    digital least squares and carried products; and ``measure(state,
+    data)``, the objective.  ``r_w`` names the state's R and W fields.  The
+    loop builds the first iterate (R the start, W and ``primal`` zero) and
+    takes each step's projection ``R = P(f + W)``, dual step ``W + (f - R)``
+    and primal residual ``||f - R||_F``, the trace's.  An instance stops
+    once its objective changes by less than ``cfg.tau``; the loop then
+    carries on with the rest only, so every instance follows the iterations
+    it would follow alone.  Returns every instance's last R, stacked, and
+    the per-instance traces and iterate lists (or None).
     """
-    count = len(data[0])
+    count = len(start)
+    state = iterate(start, start.copy(), np.zeros_like(start), np.zeros(count), data)
+    del start  # the state holds it now, and drops it at the first step
+    r_name, w_name = r_w
+    names = [f.name for f in fields(state)]
     # row t holds iteration t of every instance; rows are added by doubling,
     # so a large max_iters reserves nothing for iterations never run
     objectives = np.empty((min(cfg.max_iters, 32) + 1, count))
     residuals = np.empty_like(objectives)
-    objective, residuals[0] = measure(state, data)
-    objectives[0] = objective
+    objective = objectives[0] = measure(state, data)
+    residuals[0] = state.primal
     ends = np.full(count, cfg.max_iters)
     iterates = None
     if keep_iterates:
         iterates = [[_take(state, i)] for i in range(count)]
-    out = np.empty_like(getattr(state, final))
+    out = np.empty_like(getattr(state, r_name))
     data = list(data)
     active = np.arange(count)
     for t in range(1, cfg.max_iters + 1):
-        state = step(state, data, cfg)
-        new_objective, residual = measure(state, data)
+        f = analog(state, cfg.rho)
+        r = project_unit_modulus(f + getattr(state, w_name), cfg.phase_bits)
+        w = f - r
+        primal = np.sqrt(_sqnorm(w))
+        # w + (f - r): a sum's bits do not depend on the order of its two terms
+        w += getattr(state, w_name)
+        del state  # freed before the next iterate is built
+        state = iterate(f, r, w, primal, data)
+        del f, r, w  # the state holds them, so compaction frees them
+        new_objective = measure(state, data)
         if t == len(objectives):
             objectives = np.concatenate((objectives, np.empty_like(objectives)))
             residuals = np.concatenate((residuals, np.empty_like(residuals)))
         objectives[t, active] = new_objective
-        residuals[t, active] = residual
+        residuals[t, active] = state.primal
         if iterates is not None:
             for j, i in enumerate(active.tolist()):
                 iterates[i].append(_take(state, j))
@@ -570,14 +591,14 @@ def _run_loop(state, data, cfg, step, measure, keep_iterates, final):
             stop[:] = True
         if stop.any():
             ends[active[stop]] = t
-            out[active[stop]] = getattr(state, final)[stop]
+            out[active[stop]] = getattr(state, r_name)[stop]
             going = ~stop
             if not going.any():
                 break
             active, new_objective = active[going], new_objective[going]
             # one array at a time, so each is freed before the next is copied
-            for f in fields(state):
-                setattr(state, f.name, getattr(state, f.name)[going])
+            for name in names:
+                setattr(state, name, getattr(state, name)[going])
             for j in range(len(data)):
                 data[j] = data[j][going]
         objective = new_objective
@@ -607,39 +628,31 @@ def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
     return designs if batched else designs[0]
 
 
-def _dense_iterate(f_rf, r, w, data):
-    """The iterate with analog part ``(f_rf, r, w)``: its digital least
-    squares and the two products carried from it."""
+def _dense_iterate(f_rf, r, w, primal, data):
+    """The iterate with analog part ``(f_rf, r, w)`` and residual ``primal``:
+    its digital least squares and the two products carried from it."""
     t, t_h, _ = data
     count, k, n_s, n_tx = t_h.shape
     f_bb_h = _digital_h(f_rf, t_h.reshape(count, k * n_s, n_tx))
     # the conjugate of F^H is F^T, whose row blocks are the F_k^T
     c = f_bb_h.conj()
     f_bb = c.reshape(count, k, n_s, -1).swapaxes(-1, -2)
-    return AdmmState(f_rf, f_bb, r, w, t @ f_bb_h, c.swapaxes(-1, -2) @ f_bb_h)
+    return AdmmState(f_rf, f_bb, r, w, t @ f_bb_h, c.swapaxes(-1, -2) @ f_bb_h, primal)
 
 
-def _dense_start(f_rf, data):
-    """The first iterate: analog start ``f_rf``, R equal to it, a zero dual."""
-    return _dense_iterate(f_rf, f_rf.copy(), np.zeros_like(f_rf), data)
-
-
-def _dense_step(state, data, cfg):
-    f_rf = _analog_update(state.tf_h, state.ff_h, state.r, state.w, cfg.rho)
-    r = project_unit_modulus(f_rf + state.w, cfg.phase_bits)
-    return _dense_iterate(f_rf, r, state.w + (f_rf - r), data)
+def _dense_analog(state, rho):
+    return _analog_update(state.tf_h, state.ff_h, state.r, state.w, rho)
 
 
 def _dense_measure(state, data):
     # ||T - R F||^2 = ||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H), and
     # Re tr(A B) of a Hermitian B is the real inner product of A and B
     r = state.r
-    objective = (
+    return (
         data[2]
         + _real_inner(_hermitian(r) @ r, state.ff_h)
         - 2.0 * _real_inner(r, state.tf_h)
     )
-    return objective, np.sqrt(_sqnorm(state.f_rf - r))
 
 
 def design_wideband(
@@ -689,16 +702,17 @@ def design_wideband(
     t = targets.swapaxes(-3, -2).reshape(count, n_tx, k * n_s)
     t_h = _concat_h(targets)
     data = (t, t_h.reshape(count, k, n_s, n_tx), _sqnorm(t_h))
-    # the first iterate is built in the call, so no name here keeps it alive
-    # through the loop
+    # the start is built in the call, so no name here keeps it alive through
+    # the loop
     f_rf_hat, traces, iterates = _run_loop(
-        _dense_start(_init_analog(cfg, count, (n_tx, n_rf), draws), data),
+        _init_analog(cfg, count, (n_tx, n_rf), draws),
         data,
         cfg,
-        _dense_step,
+        _dense_analog,
+        _dense_iterate,
         _dense_measure,
         keep_iterates,
-        "r",
+        ("r", "w"),
     )
 
     f_bb_h = _digital_h(f_rf_hat, t_h)
@@ -790,48 +804,33 @@ def _partial_fbb(f_vecs, target3):
     return rows * (1.0 / _chain_sqnorm(f_vecs))[..., None]
 
 
-def _partial_iterate(f_vecs, r_vecs, w_vecs, primal, target3):
-    """The iterate with analog part ``(f_vecs, r_vecs, w_vecs)``: its digital
-    rows and the two products carried from them."""
-    f_bb = _partial_fbb(f_vecs, target3)
-    tf = (target3 @ f_bb.conj()[..., None])[..., 0]
+def _partial_iterate(f_vecs, r_vecs, w_vecs, primal, data):
+    """The iterate with analog part ``(f_vecs, r_vecs, w_vecs)`` and residual
+    ``primal``: its digital rows and the two products carried from them."""
+    f_bb = _partial_fbb(f_vecs, data[0])
+    tf = (data[0] @ f_bb.conj()[..., None])[..., 0]
     return PartialState(f_vecs, f_bb, r_vecs, w_vecs, tf, _chain_sqnorm(f_bb), primal)
 
 
-def _partial_start(f_vecs, target3):
-    """The first iterate: analog start ``f_vecs``, R equal to it, a zero dual."""
-    primal = np.zeros(len(f_vecs))
-    return _partial_iterate(
-        f_vecs, f_vecs.copy(), np.zeros_like(f_vecs), primal, target3
-    )
-
-
-def _partial_step(state, data, cfg):
-    # per-scalar analog update: matching target row times digital row
-    # conjugate, plus the penalty pull toward r - w; each array is built in
-    # place, so no temporary outlives its line
+def _partial_analog(state, rho):
+    # per-scalar analog update (T_i conj(f_i) + rho (r_i - w_i)) / (|f_i|^2 +
+    # rho), built in place, so no temporary outlives its line
     f_vecs = state.r_vecs - state.w_vecs
-    f_vecs *= cfg.rho
+    f_vecs *= rho
     f_vecs += state.tf
-    f_vecs *= (1.0 / (state.fb_sq + cfg.rho))[..., None]
-    r_vecs = project_unit_modulus(f_vecs + state.w_vecs, cfg.phase_bits)
-    w_vecs = f_vecs - r_vecs
-    primal = np.sqrt(_sqnorm(w_vecs))
-    # w + (f - r): a sum's bits do not depend on the order of its two terms
-    w_vecs += state.w_vecs
-    return _partial_iterate(f_vecs, r_vecs, w_vecs, primal, data[0])
+    f_vecs *= (1.0 / (state.fb_sq + rho))[..., None]
+    return f_vecs
 
 
 def _partial_measure(state, data):
     # ||T - R F||^2 = ||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2,
     # the chains' blocks of R F being disjoint
     r = state.r_vecs
-    objective = (
+    return (
         data[1]
         - 2.0 * _real_inner(r, state.tf)
         + (_chain_sqnorm(r) * state.fb_sq).sum(axis=-1)
     )
-    return objective, state.primal
 
 
 def design_partially_connected(
@@ -868,16 +867,17 @@ def design_partially_connected(
     # row block i of the target, shape (B, n_rf, block, n_s)
     target3 = f_target.reshape(count, n_rf, block, n_s)
 
-    # the first iterate is built in the call, so no name here keeps it alive
-    # through the loop
+    # the start is built in the call, so no name here keeps it alive through
+    # the loop
     r_vecs, traces, iterates = _run_loop(
-        _partial_start(_init_analog(cfg, count, (n_rf, block), draws), target3),
+        _init_analog(cfg, count, (n_rf, block), draws),
         (target3, _sqnorm(f_target)),
         cfg,
-        _partial_step,
+        _partial_analog,
+        _partial_iterate,
         _partial_measure,
         keep_iterates,
-        "r_vecs",
+        ("r_vecs", "w_vecs"),
     )
 
     f_rf_hat = assemble_block_diag(r_vecs)

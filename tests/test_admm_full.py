@@ -518,6 +518,33 @@ class TestDesignFullyConnected:
                 designer(np.zeros(shape), 2, cfg, normalize_power=True)
             assert str(err.value).startswith(f"{name} must hold")
 
+    @staticmethod
+    def unit_norm_targets():
+        rng = np.random.default_rng(0)
+        targets = crandn(rng, 3, 16, 2)
+        return targets / np.linalg.norm(targets, axis=(1, 2), keepdims=True)
+
+    def test_analog_solve_rejects_a_rank_deficient_gram_matrix(self):
+        # n_rf = 3 > n_s = 2: F F^H has rank 2, and a rho of 1e-20 does not
+        # lift F F^H + rho I off singular in floating point, however positive
+        # rho is; the analog solve's check is what rejects the design
+        cfg = AdmmConfig(rho=1e-20, max_iters=15, tau=0)
+        targets = self.unit_norm_targets()
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite") as err:
+            design_fully_connected(targets, 3, cfg, normalize_power=True)
+        assert "_analog_update" in [entry.name for entry in err.traceback]
+
+    def test_full_rank_gram_matrix_designs_at_a_tiny_rho(self):
+        # the control: at n_rf = n_s, F F^H has full rank
+        cfg = AdmmConfig(rho=1e-300, max_iters=15, tau=0)
+        designs = design_fully_connected(
+            self.unit_norm_targets(), 2, cfg, normalize_power=True
+        )
+        assert designs.iterations == 3 * 15
+        for design in designs:
+            assert np.isfinite(design.f_bb).all()
+            assert np.isfinite(design.final_objective)
+
 
 class TestRfChainCount:
     """Every designer checks ``n_rf`` before it designs, and the power of

@@ -215,9 +215,13 @@ class TestTraceObjective:
         for target, design in zip(targets, designs):
             bound = 1e-12 * np.linalg.norm(target) ** 2
             assert len(design.trace) == len(design.iterates) > 1
-            for (_, objective, _), state in zip(design.trace, design.iterates):
+            for (_, objective, residual), state in zip(design.trace, design.iterates):
                 direct = np.linalg.norm(target - state.r @ state.f_bb) ** 2
                 assert abs(objective - direct) <= bound
+                # the iterate carries its primal residual, the trace's own
+                assert state.primal == residual
+                gap = np.linalg.norm(state.f_rf - state.r)
+                assert abs(state.primal - gap) <= 1e-12 * gap
                 assert isinstance(state, AdmmState)
                 assert state.f_bb.shape == (k, n_rf, n_s)
                 t = np.concatenate(target, axis=1)
@@ -227,5 +231,6 @@ class TestTraceObjective:
                     (state.ff_h, f @ f.conj().T),
                 ):
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            # the start's dual is zero
+            # the start's dual and primal residual are zero
             assert not design.iterates[0].w.any()
+            assert design.iterates[0].primal == 0
