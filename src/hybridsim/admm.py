@@ -31,46 +31,50 @@ checked row-form solves ``X = C A^-1`` (``_solve_rows``):
 - digital, ``F^H = (T^H F_RF) (F_RF^H F_RF)^-1``.
 
 Each step ends by forming ``T F^H`` and ``F F^H`` of its new digital
-iterate.  The loop runs on ``AdmmState``, which carries them into the
-measure and into the next analog update beside the digital matrices
+iterate, and the trace objective
+``||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H)`` from them, with
+``||T||^2`` computed once, so no target-sized residual or product is formed
+for it.  The loop runs on ``AdmmState``, which carries the two products
+into the next analog update beside the objective and the digital matrices
 stacked per subcarrier, (K, n_rf, n_s), a view of the conjugate of
-``F^H``; a kept iterate is a copy of it.  The trace objective is
-``||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H)``, from n_rf-sized
-products and ``||T||^2`` computed once, so no target-sized residual or
-product is formed for it.
+``F^H``; a kept iterate is a copy of it.
 
 The partially connected loop carries the same kind of products per RF
 chain: with T_i the chain's (L, n_s) target row block, r_i its unit-modulus
 copy and f_i its digital row, each step ends by forming ``T_i conj(f_i)``
-and ``|f_i|^2`` of its new digital rows (per-chain ``matmul`` products).
-The next analog update reads them, and the trace objective is
+and ``|f_i|^2`` of its new digital rows (per-chain ``matmul`` products),
+and the trace objective from them,
 ``||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2``, the chains'
-blocks of ``R F`` being disjoint.  The loop runs on ``PartialState``,
-which carries these products, and its kept iterates are copies of it.
+blocks of ``R F`` being disjoint.  The next analog update reads the
+products.  The loop runs on ``PartialState``, which carries these products
+and the objective, and its kept iterates are copies of it.
 
 Both structures run one loop (``_run_loop``) over a leading batch axis of
 independent instances: instance i leaves the batch when its own stagnation
 test fires, so it follows, bitwise, the iterations it would follow alone.
-A single design is a batch of one.  The loop builds the first iterate from
-the start and takes each step's structure-independent part: the projection,
-the dual step and the primal residual ``||analog - R||_F``, carried by both
-states as ``primal``; a structure supplies its analog update, digital least
-squares and objective.  A design's start is an input: instance i's analog
+A single design is a batch of one.  A structure is two functions: its
+analog update, and its iterate, which takes the analog part and builds the
+state with its digital least squares, carried products and objective.  The
+loop builds the first iterate from the start and takes each step's
+structure-independent part: the projection, the dual step and the primal
+residual ``||analog - R||_F``.  Both states name R, W, the residual and the
+objective alike, ``r``, ``w``, ``primal`` and ``objective``, and the loop
+reads them there.  A design's start is an input: instance i's analog
 start is ``exp(2j pi u)`` of uniform doubles u, projected onto the phase
 grid in quantized mode, and u is row i of the designer's ``draws`` argument
 or, without one, the stream of ``default_rng(cfg.seed + i)``.  A design's
 result depends on its arguments alone.
 
-Iteration traces record the feasible-point objective (evaluated at R, not
-at the unconstrained analog iterate) together with the state's ``primal``;
-the stagnation test compares consecutive trace objectives against ``tau``.
-The loop records both into one row per iteration of per-instance arrays
-and builds each trace once, at the end.
+Iteration traces record the state's ``objective``, the feasible-point
+objective (evaluated at R, not at the unconstrained analog iterate),
+together with its ``primal``; the stagnation test compares consecutive
+trace objectives against ``tau``.  The loop records both into one row per
+iteration of per-instance arrays and builds each trace once, at the end.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -230,12 +234,12 @@ class AdmmState:
     (stacked per subcarrier for the multicarrier variant), auxiliary
     unit-modulus copy and scaled dual.  ``tf_h`` and ``ff_h`` hold the
     products ``T F^H`` and ``F F^H`` of the targets ``T = [T_1 ... T_K]``
-    and the digital matrices ``F = [F_1 ... F_K]``, carried into the
-    measure and the next analog update, and ``primal`` is the norm of the
-    step's own ``f_rf - r`` (0 at the start); ``step_frf`` reads none of
-    them, so a state built for it may leave them None.  The loop runs on
-    this state, and a kept iterate is a copy of it; inside a batched design
-    every field carries a leading instance axis."""
+    and the digital matrices ``F = [F_1 ... F_K]``, carried into the next
+    analog update, ``primal`` is the norm of the step's own ``f_rf - r`` (0
+    at the start) and ``objective`` the trace objective ``||T - R F||^2``;
+    ``step_frf`` reads none of them, so a state built for it may leave them
+    None.  The loop runs on this state, and a kept iterate is a copy of it;
+    inside a batched design every field carries a leading instance axis."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -244,6 +248,7 @@ class AdmmState:
     tf_h: np.ndarray | None = None
     ff_h: np.ndarray | None = None
     primal: np.ndarray | None = None
+    objective: np.ndarray | None = None
 
 
 @dataclass
@@ -252,17 +257,20 @@ class PartialState:
     the length n_tx/n_rf vector for RF chain i, and row i of ``f_bb`` is the
     chain's digital row f_i.  ``tf`` and ``fb_sq`` hold the products
     ``T_i conj(f_i)`` and ``|f_i|^2`` of each chain's target row block T_i,
-    carried into the measure and the next analog update, and ``primal`` is
-    the norm of the step's own ``f_vecs - r_vecs`` (0 at the start).  Inside
-    a batched design every field carries a leading instance axis."""
+    carried into the next analog update, ``r`` and ``w`` are the chains'
+    unit-modulus copies and scaled duals, ``primal`` is the norm of the
+    step's own ``f_vecs - r`` (0 at the start) and ``objective`` the trace
+    objective ``||T - R F||^2``.  Inside a batched design every field
+    carries a leading instance axis."""
 
     f_vecs: np.ndarray
     f_bb: np.ndarray
-    r_vecs: np.ndarray
-    w_vecs: np.ndarray
+    r: np.ndarray
+    w: np.ndarray
     tf: np.ndarray
     fb_sq: np.ndarray
     primal: np.ndarray
+    objective: np.ndarray
 
 
 @dataclass
@@ -369,8 +377,9 @@ def step_frf(state, f_target, rho):
     updates every instance.
     """
     f_bb_h = _hermitian(np.asarray(state.f_bb))
+    tf_h = np.asarray(f_target) @ f_bb_h
     ff_h = _hermitian(f_bb_h) @ f_bb_h
-    return _analog_update(np.asarray(f_target) @ f_bb_h, ff_h, state.r, state.w, rho)
+    return _analog_update(replace(state, tf_h=tf_h, ff_h=ff_h), rho)
 
 
 def _hermitian(x):
@@ -445,10 +454,14 @@ def _digital_h(f_rf, t_h):
     return _solve_rows(_hermitian(f_rf) @ f_rf, t_h @ f_rf)
 
 
-def _analog_update(tf_h, ff_h, r, w, rho):
-    """``[T F^H + rho (R - W)] (F F^H + rho I)^-1``, ``T F^H`` and ``F F^H``
-    given."""
-    return _solve_rows(ff_h + rho * np.eye(ff_h.shape[-1]), tf_h + rho * (r - w))
+def _analog_update(state, rho):
+    """The dense structure's analog update,
+    ``[T F^H + rho (R - W)] (F F^H + rho I)^-1``, read off the state's
+    ``tf_h``, ``ff_h``, ``r`` and ``w``."""
+    ff_h = state.ff_h
+    return _solve_rows(
+        ff_h + rho * np.eye(ff_h.shape[-1]), state.tf_h + rho * (state.r - state.w)
+    )
 
 
 def _start_draws(seed, count, size):
@@ -532,76 +545,74 @@ def _take(state, i):
     return type(state)(*(getattr(state, f.name)[i].copy() for f in fields(state)))
 
 
-def _run_loop(start, data, cfg, analog, iterate, measure, keep_iterates, r_w):
+def _run_loop(start, data, cfg, analog, iterate, keep_iterates):
     """The ADMM loop shared by both structures, over a batch of instances.
 
     ``start`` holds the analog starts and ``data`` a tuple of per-instance
-    arrays (the targets and what is precomputed from them).  A structure
-    supplies ``analog(state, rho)``, its analog update f; ``iterate(f, r, w,
-    primal, data)``, the state with that analog part and residual, its
-    digital least squares and carried products; and ``measure(state,
-    data)``, the objective.  ``r_w`` names the state's R and W fields.  The
-    loop builds the first iterate (R the start, W and ``primal`` zero) and
-    takes each step's projection ``R = P(f + W)``, dual step ``W + (f - R)``
-    and primal residual ``||f - R||_F``, the trace's.  An instance stops
-    once its objective changes by less than ``cfg.tau``; the loop then
-    carries on with the rest only, so every instance follows the iterations
-    it would follow alone.  Returns every instance's last R, stacked, and
-    the per-instance traces and iterate lists (or None).
+    arrays (the targets and what is precomputed from them).  A structure is
+    two functions: ``analog(state, rho)``, its analog update f, and
+    ``iterate(f, r, w, primal, data)``, the state with that analog part and
+    residual, its digital least squares, carried products and trace
+    objective.  Every state names these ``r``, ``w``, ``primal`` and
+    ``objective``.  The loop builds the first iterate (R the start, W and
+    ``primal`` zero) and takes each step's projection ``R = P(f + W)``, dual
+    step ``W + (f - R)`` and primal residual ``||f - R||_F``, the trace's.
+    An instance stops once its objective changes by less than ``cfg.tau``;
+    the loop then carries on with the rest only, so every instance follows
+    the iterations it would follow alone.  Returns every instance's last R,
+    stacked, and the per-instance traces and iterate lists (or None).
     """
     count = len(start)
     state = iterate(start, start.copy(), np.zeros_like(start), np.zeros(count), data)
     del start  # the state holds it now, and drops it at the first step
-    r_name, w_name = r_w
     names = [f.name for f in fields(state)]
     # row t holds iteration t of every instance; rows are added by doubling,
     # so a large max_iters reserves nothing for iterations never run
     objectives = np.empty((min(cfg.max_iters, 32) + 1, count))
     residuals = np.empty_like(objectives)
-    objective = objectives[0] = measure(state, data)
+    objectives[0] = state.objective
     residuals[0] = state.primal
     ends = np.full(count, cfg.max_iters)
     iterates = None
     if keep_iterates:
         iterates = [[_take(state, i)] for i in range(count)]
-    out = np.empty_like(getattr(state, r_name))
+    out = np.empty_like(state.r)
     data = list(data)
     active = np.arange(count)
     for t in range(1, cfg.max_iters + 1):
         f = analog(state, cfg.rho)
-        r = project_unit_modulus(f + getattr(state, w_name), cfg.phase_bits)
+        r = project_unit_modulus(f + state.w, cfg.phase_bits)
         w = f - r
         primal = np.sqrt(_sqnorm(w))
         # w + (f - r): a sum's bits do not depend on the order of its two terms
-        w += getattr(state, w_name)
+        w += state.w
+        previous = state.objective
         del state  # freed before the next iterate is built
         state = iterate(f, r, w, primal, data)
         del f, r, w  # the state holds them, so compaction frees them
-        new_objective = measure(state, data)
         if t == len(objectives):
             objectives = np.concatenate((objectives, np.empty_like(objectives)))
             residuals = np.concatenate((residuals, np.empty_like(residuals)))
-        objectives[t, active] = new_objective
+        objectives[t, active] = state.objective
         residuals[t, active] = state.primal
         if iterates is not None:
             for j, i in enumerate(active.tolist()):
                 iterates[i].append(_take(state, j))
-        stop = np.abs(objective - new_objective) < cfg.tau
+        stop = np.abs(previous - state.objective) < cfg.tau
         if t == cfg.max_iters:
             stop[:] = True
         if stop.any():
             ends[active[stop]] = t
-            out[active[stop]] = getattr(state, r_name)[stop]
+            out[active[stop]] = state.r[stop]
             going = ~stop
             if not going.any():
                 break
-            active, new_objective = active[going], new_objective[going]
+            active = active[going]
             # one array at a time, so each is freed before the next is copied
             for name in names:
                 setattr(state, name, getattr(state, name)[going])
             for j in range(len(data)):
                 data[j] = data[j][going]
-        objective = new_objective
     rows = ends.max() + 1
     traces = [
         list(zip(range(end + 1), obj[: end + 1], res[: end + 1]))
@@ -630,29 +641,23 @@ def _results(structure, f_rf, f_bb, traces, final_objective, iterates, batched):
 
 def _dense_iterate(f_rf, r, w, primal, data):
     """The iterate with analog part ``(f_rf, r, w)`` and residual ``primal``:
-    its digital least squares and the two products carried from it."""
+    its digital least squares, the two products carried from it and its
+    objective."""
     t, t_h, _ = data
     count, k, n_s, n_tx = t_h.shape
     f_bb_h = _digital_h(f_rf, t_h.reshape(count, k * n_s, n_tx))
     # the conjugate of F^H is F^T, whose row blocks are the F_k^T
     c = f_bb_h.conj()
     f_bb = c.reshape(count, k, n_s, -1).swapaxes(-1, -2)
-    return AdmmState(f_rf, f_bb, r, w, t @ f_bb_h, c.swapaxes(-1, -2) @ f_bb_h, primal)
-
-
-def _dense_analog(state, rho):
-    return _analog_update(state.tf_h, state.ff_h, state.r, state.w, rho)
-
-
-def _dense_measure(state, data):
+    tf_h = t @ f_bb_h
+    ff_h = c.swapaxes(-1, -2) @ f_bb_h
+    del f_bb_h  # freed first, so the objective's temporaries can reuse its memory
     # ||T - R F||^2 = ||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H), and
     # Re tr(A B) of a Hermitian B is the real inner product of A and B
-    r = state.r
-    return (
-        data[2]
-        + _real_inner(_hermitian(r) @ r, state.ff_h)
-        - 2.0 * _real_inner(r, state.tf_h)
+    objective = (
+        data[2] + _real_inner(_hermitian(r) @ r, ff_h) - 2.0 * _real_inner(r, tf_h)
     )
+    return AdmmState(f_rf, f_bb, r, w, tf_h, ff_h, primal, objective)
 
 
 def design_wideband(
@@ -708,11 +713,9 @@ def design_wideband(
         _init_analog(cfg, count, (n_tx, n_rf), draws),
         data,
         cfg,
-        _dense_analog,
+        _analog_update,
         _dense_iterate,
-        _dense_measure,
         keep_iterates,
-        ("r", "w"),
     )
 
     f_bb_h = _digital_h(f_rf_hat, t_h)
@@ -804,33 +807,28 @@ def _partial_fbb(f_vecs, target3):
     return rows * (1.0 / _chain_sqnorm(f_vecs))[..., None]
 
 
-def _partial_iterate(f_vecs, r_vecs, w_vecs, primal, data):
-    """The iterate with analog part ``(f_vecs, r_vecs, w_vecs)`` and residual
-    ``primal``: its digital rows and the two products carried from them."""
+def _partial_iterate(f_vecs, r, w, primal, data):
+    """The iterate with analog part ``(f_vecs, r, w)`` and residual ``primal``:
+    its digital rows, the two products carried from them and its objective."""
     f_bb = _partial_fbb(f_vecs, data[0])
     tf = (data[0] @ f_bb.conj()[..., None])[..., 0]
-    return PartialState(f_vecs, f_bb, r_vecs, w_vecs, tf, _chain_sqnorm(f_bb), primal)
+    fb_sq = _chain_sqnorm(f_bb)
+    # ||T - R F||^2 = ||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2,
+    # the chains' blocks of R F being disjoint
+    objective = (
+        data[1] - 2.0 * _real_inner(r, tf) + (_chain_sqnorm(r) * fb_sq).sum(axis=-1)
+    )
+    return PartialState(f_vecs, f_bb, r, w, tf, fb_sq, primal, objective)
 
 
 def _partial_analog(state, rho):
     # per-scalar analog update (T_i conj(f_i) + rho (r_i - w_i)) / (|f_i|^2 +
     # rho), built in place, so no temporary outlives its line
-    f_vecs = state.r_vecs - state.w_vecs
+    f_vecs = state.r - state.w
     f_vecs *= rho
     f_vecs += state.tf
     f_vecs *= (1.0 / (state.fb_sq + rho))[..., None]
     return f_vecs
-
-
-def _partial_measure(state, data):
-    # ||T - R F||^2 = ||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2,
-    # the chains' blocks of R F being disjoint
-    r = state.r_vecs
-    return (
-        data[1]
-        - 2.0 * _real_inner(r, state.tf)
-        + (_chain_sqnorm(r) * state.fb_sq).sum(axis=-1)
-    )
 
 
 def design_partially_connected(
@@ -875,9 +873,7 @@ def design_partially_connected(
         cfg,
         _partial_analog,
         _partial_iterate,
-        _partial_measure,
         keep_iterates,
-        ("r_vecs", "w_vecs"),
     )
 
     f_rf_hat = assemble_block_diag(r_vecs)

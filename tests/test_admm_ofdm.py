@@ -218,7 +218,9 @@ class TestTraceObjective:
             for (_, objective, residual), state in zip(design.trace, design.iterates):
                 direct = np.linalg.norm(target - state.r @ state.f_bb) ** 2
                 assert abs(objective - direct) <= bound
-                # the iterate carries its primal residual, the trace's own
+                # the iterate carries its objective and primal residual, the
+                # trace's own
+                assert state.objective == objective
                 assert state.primal == residual
                 gap = np.linalg.norm(state.f_rf - state.r)
                 assert abs(state.primal - gap) <= 1e-12 * gap

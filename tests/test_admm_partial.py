@@ -150,7 +150,7 @@ class TestDesignPartiallyConnected:
         h = 1e-6
         for prev, cur in zip(design.iterates, design.iterates[1:]):
             for i in range(n_rf):
-                pull = prev.r_vecs[i] - prev.w_vecs[i]
+                pull = prev.r[i] - prev.w[i]
                 for b in range(block):
                     def q(x):
                         fit = np.sum(
@@ -179,9 +179,9 @@ class TestDesignPartiallyConnected:
         )
         for prev, cur in zip(design.iterates, design.iterates[1:]):
             assert np.array_equal(
-                cur.w_vecs, prev.w_vecs + (cur.f_vecs - cur.r_vecs)
+                cur.w, prev.w + (cur.f_vecs - cur.r)
             )
-            assert np.max(np.abs(np.abs(cur.r_vecs) - 1.0)) < 1e-12
+            assert np.max(np.abs(np.abs(cur.r) - 1.0)) < 1e-12
 
     def test_matches_generic_block_projection_loop(self):
         # the per-chain separated updates and the dense loop with a block
@@ -278,10 +278,12 @@ def test_trace_objective_is_the_residual_of_its_iterate(phase_bits, batched):
     for target, design in zip(targets, designs):
         assert len(design.iterates) == len(design.trace) == 13
         for (_, objective, residual), st in zip(design.trace, design.iterates):
-            fit = target - assemble_block_diag(st.r_vecs) @ st.f_bb
+            fit = target - assemble_block_diag(st.r) @ st.f_bb
             expected = np.linalg.norm(fit) ** 2
             assert abs(objective - expected) <= 1e-10 * expected
-            gap = np.linalg.norm(st.f_vecs - st.r_vecs)
+            # the iterate carries its objective, the trace's own
+            assert st.objective == objective
+            gap = np.linalg.norm(st.f_vecs - st.r)
             assert abs(residual - gap) <= 1e-12 * gap
             assert isinstance(st, PartialState)
             # T_i conj(f_i) of chain i's (6, 2) target row block T_i

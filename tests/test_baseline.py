@@ -66,6 +66,24 @@ class TestOptimalFactors:
         with pytest.raises(ValueError, match=f"n_s must be {match}"):
             optimal_factors(h, n_s)
 
+    @pytest.mark.parametrize("ratio, svd_calls", [(0.05, 0), (0.005, 1)])
+    def test_gram_route_threshold(self, monkeypatch, ratio, svd_calls):
+        # sigma_2 / sigma_1 = ratio: the Gram route above 1e-2, the SVD below
+        rng = np.random.default_rng(7)
+        u, v = random_orthonormal(rng, 4, 2), random_orthonormal(rng, 6, 2)
+        h = u @ np.diag([1.0, ratio]) @ v.conj().T
+        real = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        fo = optimal_factors(h, 2)
+        assert len(calls) == svd_calls
+        assert np.allclose(fo.singular_values[:2], [1.0, ratio], atol=1e-12)
+
 
 class TestSpectralEfficiency:
     def test_identity_channel_closed_form(self):

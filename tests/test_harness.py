@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -723,6 +724,51 @@ class TestRunSweep:
         # the 2-run sweep's metadata does not pass for the failed sweep's
         assert (tmp_path / "sweep.csv.meta.json").read_text() == ""
 
+    def test_multistart_keeps_the_first_of_equal_objectives(self, monkeypatch):
+        # every start of a run ties, so each kept design is the run's start 0
+        spec = small_spec(runs=3, multistart=3)
+        real = harness.design_wideband
+        returned = []
+
+        def tied(*args, **kwargs):
+            designs = real(*args, **kwargs)
+            for design in designs:
+                design.final_objective = 1.0
+            returned.append(designs)
+            return designs
+
+        monkeypatch.setattr(harness, "design_wideband", tied)
+        factors = optimal_factors(harness.draw_channels(spec, 0, 3), spec.n_s)
+        draws = harness._start_draws(spec.admm.seed, 9, spec.n_tx * spec.n_rf[0])
+        pairs = harness._design_block(spec, factors, spec.n_rf[0], 0, draws)
+        precoders, combiners = returned
+        assert len(pairs) == 3
+        for run, (pre, comb) in enumerate(pairs):
+            assert pre is precoders[3 * run]
+            assert comb is combiners[3 * run]
+
+    def test_digital_wall_time_is_the_block_svd_time_per_run(
+        self, tmp_path, monkeypatch
+    ):
+        # a block's SVD takes over 200 ms, shared by its 4 runs
+        real = harness.optimal_factors
+
+        def slow(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "optimal_factors", slow)
+        spec = small_spec(runs=4)
+        assert harness._blocks(spec, 1) == ([0], [4])
+        run_sweep(spec, tmp_path / "sweep.csv")
+        digital = [
+            row for row in read_sweep(tmp_path / "sweep.csv")
+            if row.method == "digital_opt"
+        ]
+        assert len(digital) == 4 * len(spec.snr_db_list)
+        for row in digital:
+            assert 50.0 <= row.wall_time_ms < 100.0
+
 
 def wideband_ofdm_spec(runs):
     """36x16 wideband, 16 subcarriers, 2 starts: the shapes of the benchmark's
@@ -802,6 +848,7 @@ class TestBlockLayout:
             sizes = [stop - first for first, stop in calls]
             assert min(sizes) >= 1
             assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)
             assert max(sizes) <= block_runs
             if workers == 2 and runs >= 2:
                 assert len(calls) % 2 == 0, (runs, sizes)
