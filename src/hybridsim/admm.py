@@ -34,36 +34,32 @@ Each step ends by forming ``T F^H`` and ``F F^H`` of its new digital
 iterate, and the trace objective
 ``||T||^2 + Re tr(R^H R F F^H) - 2 Re tr(R^H T F^H)`` from them, with
 ``||T||^2`` computed once, so no target-sized residual or product is formed
-for it.  The loop runs on ``AdmmState``, which carries the two products
-into the next analog update beside the objective and the digital matrices
-stacked per subcarrier, (K, n_rf, n_s), a view of the conjugate of
-``F^H``; a kept iterate is a copy of it.
+for it.
 
-The partially connected loop carries the same kind of products per RF
-chain: with T_i the chain's (L, n_s) target row block, r_i its unit-modulus
-copy and f_i its digital row, each step ends by forming ``T_i conj(f_i)``
-and ``|f_i|^2`` of its new digital rows (per-chain ``matmul`` products),
-and the trace objective from them,
+The partially connected loop carries the same two products, held as their
+nonzero entries: with T_i the chain's (L, n_s) target row block, r_i its
+unit-modulus copy and f_i its digital row, the block-diagonal entries of
+``T F^H`` are the ``T_i conj(f_i)`` and the diagonal of ``F F^H`` is the
+``|f_i|^2``.  Each step ends by forming them of its new digital rows
+(per-chain ``matmul`` products), and the trace objective from them,
 ``||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2``, the chains'
-blocks of ``R F`` being disjoint.  The next analog update reads the
-products.  The loop runs on ``PartialState``, which carries these products
-and the objective, and its kept iterates are copies of it.
+blocks of ``R F`` being disjoint.
 
-Both structures run one loop (``_run_loop``) over a leading batch axis of
-independent instances: instance i leaves the batch when its own stagnation
-test fires, so it follows, bitwise, the iterations it would follow alone.
-A single design is a batch of one.  A structure is two functions: its
-analog update, and its iterate, which takes the analog part and builds the
-state with its digital least squares, carried products and objective.  The
-loop builds the first iterate from the start and takes each step's
-structure-independent part: the projection, the dual step and the primal
-residual ``||analog - R||_F``.  Both states name R, W, the residual and the
-objective alike, ``r``, ``w``, ``primal`` and ``objective``, and the loop
-reads them there.  A design's start is an input: instance i's analog
-start is ``exp(2j pi u)`` of uniform doubles u, projected onto the phase
-grid in quantized mode, and u is row i of the designer's ``draws`` argument
-or, without one, the stream of ``default_rng(cfg.seed + i)``.  A design's
-result depends on its arguments alone.
+Both structures run one loop (``_run_loop``) on one state type,
+``AdmmState``, over a leading batch axis of independent instances:
+instance i leaves the batch when its own stagnation test fires, so it
+follows, bitwise, the iterations it would follow alone.  A single design is
+a batch of one, and a kept iterate is a copy of the state.  A structure is
+two functions: its analog update, and its iterate, which takes the analog
+part and builds the state with its digital least squares, carried products
+and objective.  The loop builds the first iterate from the start and takes
+each step's structure-independent part: the projection, the dual step and
+the primal residual ``||analog - R||_F``.  A design's start is an input:
+instance i's analog start is ``exp(2j pi u)`` of uniform doubles u,
+projected onto the phase grid in quantized mode, and u is row i of the
+designer's ``draws`` argument or, without one, the stream of
+``default_rng(cfg.seed + i)``.  A design's result depends on its arguments
+alone.
 
 Iteration traces record the state's ``objective``, the feasible-point
 objective (evaluated at R, not at the unconstrained analog iterate),
@@ -87,7 +83,6 @@ __all__ = [
     "PARTIALLY_CONNECTED",
     "AdmmConfig",
     "AdmmState",
-    "PartialState",
     "HybridFactors",
     "DesignBatch",
     "project_unit_modulus",
@@ -230,16 +225,27 @@ def scale_matched_rho(n_tx, n_rf, n_s, n_subcarriers=1, structure=FULLY_CONNECTE
 
 @dataclass
 class AdmmState:
-    """One iterate of the dense-analog loop: analog matrix, digital matrix
-    (stacked per subcarrier for the multicarrier variant), auxiliary
-    unit-modulus copy and scaled dual.  ``tf_h`` and ``ff_h`` hold the
-    products ``T F^H`` and ``F F^H`` of the targets ``T = [T_1 ... T_K]``
-    and the digital matrices ``F = [F_1 ... F_K]``, carried into the next
-    analog update, ``primal`` is the norm of the step's own ``f_rf - r`` (0
-    at the start) and ``objective`` the trace objective ``||T - R F||^2``;
-    ``step_frf`` reads none of them, so a state built for it may leave them
-    None.  The loop runs on this state, and a kept iterate is a copy of it;
-    inside a batched design every field carries a leading instance axis."""
+    """One iterate of either structure's loop: analog matrix ``f_rf``,
+    digital matrix ``f_bb``, auxiliary unit-modulus copy ``r`` and scaled
+    dual ``w``, with the products ``tf_h`` and ``ff_h``, ``T F^H`` and
+    ``F F^H`` of the targets T and the digital matrix F, carried into the
+    next analog update.  ``primal`` is the norm of the step's own
+    ``f_rf - r`` (0 at the start) and ``objective`` the trace objective
+    ``||T - R F||^2``; ``step_frf`` reads only ``f_bb``, ``r`` and ``w``,
+    so a state built for it may leave the last four None.
+
+    Dense structure: ``f_rf``, ``r`` and ``w`` are (n_tx, n_rf) matrices,
+    ``f_bb`` is stacked per subcarrier, (K, n_rf, n_s) (one (n_rf, n_s)
+    matrix from ``design_fully_connected``), ``T = [T_1 ... T_K]`` and
+    ``F = [F_1 ... F_K]``, so ``tf_h`` is (n_tx, n_rf) and ``ff_h``
+    (n_rf, n_rf).  Block-diagonal structure: row i of ``f_rf``, ``r`` and
+    ``w``, (n_rf, L), is RF chain i's length-L vector, row i of ``f_bb``,
+    (n_rf, n_s), its digital row f_i, and the products hold only their
+    nonzero entries: row i of ``tf_h``, (n_rf, L), is ``T_i conj(f_i)`` of
+    the chain's target row block T_i, and ``ff_h``, (n_rf,), the ``|f_i|^2``.
+
+    The loop runs on this state, and a kept iterate is a copy of it; inside
+    a batched design every field carries a leading instance axis."""
 
     f_rf: np.ndarray
     f_bb: np.ndarray
@@ -249,28 +255,6 @@ class AdmmState:
     ff_h: np.ndarray | None = None
     primal: np.ndarray | None = None
     objective: np.ndarray | None = None
-
-
-@dataclass
-class PartialState:
-    """One iterate of the block-diagonal loop; row i of each vector array is
-    the length n_tx/n_rf vector for RF chain i, and row i of ``f_bb`` is the
-    chain's digital row f_i.  ``tf`` and ``fb_sq`` hold the products
-    ``T_i conj(f_i)`` and ``|f_i|^2`` of each chain's target row block T_i,
-    carried into the next analog update, ``r`` and ``w`` are the chains'
-    unit-modulus copies and scaled duals, ``primal`` is the norm of the
-    step's own ``f_vecs - r`` (0 at the start) and ``objective`` the trace
-    objective ``||T - R F||^2``.  Inside a batched design every field
-    carries a leading instance axis."""
-
-    f_vecs: np.ndarray
-    f_bb: np.ndarray
-    r: np.ndarray
-    w: np.ndarray
-    tf: np.ndarray
-    fb_sq: np.ndarray
-    primal: np.ndarray
-    objective: np.ndarray
 
 
 @dataclass
@@ -542,7 +526,7 @@ def _real_inner(a, b):
 
 def _take(state, i):
     """A copy of instance ``i`` of a batched state."""
-    return type(state)(*(getattr(state, f.name)[i].copy() for f in fields(state)))
+    return AdmmState(*(getattr(state, f.name)[i].copy() for f in fields(state)))
 
 
 def _run_loop(start, data, cfg, analog, iterate, keep_iterates):
@@ -551,10 +535,9 @@ def _run_loop(start, data, cfg, analog, iterate, keep_iterates):
     ``start`` holds the analog starts and ``data`` a tuple of per-instance
     arrays (the targets and what is precomputed from them).  A structure is
     two functions: ``analog(state, rho)``, its analog update f, and
-    ``iterate(f, r, w, primal, data)``, the state with that analog part and
-    residual, its digital least squares, carried products and trace
-    objective.  Every state names these ``r``, ``w``, ``primal`` and
-    ``objective``.  The loop builds the first iterate (R the start, W and
+    ``iterate(f, r, w, primal, data)``, the ``AdmmState`` with that analog
+    part and residual, its digital least squares, carried products and trace
+    objective.  The loop builds the first iterate (R the start, W and
     ``primal`` zero) and takes each step's projection ``R = P(f + W)``, dual
     step ``W + (f - R)`` and primal residual ``||f - R||_F``, the trace's.
     An instance stops once its objective changes by less than ``cfg.tau``;
@@ -779,19 +762,19 @@ def design_fully_connected(
     return designs if batched else designs[0]
 
 
-def assemble_block_diag(f_vecs):
+def assemble_block_diag(vecs):
     """Stack per-chain phase vectors into the block-diagonal analog matrix.
 
     Column i carries vector i in rows ``i*L .. (i+1)*L - 1`` (L entries per
     chain) and zeros elsewhere.  Leading batch axes are kept.
     """
-    f_vecs = np.asarray(f_vecs)
-    if f_vecs.ndim < 2:
+    vecs = np.asarray(vecs)
+    if vecs.ndim < 2:
         raise ValueError("expected equal-length vectors stacked as rows")
-    *batch, n_rf, block = f_vecs.shape
+    *batch, n_rf, block = vecs.shape
     out = np.zeros((*batch, n_rf * block, n_rf), dtype=complex)
     for i in range(n_rf):
-        out[..., i * block : (i + 1) * block, i] = f_vecs[..., i, :]
+        out[..., i * block : (i + 1) * block, i] = vecs[..., i, :]
     return out
 
 
@@ -801,34 +784,34 @@ def _chain_sqnorm(x):
     return (v * v).sum(axis=-1)
 
 
-def _partial_fbb(f_vecs, target3):
+def _partial_fbb(f_rf, target3):
     # row i: ||f_i||^-2 f_i^H (target row block i)
-    rows = (f_vecs.conj()[..., None, :] @ target3)[..., 0, :]
-    return rows * (1.0 / _chain_sqnorm(f_vecs))[..., None]
+    rows = (f_rf.conj()[..., None, :] @ target3)[..., 0, :]
+    return rows * (1.0 / _chain_sqnorm(f_rf))[..., None]
 
 
-def _partial_iterate(f_vecs, r, w, primal, data):
-    """The iterate with analog part ``(f_vecs, r, w)`` and residual ``primal``:
+def _partial_iterate(f_rf, r, w, primal, data):
+    """The iterate with analog part ``(f_rf, r, w)`` and residual ``primal``:
     its digital rows, the two products carried from them and its objective."""
-    f_bb = _partial_fbb(f_vecs, data[0])
-    tf = (data[0] @ f_bb.conj()[..., None])[..., 0]
-    fb_sq = _chain_sqnorm(f_bb)
+    f_bb = _partial_fbb(f_rf, data[0])
+    tf_h = (data[0] @ f_bb.conj()[..., None])[..., 0]
+    ff_h = _chain_sqnorm(f_bb)
     # ||T - R F||^2 = ||T||^2 - 2 Re <R, T conj(F)> + sum_i ||r_i||^2 |f_i|^2,
     # the chains' blocks of R F being disjoint
     objective = (
-        data[1] - 2.0 * _real_inner(r, tf) + (_chain_sqnorm(r) * fb_sq).sum(axis=-1)
+        data[1] - 2.0 * _real_inner(r, tf_h) + (_chain_sqnorm(r) * ff_h).sum(axis=-1)
     )
-    return PartialState(f_vecs, f_bb, r, w, tf, fb_sq, primal, objective)
+    return AdmmState(f_rf, f_bb, r, w, tf_h, ff_h, primal, objective)
 
 
 def _partial_analog(state, rho):
     # per-scalar analog update (T_i conj(f_i) + rho (r_i - w_i)) / (|f_i|^2 +
     # rho), built in place, so no temporary outlives its line
-    f_vecs = state.r - state.w
-    f_vecs *= rho
-    f_vecs += state.tf
-    f_vecs *= (1.0 / (state.fb_sq + rho))[..., None]
-    return f_vecs
+    f_rf = state.r - state.w
+    f_rf *= rho
+    f_rf += state.tf_h
+    f_rf *= (1.0 / (state.ff_h + rho))[..., None]
+    return f_rf
 
 
 def design_partially_connected(

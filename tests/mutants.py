@@ -1,7 +1,9 @@
 """Mutation check: each mutant below must make tier-1 fail.
 
-Each mutant is an exact ``(file, old text, new text)`` edit that tier-1 once
-let through, paired with the test that now kills it.  The script copies the
+Each mutant is an exact ``(file, old text, new text)`` edit, paired with a
+test that kills it.  The first four once passed tier-1 and each got its
+test; the rest were killed by tier-1 from the start, and are listed so
+that a change that weakens their tests shows.  The script copies the
 repository into a temporary directory, checks that tier-1 passes on the
 unchanged copy, then applies one mutant at a time and runs tier-1 there with
 ``-x -q``.  It prints ``killed`` or ``survived`` per mutant and exits
@@ -47,6 +49,82 @@ MUTANTS = [
         "src/hybridsim/baseline.py",
         "_GRAM_RATIO_TOL = 1e-2",
         "_GRAM_RATIO_TOL = 1e-1",
+    ),
+    (
+        # killed by test_admm_full.py::TestDesignFullyConnected::
+        # test_full_rank_gram_matrix_designs_at_a_tiny_rho
+        "src/hybridsim/admm.py",
+        "stop = np.abs(previous - state.objective) < cfg.tau",
+        "stop = np.abs(previous - state.objective) <= cfg.tau",
+    ),
+    (
+        # killed by test_admm_partial.py::
+        # test_trace_objective_is_the_residual_of_its_iterate
+        "src/hybridsim/admm.py",
+        "primal = np.sqrt(_sqnorm(w))",
+        "primal = _sqnorm(w)",
+    ),
+    (
+        # killed by test_batch.py::
+        # test_designs_from_longer_draws_equal_seeded_designs
+        "src/hybridsim/admm.py",
+        "f_rf = project_unit_modulus(f_rf, cfg.phase_bits)",
+        "f_rf = f_rf",
+    ),
+    (
+        # killed by TestDesignPartiallyConnected::test_power_normalization
+        "src/hybridsim/admm.py",
+        "f_bb_hat *= (np.sqrt(n_s * n_rf / n_tx) / norm)[:, None, None]",
+        "f_bb_hat *= (np.sqrt(n_s) / norm)[:, None, None]",
+    ),
+    (
+        # killed by TestGenerator::test_mean_frobenius_normalization
+        "src/hybridsim/channel.py",
+        "gamma = np.sqrt(n_tx * n_rx / (n_clusters * n_rays))",
+        "gamma = np.sqrt(n_tx * n_rx / n_clusters)",
+    ),
+    (
+        # killed by TestGenerator::test_matches_replay_reference
+        "src/hybridsim/channel.py",
+        "-2j * np.pi * np.arange(n_clusters)",
+        "2j * np.pi * np.arange(n_clusters)",
+    ),
+    (
+        # killed by test_sweep_matches_golden[wideband_ofdm-0]
+        "src/hybridsim/harness.py",
+        "min(designs[i : i + starts], key=lambda d: d.final_objective)",
+        "designs[i]",
+    ),
+    (
+        # killed by TestRunSweep::
+        # test_one_failing_instance_spares_the_rest_of_its_block
+        "src/hybridsim/harness.py",
+        "        if n_runs == 1:\n"
+        "            failed_ms = 1e3 * (time.perf_counter() - t0)\n"
+        "            return (\n"
+        "                np.full((1, len(snrs)), math.nan),\n"
+        "                np.array([math.nan]),\n"
+        "                np.array([0]),\n"
+        "                np.array([failed_ms]),\n",
+        "        if n_runs >= 1:\n"
+        "            failed_ms = 1e3 * (time.perf_counter() - t0) / n_runs\n"
+        "            return (\n"
+        "                np.full((n_runs, len(snrs)), math.nan),\n"
+        "                np.full(n_runs, math.nan),\n"
+        "                np.zeros(n_runs, dtype=int),\n"
+        "                np.full(n_runs, failed_ms),\n",
+    ),
+    (
+        # killed by TestRunSweep::test_overflowing_rates_are_error_rows
+        "src/hybridsim/harness.py",
+        '"error_rows": len(spec.n_rf) * bad_digital + bad_hybrid,',
+        '"error_rows": bad_hybrid,',
+    ),
+    (
+        # killed by TestRunSweep::test_metadata_contents
+        "src/hybridsim/harness.py",
+        "stderr = float(arr.std(ddof=1) / np.sqrt(arr.size))",
+        "stderr = float(arr.std(ddof=0) / np.sqrt(arr.size))",
     ),
 ]
 

@@ -4,7 +4,7 @@ import pytest
 from hybridsim.admm import (
     PARTIALLY_CONNECTED,
     AdmmConfig,
-    PartialState,
+    AdmmState,
     assemble_block_diag,
     design_partially_connected,
     project_unit_modulus,
@@ -158,7 +158,7 @@ class TestDesignPartiallyConnected:
                         )
                         return fit + rho * abs(x - pull[b]) ** 2
 
-                    x0 = cur.f_vecs[i, b]
+                    x0 = cur.f_rf[i, b]
                     scale = max(1.0, q(x0))
                     d_re = (q(x0 + h) - q(x0 - h)) / (2 * h)
                     d_im = (q(x0 + 1j * h) - q(x0 - 1j * h)) / (2 * h)
@@ -179,7 +179,7 @@ class TestDesignPartiallyConnected:
         )
         for prev, cur in zip(design.iterates, design.iterates[1:]):
             assert np.array_equal(
-                cur.w, prev.w + (cur.f_vecs - cur.r)
+                cur.w, prev.w + (cur.f_rf - cur.r)
             )
             assert np.max(np.abs(np.abs(cur.r) - 1.0)) < 1e-12
 
@@ -259,8 +259,9 @@ def test_trace_objective_is_the_residual_of_its_iterate(phase_bits, batched):
     # the loop takes its objective from carried per-chain products; it must
     # equal the explicit residual of the kept iterate's feasible point, and
     # the primal residual the norm of the iterate's f - r.  Each kept iterate
-    # is the loop's own PartialState, and carries the products of its digital
-    # rows
+    # is the loop's own AdmmState, and carries the products of its digital
+    # rows under the dense names: tf_h the block-diagonal entries of T F^H,
+    # ff_h the diagonal of F F^H
     rng = np.random.default_rng(10)
     targets = np.stack([scaled_target(rng, 24, 2) for _ in range(3)])
     cfg = AdmmConfig(
@@ -283,14 +284,22 @@ def test_trace_objective_is_the_residual_of_its_iterate(phase_bits, batched):
             assert abs(objective - expected) <= 1e-10 * expected
             # the iterate carries its objective, the trace's own
             assert st.objective == objective
-            gap = np.linalg.norm(st.f_vecs - st.r)
+            gap = np.linalg.norm(st.f_rf - st.r)
             assert abs(residual - gap) <= 1e-12 * gap
-            assert isinstance(st, PartialState)
+            assert isinstance(st, AdmmState)
             # T_i conj(f_i) of chain i's (6, 2) target row block T_i
-            tf = np.einsum("ils,is->il", target.reshape(4, 6, 2), st.f_bb.conj())
-            assert np.linalg.norm(st.tf - tf) <= 1e-12 * np.linalg.norm(tf)
-            fb_sq = np.sum(np.abs(st.f_bb) ** 2, axis=1)
-            assert np.all(np.abs(st.fb_sq - fb_sq) <= 1e-12 * fb_sq)
+            tf_h = np.einsum("ils,is->il", target.reshape(4, 6, 2), st.f_bb.conj())
+            assert np.linalg.norm(st.tf_h - tf_h) <= 1e-12 * np.linalg.norm(tf_h)
+            ff_h = np.sum(np.abs(st.f_bb) ** 2, axis=1)
+            assert np.all(np.abs(st.ff_h - ff_h) <= 1e-12 * ff_h)
+            # the same products read off the dense ones: row i of tf_h is
+            # column i of T F^H on the support of the assembled analog matrix
+            # F_RF, and ff_h the diagonal of F F^H
+            support = assemble_block_diag(st.f_rf).T != 0
+            blocks = (target @ st.f_bb.conj().T).T[support].reshape(4, 6)
+            assert np.linalg.norm(st.tf_h - blocks) <= 1e-12 * np.linalg.norm(blocks)
+            dense_ff_h = np.diagonal(st.f_bb @ st.f_bb.conj().T).real
+            assert np.all(np.abs(st.ff_h - dense_ff_h) <= 1e-12 * dense_ff_h)
             assert abs(st.primal - gap) <= 1e-12 * gap
         # the start's R is its analog iterate
         assert design.iterates[0].primal == 0.0
