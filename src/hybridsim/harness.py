@@ -32,9 +32,9 @@ vector straight from the columns.
 Determinism: a batched design returns, for every instance, bitwise the
 design that instance gets alone.  Rows are therefore the same for any block
 layout and any number of workers, and wall-clock timings are the only
-nondeterministic output.  If the batched design or the stacked hybrid
-rating of a block at one n_rf fails, both are done again one run at a time
-(``_hybrid_block``), so only a failing run gets NaN hybrid rows.
+nondeterministic output.  If any stage of a block fails, from its channel
+draws to its hybrid rates, the whole block is done again one run at a time
+(``_run_block``), so only a failing run gets NaN rows.
 """
 
 import json
@@ -54,12 +54,7 @@ from .admm import (
     design_partially_connected,
     design_wideband,
 )
-from .baseline import (
-    OptimalFactors,
-    _stream_rates,
-    optimal_factors,
-    spectral_efficiency,
-)
+from .baseline import _stream_rates, optimal_factors, spectral_efficiency
 from .channel import ArrayGeometry, ClusterParams, gen_wideband
 
 __all__ = [
@@ -226,8 +221,8 @@ def _as_tuple(value):
 # the sweep continues.  wall_time_ms is the time of the run's block in one
 # call, divided by the runs of the block: on digital rows the block's SVD
 # factors, on hybrid rows its designs at that n_rf (precoders and combiners,
-# all starts); where a block fell back to one run at a time, a hybrid row
-# has the run's own redesign time.
+# all starts); where a block fell back to one run at a time, every row has
+# its own run's time.
 _CSV_FIELDS = [
     "scenario",
     "snr_db",
@@ -323,23 +318,42 @@ def _run_block(spec, first_run, stop_run):
     the longest start of the sweep, from ``default_rng(admm.seed + r *
     multistart + s)``, and every designer call of the block takes its
     starts from these rows.
+    A block of several runs in which a stage raises ``LinAlgError`` or
+    ``ValueError`` is redone one run at a time.  A run whose draw or factors
+    fail gets NaN rates and objectives, 0 iterations and its elapsed time.
     """
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
-    channels = draw_channels(spec, first_run, stop_run)
-    draws = _start_draws(
-        spec.admm.seed + first_run * spec.multistart,
-        len(channels) * spec.multistart,
-        max(spec.n_tx, spec.n_rx) * max(spec.n_rf),
-    )
-    t0 = time.perf_counter()
-    factors = optimal_factors(channels, spec.n_s)
-    digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)
-    sigma2 = factors.singular_values[..., : spec.n_s] ** 2
-    digital_se = _stream_rates(sigma2, snrs, spec.n_s).mean(axis=1)
-    hybrid = [
-        _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws)
-        for n_rf in spec.n_rf
-    ]
+    start = time.perf_counter()
+    try:
+        channels = draw_channels(spec, first_run, stop_run)
+        draws = _start_draws(
+            spec.admm.seed + first_run * spec.multistart,
+            len(channels) * spec.multistart,
+            max(spec.n_tx, spec.n_rx) * max(spec.n_rf),
+        )
+        t0 = time.perf_counter()
+        factors = optimal_factors(channels, spec.n_s)
+        digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)
+        sigma2 = factors.singular_values[..., : spec.n_s] ** 2
+        digital_se = _stream_rates(sigma2, snrs, spec.n_s).mean(axis=1)
+        hybrid = [
+            _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws)
+            for n_rf in spec.n_rf
+        ]
+    except (np.linalg.LinAlgError, ValueError):
+        if stop_run - first_run > 1:
+            runs = [_run_block(spec, r, r + 1) for r in range(first_run, stop_run)]
+            return _Columns(*map(np.concatenate, zip(*runs)))
+        failed_ms = 1e3 * (time.perf_counter() - start)
+        per_n_rf = (1, len(spec.n_rf))
+        return _Columns(
+            np.full((1, len(snrs)), math.nan),
+            np.array([failed_ms]),
+            np.full((*per_n_rf, len(snrs)), math.nan),
+            np.full(per_n_rf, math.nan),
+            np.zeros(per_n_rf, dtype=int),
+            np.full(per_n_rf, failed_ms),
+        )
     return _Columns(
         digital_se,
         np.full(len(channels), digital_ms),
@@ -356,9 +370,9 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws):
     each run's per-SNR hybrid rates (runs, n_snr), its precoder's objective
     and iterations, and the block's design time per run.  The block is
     designed in one ``_design_block`` call and rated in one stacked call.
-    If either raises, the block is done again one run at a time on slices
-    of the same stacks, each with its own design time, and a run that still
-    fails gets NaN rates, a NaN objective and 0 iterations.
+    If either raises, a block of several runs re-raises, for ``_run_block``
+    to redo run by run, and a one-run block gets NaN rates, a NaN objective,
+    0 iterations and its own design time at this n_rf only.
     """
     n_runs = len(channels)
     t0 = time.perf_counter()
@@ -373,29 +387,15 @@ def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws):
             channels, precoders, combiners, snrs, spec.n_s
         ).mean(axis=1)
     except (np.linalg.LinAlgError, ValueError):
-        if n_runs == 1:
-            failed_ms = 1e3 * (time.perf_counter() - t0)
-            return (
-                np.full((1, len(snrs)), math.nan),
-                np.array([math.nan]),
-                np.array([0]),
-                np.array([failed_ms]),
-            )
-        stacks = zip(channels, factors.f_opt, factors.w_opt, factors.singular_values)
-        starts = spec.multistart
-        runs = [
-            _hybrid_block(
-                spec,
-                h[None],
-                OptimalFactors(f[None], w[None], s[None]),
-                n_rf,
-                first_run + j,
-                snrs,
-                draws[j * starts : (j + 1) * starts],
-            )
-            for j, (h, f, w, s) in enumerate(stacks)
-        ]
-        return tuple(np.concatenate(column) for column in zip(*runs))
+        if n_runs > 1:
+            raise
+        failed_ms = 1e3 * (time.perf_counter() - t0)
+        return (
+            np.full((1, len(snrs)), math.nan),
+            np.array([math.nan]),
+            np.array([0]),
+            np.array([failed_ms]),
+        )
     return (
         rates,
         np.array([pre.final_objective for pre, _ in pairs]),

@@ -2,13 +2,14 @@
 
 Each mutant is an exact ``(file, old text, new text)`` edit, paired with a
 test that kills it.  The first four once passed tier-1 and each got its
-test; the rest were killed by tier-1 from the start, and are listed so
-that a change that weakens their tests shows.  The script copies the
-repository into a temporary directory, checks that tier-1 passes on the
-unchanged copy, then applies one mutant at a time and runs tier-1 there with
-``-x -q``.  It prints ``killed`` or ``survived`` per mutant and exits
-non-zero if a mutant survives, if its old text does not occur exactly once
-(so the list cannot go stale silently), or if the unchanged copy fails.
+test; the rest were killed by tier-1 when they were listed, some by a test
+added with them, and are listed so that a change that weakens their tests
+shows.  The script copies the repository into a temporary directory,
+checks that tier-1 passes on the unchanged copy, then applies one mutant at
+a time and runs tier-1 there with ``-x -q``.  It prints ``killed`` or
+``survived`` per mutant and exits non-zero if a mutant survives, if its old
+text does not occur exactly once (so the list cannot go stale silently), or
+if the unchanged copy fails.
 
 Run from anywhere: ``python3 tests/mutants.py``.  Pytest does not collect
 this file.
@@ -99,26 +100,51 @@ MUTANTS = [
         # killed by TestRunSweep::
         # test_one_failing_instance_spares_the_rest_of_its_block
         "src/hybridsim/harness.py",
-        "        if n_runs == 1:\n"
-        "            failed_ms = 1e3 * (time.perf_counter() - t0)\n"
-        "            return (\n"
-        "                np.full((1, len(snrs)), math.nan),\n"
-        "                np.array([math.nan]),\n"
-        "                np.array([0]),\n"
-        "                np.array([failed_ms]),\n",
-        "        if n_runs >= 1:\n"
-        "            failed_ms = 1e3 * (time.perf_counter() - t0) / n_runs\n"
-        "            return (\n"
-        "                np.full((n_runs, len(snrs)), math.nan),\n"
-        "                np.full(n_runs, math.nan),\n"
-        "                np.zeros(n_runs, dtype=int),\n"
-        "                np.full(n_runs, failed_ms),\n",
+        "        if n_runs > 1:\n"
+        "            raise\n"
+        "        failed_ms = 1e3 * (time.perf_counter() - t0)\n"
+        "        return (\n"
+        "            np.full((1, len(snrs)), math.nan),\n"
+        "            np.array([math.nan]),\n"
+        "            np.array([0]),\n"
+        "            np.array([failed_ms]),\n",
+        "        failed_ms = 1e3 * (time.perf_counter() - t0) / n_runs\n"
+        "        return (\n"
+        "            np.full((n_runs, len(snrs)), math.nan),\n"
+        "            np.full(n_runs, math.nan),\n"
+        "            np.zeros(n_runs, dtype=int),\n"
+        "            np.full(n_runs, failed_ms),\n",
+    ),
+    (
+        # killed by TestRunSweep::test_failed_draw_or_factors_cost_only_their_run
+        "src/hybridsim/harness.py",
+        "        if stop_run - first_run > 1:\n"
+        "            runs = [_run_block(spec, r, r + 1) "
+        "for r in range(first_run, stop_run)]\n"
+        "            return _Columns(*map(np.concatenate, zip(*runs)))\n"
+        "        failed_ms = 1e3 * (time.perf_counter() - start)\n"
+        "        per_n_rf = (1, len(spec.n_rf))\n"
+        "        return _Columns(\n"
+        "            np.full((1, len(snrs)), math.nan),\n"
+        "            np.array([failed_ms]),\n",
+        "        n_runs = stop_run - first_run\n"
+        "        failed_ms = 1e3 * (time.perf_counter() - start) / n_runs\n"
+        "        per_n_rf = (n_runs, len(spec.n_rf))\n"
+        "        return _Columns(\n"
+        "            np.full((n_runs, len(snrs)), math.nan),\n"
+        "            np.full(n_runs, failed_ms),\n",
     ),
     (
         # killed by TestRunSweep::test_overflowing_rates_are_error_rows
         "src/hybridsim/harness.py",
         '"error_rows": len(spec.n_rf) * bad_digital + bad_hybrid,',
         '"error_rows": bad_hybrid,',
+    ),
+    (
+        # killed by TestRunSweep::test_marker_failure_does_not_mask_the_block_error
+        "src/hybridsim/harness.py",
+        "    except OSError:\n        pass\n",
+        "    except FileExistsError:\n        pass\n",
     ),
     (
         # killed by TestRunSweep::test_metadata_contents

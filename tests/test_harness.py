@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import multiprocessing
+import shutil
 import time
 
 import numpy as np
@@ -649,6 +650,53 @@ class TestRunSweep:
             else:
                 assert got == want
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stage", ["draw", "factors"])
+    def test_failed_draw_or_factors_cost_only_their_run(
+        self, tmp_path, monkeypatch, stage, workers
+    ):
+        # run 2's channel draw raises, or the SVD factors of every stack that
+        # holds run 2 raise; its block is redone run by run, run 2 loses
+        # every row and the other runs match a clean sweep row for row
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes only see the patch when forked")
+        spec = small_spec(runs=4, n_rf=[2, 3])
+        run_sweep(spec, tmp_path / "clean.csv")
+        if stage == "draw":
+            real_draw = harness.gen_wideband
+
+            def failing_draw(seed, *args):
+                if seed == spec.base_seed + 2:
+                    raise ValueError("synthetic failure")
+                return real_draw(seed, *args)
+
+            monkeypatch.setattr(harness, "gen_wideband", failing_draw)
+        else:
+            (lost,) = harness.draw_channels(spec, 2, 3)
+            real_factors = harness.optimal_factors
+
+            def failing_factors(channels, n_s):
+                if any(np.array_equal(h, lost) for h in channels):
+                    raise np.linalg.LinAlgError("synthetic failure")
+                return real_factors(channels, n_s)
+
+            monkeypatch.setattr(harness, "optimal_factors", failing_factors)
+        meta = run_sweep(spec, tmp_path / "sweep.csv", workers=workers)
+        clean = read_sweep(tmp_path / "clean.csv")
+        records = read_sweep(tmp_path / "sweep.csv")
+        assert len(records) == len(clean) == meta["rows"]
+        bad = [r for r in records if r.run_index == 2]
+        assert len(bad) == 2 * len(spec.n_rf) * len(spec.snr_db_list)
+        assert all(np.isnan(r.spectral_efficiency) for r in bad)
+        assert all(r.iterations_used == 0 for r in bad)
+        assert all(
+            np.isnan(r.final_objective) for r in bad if r.method == "hybrid_full"
+        )
+        for want, got in zip(clean, records):
+            if got.run_index != 2:
+                assert got._replace(wall_time_ms=0) == want._replace(wall_time_ms=0)
+        assert meta["error_rows"] == len(bad)
+
     def test_lines_match_the_rows_of_the_walked_columns(self, tmp_path, monkeypatch):
         # the row walk on unsorted n_rf and SNR axes, one run a block, and a
         # failing run 1, against the reference rows of the columns it walked
@@ -724,6 +772,23 @@ class TestRunSweep:
         # the 2-run sweep's metadata does not pass for the failed sweep's
         assert (tmp_path / "sweep.csv.meta.json").read_text() == ""
 
+    def test_marker_failure_does_not_mask_the_block_error(
+        self, tmp_path, monkeypatch
+    ):
+        # the output directory is gone when the block fails, so the partial
+        # marker cannot be written; the sweep still raises the block's error
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def failing(spec, first_run, stop_run):
+            shutil.rmtree(out_dir)
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(harness, "_run_block", failing)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_sweep(small_spec(), out_dir / "sweep.csv")
+        assert not out_dir.exists()
+
     def test_multistart_keeps_the_first_of_equal_objectives(self, monkeypatch):
         # every start of a run ties, so each kept design is the run's start 0
         spec = small_spec(runs=3, multistart=3)
@@ -768,6 +833,37 @@ class TestRunSweep:
         assert len(digital) == 4 * len(spec.snr_db_list)
         for row in digital:
             assert 50.0 <= row.wall_time_ms < 100.0
+
+    def test_digital_wall_time_is_the_run_svd_time_in_a_block_that_fell_back(
+        self, tmp_path, monkeypatch
+    ):
+        # run 1's design fails, so the 4-run block is redone one run at a
+        # time; each run's SVD takes over 200 ms, and its digital rows read
+        # that time, not a share of the first attempt's
+        real_factors = harness.optimal_factors
+        real_design = harness._design_block
+
+        def slow(*args):
+            time.sleep(0.2)
+            return real_factors(*args)
+
+        def flaky(spec, factors, n_rf, first_run, draws):
+            if block_offset(first_run, factors, 1) is not None:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real_design(spec, factors, n_rf, first_run, draws)
+
+        monkeypatch.setattr(harness, "optimal_factors", slow)
+        monkeypatch.setattr(harness, "_design_block", flaky)
+        spec = small_spec(runs=4)
+        assert harness._blocks(spec, 1) == ([0], [4])
+        run_sweep(spec, tmp_path / "sweep.csv")
+        digital = [
+            row for row in read_sweep(tmp_path / "sweep.csv")
+            if row.method == "digital_opt"
+        ]
+        assert len(digital) == 4 * len(spec.snr_db_list)
+        for row in digital:
+            assert row.wall_time_ms >= 200.0
 
 
 def wideband_ofdm_spec(runs):
