@@ -6,6 +6,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .baseline import optimal_factors
 from .harness import draw_channels, load_config, run_sweep, scenario_design
 
@@ -70,7 +72,8 @@ def _run(spec, args):
 def _trace(spec, out_path):
     """Dump the trace of run 0's start-0 precoder design at the first n_rf.
 
-    The file is opened first: an unwritable path fails before any design.
+    The file is opened first: an unwritable path fails before any design,
+    and a design that raises is reported on stderr, not traced.
     """
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -83,6 +86,9 @@ def _trace(spec, out_path):
                 writer.writerow([it, f"{obj:.12e}", f"{res:.12e}"])
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 1
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        print(f"error: design failed: {exc}", file=sys.stderr)
         return 1
     print(
         f"wrote {len(design.trace)} trace rows to {out_path} "

@@ -318,90 +318,69 @@ def _run_block(spec, first_run, stop_run):
     the longest start of the sweep, from ``default_rng(admm.seed + r *
     multistart + s)``, and every designer call of the block takes its
     starts from these rows.
-    A block of several runs in which a stage raises ``LinAlgError`` or
-    ``ValueError`` is redone one run at a time.  A run whose draw or factors
-    fail gets NaN rates and objectives, 0 iterations and its elapsed time.
+    Each n_rf is designed in one ``_design_block`` call and rated in one
+    stacked ``spectral_efficiency`` call; its objectives and iterations are
+    the precoders', and its time is the block's design time per run.
+    The columns start as a failed run's: NaN rates and objectives, 0
+    iterations; a stage that succeeds overwrites its slice.  A block of
+    several runs in which a stage raises ``LinAlgError`` or ``ValueError``
+    is redone one run at a time.  There a failed design or rating costs the
+    run only that n_rf, with its design time, and a failed draw or factors
+    cost it every n_rf, with its elapsed time on every row.
     """
     snrs = np.array([10.0 ** (db / 10.0) for db in spec.snr_db_list])
+    n_runs = stop_run - first_run
+    per_n_rf = (n_runs, len(spec.n_rf))
+    columns = _Columns(
+        np.full((n_runs, len(snrs)), math.nan),
+        np.zeros(n_runs),
+        np.full((*per_n_rf, len(snrs)), math.nan),
+        np.full(per_n_rf, math.nan),
+        np.zeros(per_n_rf, dtype=int),
+        np.zeros(per_n_rf),
+    )
     start = time.perf_counter()
     try:
         channels = draw_channels(spec, first_run, stop_run)
         draws = _start_draws(
             spec.admm.seed + first_run * spec.multistart,
-            len(channels) * spec.multistart,
+            n_runs * spec.multistart,
             max(spec.n_tx, spec.n_rx) * max(spec.n_rf),
         )
         t0 = time.perf_counter()
         factors = optimal_factors(channels, spec.n_s)
-        digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)
+        columns.digital_ms[:] = 1e3 * (time.perf_counter() - t0) / n_runs
         sigma2 = factors.singular_values[..., : spec.n_s] ** 2
-        digital_se = _stream_rates(sigma2, snrs, spec.n_s).mean(axis=1)
-        hybrid = [
-            _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws)
-            for n_rf in spec.n_rf
-        ]
+        columns.digital_se[:] = _stream_rates(sigma2, snrs, spec.n_s).mean(axis=1)
+        # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
+        shape = (n_runs, spec.n_subcarriers, -1, spec.n_s)
+        for j, n_rf in enumerate(spec.n_rf):
+            t0 = time.perf_counter()
+            try:
+                pairs = _design_block(spec, factors, n_rf, first_run, draws)
+                columns.design_ms[:, j] = 1e3 * (time.perf_counter() - t0) / n_runs
+                precoders = np.reshape([f.f_rf @ f.f_bb for f, _ in pairs], shape)
+                combiners = np.reshape([w.f_rf @ w.f_bb for _, w in pairs], shape)
+                columns.hybrid_se[:, j] = spectral_efficiency(
+                    channels, precoders, combiners, snrs, spec.n_s
+                ).mean(axis=1)
+            except (np.linalg.LinAlgError, ValueError):
+                if n_runs > 1:
+                    raise
+                columns.design_ms[:, j] = 1e3 * (time.perf_counter() - t0)
+                continue
+            columns.final_objective[:, j] = [pre.final_objective for pre, _ in pairs]
+            columns.iterations[:, j] = [pre.iterations for pre, _ in pairs]
+            # freed before the next n_rf's designs: the block peaks at one n_rf's
+            del pairs, precoders, combiners
     except (np.linalg.LinAlgError, ValueError):
-        if stop_run - first_run > 1:
+        if n_runs > 1:
             runs = [_run_block(spec, r, r + 1) for r in range(first_run, stop_run)]
             return _Columns(*map(np.concatenate, zip(*runs)))
         failed_ms = 1e3 * (time.perf_counter() - start)
-        per_n_rf = (1, len(spec.n_rf))
-        return _Columns(
-            np.full((1, len(snrs)), math.nan),
-            np.array([failed_ms]),
-            np.full((*per_n_rf, len(snrs)), math.nan),
-            np.full(per_n_rf, math.nan),
-            np.zeros(per_n_rf, dtype=int),
-            np.full(per_n_rf, failed_ms),
-        )
-    return _Columns(
-        digital_se,
-        np.full(len(channels), digital_ms),
-        *(np.stack(column, axis=1) for column in zip(*hybrid)),
-    )
-
-
-def _hybrid_block(spec, channels, factors, n_rf, first_run, snrs, draws):
-    """Design and rate every run of a block at ``n_rf``.
-
-    ``channels`` and ``factors`` are the block's stacks, runs first, and
-    ``draws`` its start rows, ``multistart`` per run (see ``_run_block``).
-    Returns the columns ``(rates, final_objective, iterations, design_ms)``:
-    each run's per-SNR hybrid rates (runs, n_snr), its precoder's objective
-    and iterations, and the block's design time per run.  The block is
-    designed in one ``_design_block`` call and rated in one stacked call.
-    If either raises, a block of several runs re-raises, for ``_run_block``
-    to redo run by run, and a one-run block gets NaN rates, a NaN objective,
-    0 iterations and its own design time at this n_rf only.
-    """
-    n_runs = len(channels)
-    t0 = time.perf_counter()
-    try:
-        pairs = _design_block(spec, factors, n_rf, first_run, draws)
-        design_ms = 1e3 * (time.perf_counter() - t0) / n_runs
-        # composites per subcarrier; wideband f_bb is a (K, n_rf, n_s) stack
-        shape = (n_runs, spec.n_subcarriers, -1, spec.n_s)
-        precoders = np.reshape([pre.f_rf @ pre.f_bb for pre, _ in pairs], shape)
-        combiners = np.reshape([comb.f_rf @ comb.f_bb for _, comb in pairs], shape)
-        rates = spectral_efficiency(
-            channels, precoders, combiners, snrs, spec.n_s
-        ).mean(axis=1)
-    except (np.linalg.LinAlgError, ValueError):
-        if n_runs > 1:
-            raise
-        failed_ms = 1e3 * (time.perf_counter() - t0)
-        return (
-            np.full((1, len(snrs)), math.nan),
-            np.array([math.nan]),
-            np.array([0]),
-            np.array([failed_ms]),
-        )
-    return (
-        rates,
-        np.array([pre.final_objective for pre, _ in pairs]),
-        np.array([pre.iterations for pre, _ in pairs]),
-        np.full(n_runs, design_ms),
-    )
+        columns.digital_ms[:] = failed_ms
+        columns.design_ms[:] = failed_ms
+    return columns
 
 
 def scenario_design(spec, factors, side):

@@ -42,8 +42,8 @@ MUTANTS = [
     (
         # killed by TestRunSweep::test_digital_wall_time_is_the_block_svd_time_per_run
         "src/hybridsim/harness.py",
-        "digital_ms = 1e3 * (time.perf_counter() - t0) / len(channels)",
-        "digital_ms = 1e3 * (time.perf_counter() - t0)",
+        "columns.digital_ms[:] = 1e3 * (time.perf_counter() - t0) / n_runs",
+        "columns.digital_ms[:] = 1e3 * (time.perf_counter() - t0)",
     ),
     (
         # killed by TestOptimalFactors::test_gram_route_threshold
@@ -100,39 +100,36 @@ MUTANTS = [
         # killed by TestRunSweep::
         # test_one_failing_instance_spares_the_rest_of_its_block
         "src/hybridsim/harness.py",
-        "        if n_runs > 1:\n"
-        "            raise\n"
-        "        failed_ms = 1e3 * (time.perf_counter() - t0)\n"
-        "        return (\n"
-        "            np.full((1, len(snrs)), math.nan),\n"
-        "            np.array([math.nan]),\n"
-        "            np.array([0]),\n"
-        "            np.array([failed_ms]),\n",
-        "        failed_ms = 1e3 * (time.perf_counter() - t0) / n_runs\n"
-        "        return (\n"
-        "            np.full((n_runs, len(snrs)), math.nan),\n"
-        "            np.full(n_runs, math.nan),\n"
-        "            np.zeros(n_runs, dtype=int),\n"
-        "            np.full(n_runs, failed_ms),\n",
+        "                if n_runs > 1:\n"
+        "                    raise\n"
+        "                columns.design_ms[:, j] = 1e3 * (time.perf_counter() - t0)\n",
+        "                columns.design_ms[:, j] = "
+        "1e3 * (time.perf_counter() - t0) / n_runs\n",
     ),
     (
         # killed by TestRunSweep::test_failed_draw_or_factors_cost_only_their_run
         "src/hybridsim/harness.py",
-        "        if stop_run - first_run > 1:\n"
+        "        if n_runs > 1:\n"
         "            runs = [_run_block(spec, r, r + 1) "
         "for r in range(first_run, stop_run)]\n"
         "            return _Columns(*map(np.concatenate, zip(*runs)))\n"
-        "        failed_ms = 1e3 * (time.perf_counter() - start)\n"
-        "        per_n_rf = (1, len(spec.n_rf))\n"
-        "        return _Columns(\n"
-        "            np.full((1, len(snrs)), math.nan),\n"
-        "            np.array([failed_ms]),\n",
-        "        n_runs = stop_run - first_run\n"
-        "        failed_ms = 1e3 * (time.perf_counter() - start) / n_runs\n"
-        "        per_n_rf = (n_runs, len(spec.n_rf))\n"
-        "        return _Columns(\n"
-        "            np.full((n_runs, len(snrs)), math.nan),\n"
-        "            np.full(n_runs, failed_ms),\n",
+        "        failed_ms = 1e3 * (time.perf_counter() - start)\n",
+        "        failed_ms = 1e3 * (time.perf_counter() - start) / n_runs\n",
+    ),
+    (
+        # killed by TestRunSweep::
+        # test_failed_design_at_one_n_rf_spares_the_other_n_rf
+        "src/hybridsim/harness.py",
+        "                columns.design_ms[:, j] = 1e3 * (time.perf_counter() - t0)\n"
+        "                continue\n",
+        "                columns.design_ms[:, j] = 1e3 * (time.perf_counter() - t0)\n"
+        "                break\n",
+    ),
+    (
+        # killed by TestRunSweep::test_block_frees_each_n_rf_designs_before_the_next
+        "src/hybridsim/harness.py",
+        "            del pairs, precoders, combiners\n",
+        "",
     ),
     (
         # killed by TestRunSweep::test_overflowing_rates_are_error_rows

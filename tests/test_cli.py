@@ -353,6 +353,26 @@ class TestTrace:
                 ]
             assert row["final_objective"] == f"{want.final_objective:.12e}"
 
+    def test_failed_design_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # at so small a rho the analog update's Gram matrix is not positive
+        # definite, so run 0's design raises; a sweep of this config writes
+        # NaN hybrid rows, and trace reports the failure
+        cfg = write_config(
+            tmp_path,
+            n_s=1,
+            n_rf=4,
+            n_tx_side=4,
+            n_rx_side=2,
+            base_seed=0,
+            admm=AdmmConfig(rho=1e-300, max_iters=5),
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: design failed: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unwritable_out_fails_before_any_design(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import shutil
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -697,6 +699,40 @@ class TestRunSweep:
                 assert got._replace(wall_time_ms=0) == want._replace(wall_time_ms=0)
         assert meta["error_rows"] == len(bad)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_design_at_one_n_rf_spares_the_other_n_rf(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # run 1's design fails at n_rf = 2 only; its block is redone run by
+        # run, and run 1 loses its n_rf = 2 hybrid rows but keeps its
+        # digital rows and its n_rf = 3 rows
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker processes only see the patch when forked")
+        real = harness._design_block
+
+        def flaky(spec, factors, n_rf, first_run, draws):
+            if n_rf == 2 and block_offset(first_run, factors, 1) is not None:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(spec, factors, n_rf, first_run, draws)
+
+        spec = small_spec(runs=4, n_rf=[2, 3])
+        run_sweep(spec, tmp_path / "clean.csv")
+        monkeypatch.setattr(harness, "_design_block", flaky)
+        meta = run_sweep(spec, tmp_path / "sweep.csv", workers=workers)
+        clean = read_sweep(tmp_path / "clean.csv")
+        records = read_sweep(tmp_path / "sweep.csv")
+        assert len(records) == len(clean)
+        lost = ("hybrid_full", 1, 2)
+        bad = [r for r in records if (r.method, r.run_index, r.n_rf) == lost]
+        assert len(bad) == len(spec.snr_db_list)
+        assert all(np.isnan(r.spectral_efficiency) for r in bad)
+        assert all(np.isnan(r.final_objective) for r in bad)
+        assert all(r.iterations_used == 0 for r in bad)
+        for want, got in zip(clean, records):
+            if (got.method, got.run_index, got.n_rf) != lost:
+                assert got._replace(wall_time_ms=0) == want._replace(wall_time_ms=0)
+        assert meta["error_rows"] == len(spec.snr_db_list)
+
     def test_lines_match_the_rows_of_the_walked_columns(self, tmp_path, monkeypatch):
         # the row walk on unsorted n_rf and SNR axes, one run a block, and a
         # failing run 1, against the reference rows of the columns it walked
@@ -864,6 +900,24 @@ class TestRunSweep:
         assert len(digital) == 4 * len(spec.snr_db_list)
         for row in digital:
             assert row.wall_time_ms >= 200.0
+
+
+    def test_block_frees_each_n_rf_designs_before_the_next(self):
+        # a 16-run 64x16 block at n_rf 2 and 4 peaks no higher than at n_rf 4
+        # alone: the n_rf = 2 designs and composites are freed before the
+        # n_rf = 4 designs are made (traced peaks of warm calls)
+        spec = narrowband_spec("narrowband_full", 16)
+        peaks = []
+        for n_rf in [(4,), (2, 4)]:
+            block = replace(spec, n_rf=n_rf)
+            harness._run_block(block, 0, block.runs)
+            tracemalloc.start()
+            try:
+                harness._run_block(block, 0, block.runs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def wideband_ofdm_spec(runs):
