@@ -81,45 +81,37 @@ class ClusterParams:
 
 
 def array_response(geom, azimuth, elevation):
-    """Steering vector of a square planar array toward (azimuth, elevation).
+    """Steering vectors of a square planar array toward (azimuth, elevation).
 
     Element (p, q), with p, q in 0..side-1 and linear index p*side + q, is
     ``(1/side) * exp(2j*pi*(d/lambda)*(p*sin(az)*sin(el) + q*cos(el)))``.
-    The vector has unit Euclidean norm.
+    Each vector has unit Euclidean norm.
 
     Parameters
     ----------
     geom : ArrayGeometry
-    azimuth, elevation : float
-        Angles in radians.
+    azimuth, elevation : float or array_like
+        Angles in radians, of one common shape S.
 
     Returns
     -------
-    ndarray, shape (side**2,), complex
+    ndarray, shape (*S, side**2), complex
     """
-    a = _response_matrix(geom, np.asarray([azimuth]), np.asarray([elevation]))
-    return a[:, 0]
-
-
-def _response_matrix(geom, azimuth, elevation):
-    """Steering vectors for arrays of angles, stacked as columns.
-
-    Same element convention as ``array_response``; one column per angle pair.
-    """
-    azimuth = np.asarray(azimuth, dtype=float).ravel()
-    elevation = np.asarray(elevation, dtype=float).ravel()
+    azimuth = np.asarray(azimuth, dtype=float)
+    elevation = np.asarray(elevation, dtype=float)
     idx = np.arange(geom.side)
     # phase factor per angle: p-term uses sin(az)*sin(el), q-term cos(el)
     k = 2.0 * np.pi * geom.spacing_over_lambda
-    p_phase = np.exp(1j * k * np.outer(idx, np.sin(azimuth) * np.sin(elevation)))
-    q_phase = np.exp(1j * k * np.outer(idx, np.cos(elevation)))
-    # (p, q, angle) -> row-major flatten over (p, q) gives index p*side + q
-    a = p_phase[:, None, :] * q_phase[None, :, :]
+    u = np.sin(azimuth) * np.sin(elevation)
+    p_phase = np.exp(1j * k * (u[..., None] * idx))
+    q_phase = np.exp(1j * k * (np.cos(elevation)[..., None] * idx))
+    # (..., p, q) -> row-major flatten over (p, q) gives index p*side + q
+    a = p_phase[..., :, None] * q_phase[..., None, :]
     # NumPy divides a complex array by a real scalar as by a complex one,
     # scaling both parts by the scalar's reciprocal: on entries with no zero
     # part, as steering entries have, this product gives the quotient's bits
     # without the cost of a complex division
-    return a.reshape(geom.side * geom.side, azimuth.size) * (1.0 / geom.side)
+    return a.reshape(*azimuth.shape, geom.side * geom.side) * (1.0 / geom.side)
 
 
 def sample_cluster_angles(rng, params):
@@ -183,19 +175,16 @@ def gen_wideband(seed, tx_geom, rx_geom, params, n_subcarriers):
     # (n_clusters, n_rays, 4): each ray's angles, in the columns of step 3
     rays = means[:, None] + offsets
 
-    a_tx = _response_matrix(tx_geom, rays[..., 0], rays[..., 1])
-    a_rx = _response_matrix(rx_geom, rays[..., 2], rays[..., 3])
+    a_tx = array_response(tx_geom, rays[..., 0], rays[..., 1])
+    a_rx = array_response(rx_geom, rays[..., 2], rays[..., 3])
     n_tx = tx_geom.n_elements
     n_rx = rx_geom.n_elements
     n_clusters, n_rays = params.n_clusters, params.n_rays
     gamma = np.sqrt(n_tx * n_rx / (n_clusters * n_rays))
 
-    # rays are cluster-major: (n_clusters, n_rx, n_rays) @ (n_clusters,
-    # n_rays, n_tx), slice i is gamma a_rx,i diag(gains_i) a_tx,i^H
-    weighted = (a_rx * (gamma * gains.ravel())).reshape(n_rx, n_clusters, n_rays)
-    clusters = weighted.transpose(1, 0, 2) @ a_tx.conj().T.reshape(
-        n_clusters, n_rays, n_tx
-    )
+    # (n_clusters, n_rx, n_rays) @ (n_clusters, n_rays, n_tx): slice i is
+    # gamma a_rx,i diag(gains_i) a_tx,i^H
+    clusters = (a_rx * (gamma * gains)[..., None]).swapaxes(-1, -2) @ a_tx.conj()
     # (K, 1, n_clusters): row k is each cluster's delay phase at subcarrier k
     delay = np.exp(
         np.outer(np.arange(n_subcarriers), -2j * np.pi * np.arange(n_clusters))

@@ -72,23 +72,25 @@ def _run(spec, args):
 def _trace(spec, out_path):
     """Dump the trace of run 0's start-0 precoder design at the first n_rf.
 
-    The file is opened first: an unwritable path fails before any design,
-    and a design that raises is reported on stderr, not traced.
+    The header is written before any design; a design that raises is
+    reported on stderr and leaves the header and a ``# PARTIAL`` line.
     """
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            factors = optimal_factors(draw_channels(spec, 0, 1), spec.n_s)
-            designer, targets = scenario_design(spec, factors, "f_opt")
-            design = designer(targets, spec.n_rf[0], spec.admm, normalize_power=True)[0]
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iteration", "objective", "primal_residual"])
+            try:
+                factors = optimal_factors(draw_channels(spec, 0, 1), spec.n_s)
+                designer, targets = scenario_design(spec, factors, "f_opt")
+                design = designer(targets, spec.n_rf[0], spec.admm, True)[0]
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                fh.write("# PARTIAL: trace aborted before completion\n")
+                print(f"error: design failed: {exc}", file=sys.stderr)
+                return 1
             for it, obj, res in design.trace:
                 writer.writerow([it, f"{obj:.12e}", f"{res:.12e}"])
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 1
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        print(f"error: design failed: {exc}", file=sys.stderr)
         return 1
     print(
         f"wrote {len(design.trace)} trace rows to {out_path} "

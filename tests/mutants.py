@@ -91,6 +91,18 @@ MUTANTS = [
         "2j * np.pi * np.arange(n_clusters)",
     ),
     (
+        # killed by TestGenerator::test_matches_replay_reference
+        "src/hybridsim/channel.py",
+        "(a_rx * (gamma * gains)[..., None]).swapaxes(-1, -2) @ a_tx.conj()",
+        "(a_rx * (gamma * gains)[..., None]).swapaxes(-1, -2) @ a_tx",
+    ),
+    (
+        # killed by TestArrayResponse::test_scale_gives_the_bits_of_dividing_by_side
+        "src/hybridsim/channel.py",
+        "p_phase = np.exp(1j * k * (u[..., None] * idx))",
+        "p_phase = np.exp(1j * k * u[..., None] * idx)",
+    ),
+    (
         # killed by test_sweep_matches_golden[wideband_ofdm-0]
         "src/hybridsim/harness.py",
         "min(designs[i : i + starts], key=lambda d: d.final_objective)",

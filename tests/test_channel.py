@@ -6,7 +6,6 @@ import pytest
 from hybridsim.channel import (
     ArrayGeometry,
     ClusterParams,
-    _response_matrix,
     array_response,
     gen_narrowband,
     gen_wideband,
@@ -83,7 +82,7 @@ class TestArrayResponse:
 
     @pytest.mark.parametrize("side", range(1, 13))
     def test_scale_gives_the_bits_of_dividing_by_side(self, side):
-        # the steering matrix is scaled by 1.0 / side; on its entries that
+        # the steering vectors are scaled by 1.0 / side; on their entries that
         # must give the bits of the quotient by side, on the oldest NumPy
         # admitted as on the newest
         geom = ArrayGeometry(side, 0.5)
@@ -96,8 +95,25 @@ class TestArrayResponse:
         p_phase = np.exp(1j * k * np.outer(idx, np.sin(az) * np.sin(el)))
         q_phase = np.exp(1j * k * np.outer(idx, np.cos(el)))
         product = (p_phase[:, None, :] * q_phase[None, :, :]).reshape(side**2, -1)
-        got = _response_matrix(geom, az, el)
-        assert got.tobytes() == (product / side).tobytes()
+        got = array_response(geom, az, el)
+        assert got.tobytes() == (product / side).T.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    @pytest.mark.parametrize("side", [2, 5, 8])
+    def test_arrays_of_angles_give_the_scalar_vectors_bitwise(self, side, shape):
+        geom = ArrayGeometry(side, 0.5)
+        rng = np.random.default_rng(side)
+        edges = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+        extra = math.prod(shape) - edges.size
+        az = np.concatenate([edges, rng.uniform(-7.0, 7.0, extra)]).reshape(shape)
+        el = rng.permutation(
+            np.concatenate([np.roll(edges, 2), rng.uniform(-7.0, 7.0, extra)])
+        ).reshape(shape)
+        got = array_response(geom, az, el)
+        assert got.shape == (*shape, side**2)
+        for i in np.ndindex(shape):
+            want = array_response(geom, float(az[i]), float(el[i]))
+            assert got[i].tobytes() == want.tobytes()
 
     def test_unit_norm(self):
         rng = np.random.default_rng(12)

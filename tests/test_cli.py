@@ -373,6 +373,27 @@ class TestTrace:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_failed_design_leaves_the_header_and_a_partial_marker(
+        self, tmp_path, capsys
+    ):
+        # the config of the failure above: the file must not be left empty
+        cfg = write_config(
+            tmp_path,
+            n_s=1,
+            n_rf=4,
+            n_tx_side=4,
+            n_rx_side=2,
+            base_seed=0,
+            admm=AdmmConfig(rho=1e-300, max_iters=5),
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == (
+            "iteration,objective,primal_residual\n"
+            "# PARTIAL: trace aborted before completion\n"
+        )
+        assert capsys.readouterr().err.startswith("error: design failed: ")
+
     def test_unwritable_out_fails_before_any_design(
         self, tmp_path, capsys, monkeypatch
     ):
